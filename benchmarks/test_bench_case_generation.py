@@ -30,11 +30,12 @@ def test_bench_case_generation(benchmark, regulator_circuit, case_population):
 
     cases = benchmark(generator.cases_from_results, case_population.results)
 
-    median = benchmark.stats.stats.median
-    print()
-    print(f"Generated {len(cases)} learning cases from "
-          f"{len(case_population)} devices in {median * 1e3:.2f} ms median — "
-          f"{len(cases) / median:,.0f} cases/s")
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        median = benchmark.stats.stats.median
+        print()
+        print(f"Generated {len(cases)} learning cases from "
+              f"{len(case_population)} devices in {median * 1e3:.2f} ms "
+              f"median — {len(cases) / median:,.0f} cases/s")
 
     # One case per (device, distinct condition set).
     conditions = {tuple(sorted(m.conditions.items()))

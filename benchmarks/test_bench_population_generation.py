@@ -34,11 +34,13 @@ def test_bench_population_generation(benchmark, regulator_circuit,
                            regulator_program)
 
     devices = FAILED_DEVICES + PASSING_DEVICES
-    median = benchmark.stats.stats.median
-    print()
-    print(f"Generated {devices} devices ({len(population.failing_results)} "
-          f"failing) in {median * 1e3:.2f} ms median — "
-          f"{devices / median:,.0f} devices/s")
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        median = benchmark.stats.stats.median
+        print()
+        print(f"Generated {devices} devices "
+              f"({len(population.failing_results)} failing) in "
+              f"{median * 1e3:.2f} ms median — "
+              f"{devices / median:,.0f} devices/s")
 
     assert len(population) == devices
     assert len(population.ground_truth) == FAILED_DEVICES

@@ -13,6 +13,11 @@ asserts the two service promises:
   asserted when at least 2 CPUs are actually available (the paired
   measurement is meaningless on a single core; it is always printed).
 
+Both are wall-clock ratios that a busy 2-CPU host cannot hold steadily, so
+they are asserted only under ``--benchmark-only`` (the CI serving-soak and
+benchmark-smoke jobs); the plain test run keeps the slot-for-slot parity
+and nothing-lost checks.
+
 Every engine runs with ``evidence_cache_size=1``: the population's cases
 are distinct, and a deeper LRU would make repeat timing rounds
 cache-warm and the paired comparison unfair.
@@ -81,8 +86,8 @@ def _service_floor(built_model, policy, workers, evidence, names) -> float:
     return floor
 
 
-def test_bench_serving_throughput(benchmark, built_model, regulator_circuit,
-                                  failed_population):
+def test_bench_serving_throughput(benchmark, request, built_model,
+                                  regulator_circuit, failed_population):
     evidence, names = _workload(regulator_circuit, failed_population)
     policy = FallbackPolicy(evidence_cache_size=1)
     bare = DiagnosisEngine(built_model, cache_size=1)
@@ -131,13 +136,18 @@ def test_bench_serving_throughput(benchmark, built_model, regulator_circuit,
           f"{(floors[1] / bare_floor - 1.0) * 100.0:+.1f}% "
           f"(budget {OVERHEAD_BUDGET * 100.0:.0f}% + "
           f"{ABSOLUTE_SLACK_S * 1e3:.0f}ms)")
-    assert floors[1] <= overhead_budget, (
-        f"1-worker service took {floors[1]:.3f}s against a budget of "
-        f"{overhead_budget:.3f}s (bare: {bare_floor:.3f}s)")
+    timed = request.config.getoption("benchmark_only")
+    if timed:
+        assert floors[1] <= overhead_budget, (
+            f"1-worker service took {floors[1]:.3f}s against a budget of "
+            f"{overhead_budget:.3f}s (bare: {bare_floor:.3f}s)")
 
     # Promise 2: adding a worker buys real throughput — multi-core only.
     speedup = floors[1] / floors[2]
-    if cpus >= 2:
+    if not timed:
+        print(f"  [wall-clock assertions run under --benchmark-only; "
+              f"measured {speedup:.2f}x with 2 workers]")
+    elif cpus >= 2:
         assert speedup >= MIN_SPEEDUP_2W, (
             f"2 workers reached only {speedup:.2f}x over 1 worker "
             f"(required {MIN_SPEEDUP_2W}x on {cpus} CPUs)")

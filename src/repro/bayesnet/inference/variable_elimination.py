@@ -339,13 +339,16 @@ class VariableElimination:
         """Return every case's all-marginal posteriors from batched sweeps.
 
         Cases are grouped by their evidence variable set, duplicate evidence
-        configurations are deduplicated, and each group runs ONE elimination
-        sweep with the case axis carried through every ``einsum`` contraction
-        — the population-scoring counterpart of :meth:`posteriors`.  Each
-        result slot maps every non-evidence variable to its posterior
-        distribution; zero-probability evidence yields ``None`` in that slot
-        (callers decide whether that is an error), and non-finite CPD entries
-        raise :class:`InferenceError` exactly like the scalar sweep.
+        configurations are deduplicated, rows the evidence cache already
+        holds (answered by an earlier call or by :meth:`posteriors`) are read
+        from it, and each group's remaining rows run ONE elimination sweep
+        with the case axis carried through every ``einsum`` contraction —
+        the population-scoring counterpart of :meth:`posteriors`; swept rows
+        are cached in turn.  Each result slot maps every non-evidence
+        variable to its posterior distribution, in dicts of its own;
+        zero-probability evidence yields ``None`` in that slot (callers
+        decide whether that is an error), and non-finite CPD entries raise
+        :class:`InferenceError` exactly like the scalar sweep.
 
         ``validated=True`` skips per-case evidence validation — for callers
         (the batched diagnosis path) that already ran :meth:`_validate` on
@@ -354,11 +357,33 @@ class VariableElimination:
         results: list[dict[str, dict[str, float]] | None] = [None] * len(evidence_list)
         for variables, codes, indices in self._batch_groups(
                 evidence_list, validated=validated):
-            unique, inverse = np.unique(codes, axis=0, return_inverse=True)
-            marginals, constants = self._sweep_batch(variables, unique)
-            distributions = self._batch_distributions(marginals, constants)
-            for slot, row in zip(indices, inverse):
-                results[slot] = distributions[row]
+            # The evidence key of each row, as evidence_key builds it:
+            # sorted (variable, state index) pairs.
+            keys = [tuple(zip(variables, row)) for row in codes.tolist()]
+            entries: dict[tuple, tuple | None] = {}
+            missing: list[int] = []
+            for row, key in enumerate(keys):
+                if key not in entries:
+                    entries[key] = self._marginal_cache.get(key)
+                    if entries[key] is None:
+                        missing.append(row)
+            if missing:
+                marginals, constants = self._sweep_batch(variables,
+                                                         codes[missing])
+                for row, distribution, constant in zip(
+                        missing,
+                        self._batch_distributions(marginals, constants),
+                        constants.tolist()):
+                    entry = (distribution,
+                             constant if distribution is not None else 0.0)
+                    entries[keys[row]] = entry
+                    self._marginal_cache.put(keys[row], entry)
+            for slot, key in zip(indices, keys):
+                distribution = entries[key][0]
+                if distribution is not None:
+                    results[slot] = {
+                        variable: dict(states)
+                        for variable, states in distribution.items()}
         return results
 
     def probabilities_of_evidence(self, evidence_list: Sequence[Evidence]
@@ -429,15 +454,16 @@ class VariableElimination:
         """Expand batched marginal arrays into per-case distribution dicts."""
         count = len(constants)
         results: list[dict[str, dict[str, float]] | None] = [None] * count
-        names = {variable: self.network.get_cpd(variable).state_names[variable]
-                 for variable in marginals}
-        for row in range(count):
-            if constants[row] <= 0.0:
+        # One tolist() per variable turns the planes into Python floats at C
+        # speed; the per-row work is then plain dict building.
+        columns = [(self.network.get_cpd(variable).state_names[variable],
+                    values.tolist(), variable)
+                   for variable, values in marginals.items()]
+        for row, constant in enumerate(constants.tolist()):
+            if constant <= 0.0:
                 continue
-            results[row] = {
-                variable: dict(zip(names[variable],
-                                   (float(p) for p in values[row])))
-                for variable, values in marginals.items()}
+            results[row] = {variable: dict(zip(names, rows[row]))
+                            for names, rows, variable in columns}
         return results
 
     def _reduce_rows(self, factor: DiscreteFactor,

@@ -104,6 +104,18 @@ class CircuitModelDescription:
             self.__dict__["_role_cache"] = cached
         return cached
 
+    def _evidence_lookups(self) -> tuple[frozenset[str],
+                                         dict[str, tuple[str, ...]]]:
+        # Frozen like the role partition; evidence handling asks per case
+        # which variables are controllable and which labels each one has.
+        cached = self.__dict__.get("_evidence_cache")
+        if cached is None:
+            cached = (frozenset(self._role_lists()[0]),
+                      {name: tuple(table.labels)
+                       for name, table in self._state_tables.items()})
+            self.__dict__["_evidence_cache"] = cached
+        return cached
+
     @property
     def controllable_variables(self) -> list[str]:
         """Variables whose state the tester forces (test conditions)."""

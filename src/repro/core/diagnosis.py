@@ -65,14 +65,46 @@ def case_from_evidence(model, evidence: Mapping[str, str],
     rather than this split raising first.  Module-level so serving layers
     can normalise cases before shipping them to worker processes.
     """
-    known = set(model.variable_names)
+    controllable_names = model._evidence_lookups()[0]
     controllable = {variable: state for variable, state in evidence.items()
-                    if variable in known
-                    and model.variable(variable).is_controllable}
+                    if variable in controllable_names}
     observable = {variable: state for variable, state in evidence.items()
                   if variable not in controllable}
     return DiagnosticCase(name=name, controllable_states=controllable,
                           observable_states=observable)
+
+
+def impossible_evidence(evidence: Mapping[str, str]
+                        ) -> ImpossibleEvidenceError:
+    """The error for evidence the model assigns probability zero."""
+    return ImpossibleEvidenceError(
+        "the evidence has zero probability under the model; posteriors are "
+        "undefined", evidence=evidence)
+
+
+def _slot_name(case, index: int, names) -> str:
+    """A batch slot's case name."""
+    if isinstance(case, DiagnosticCase):
+        return case.name
+    return names[index] if names is not None else f"case-{index}"
+
+
+def _slot_failure(name: str, case, error: Exception,
+                  on_error: str) -> "DiagnosisFailure":
+    """Re-raise under ``on_error="raise"``, else the structured failure.
+
+    ``case`` is the slot as submitted; the failure records its raw
+    evidence.  Robust serving errors carry their attempt trail; plain
+    engine errors default to an empty one.
+    """
+    if on_error == "raise":
+        raise error
+    raw = case.raw_evidence() if isinstance(case, DiagnosticCase) \
+        else {str(variable): str(state) for variable, state in case.items()}
+    return DiagnosisFailure.from_exception(
+        name, raw, error,
+        attempts=tuple(getattr(error, "attempts", ()) or ()),
+        wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -424,6 +456,19 @@ class DiagnosisEngine:
         self.program_cache = program_cache if self.compiled else None
         self.program_cache_hits = 0
         self._fingerprints = None
+        # Per-case lookups, built once: the model is frozen after
+        # construction.
+        self._observed = {
+            variable: {state: {label: float(label == state)
+                               for label in labels}
+                       for state in labels}
+            for variable, labels in self.model._evidence_lookups()[1].items()}
+        internal = set(self.model.internal_variables)
+        self._internal_parents = {
+            variable: tuple(parent
+                            for parent in self.model.parents_of(variable)
+                            if parent in internal)
+            for variable in internal}
 
     # ----------------------------------------------------------- compilation
     def _program_for(self, signature: tuple[str, ...]):
@@ -529,22 +574,32 @@ class DiagnosisEngine:
         per variable; evidence variables collapse onto their observed state.
         """
         evidence = validate_evidence(self.model, evidence)
-        free = [variable for variable in self.model.variable_names
-                if variable not in evidence]
         if self.compiled:
             program = self._program_for(tuple(sorted(evidence)))
             self.compiled_query_count += 1
             computed = program.posteriors(evidence)
         else:
+            free = [variable for variable in self.model.variable_names
+                    if variable not in evidence]
             computed = self._engine.posteriors(free, evidence)
+        return self._full_posteriors(evidence, computed)
+
+    def _full_posteriors(self, evidence: Mapping[str, str],
+                         computed: Mapping[str, Mapping[str, float]]
+                         ) -> dict[str, dict[str, float]]:
+        """Complete free-variable marginals into every variable's posterior.
+
+        Evidence variables collapse onto a fresh copy of their observed
+        one-hot state.  ``computed`` must be this result's own: the engines
+        hand out fresh dicts per query and per batch slot, so no two
+        diagnoses (duplicate batch slots, evidence-cache hits) ever share a
+        mutable posterior.
+        """
         posteriors: dict[str, dict[str, float]] = {}
         for variable in self.model.variable_names:
-            if variable in evidence:
-                labels = self.model.state_table(variable).labels
-                posteriors[variable] = {label: 1.0 if label == evidence[variable] else 0.0
-                                        for label in labels}
-            else:
-                posteriors[variable] = computed[variable]
+            state = evidence.get(variable)
+            posteriors[variable] = computed[variable] if state is None \
+                else dict(self._observed[variable][state])
         return posteriors
 
     def fail_probability(self, variable: str,
@@ -584,17 +639,16 @@ class DiagnosisEngine:
 
     def _deduce_from_fail(self, fail: dict[str, float]) -> list[str]:
         """Back-track suspects from precomputed internal fail probabilities."""
-        internal = set(fail)
+        internal_parents = self._internal_parents
 
         def ambiguous_internal_parents(variable: str) -> list[str]:
-            return [parent for parent in self.model.parents_of(variable)
-                    if parent in internal
-                    and fail[parent] >= self.ambiguous_threshold]
+            return [parent for parent in internal_parents[variable]
+                    if fail[parent] >= self.ambiguous_threshold]
 
         suspects: set[str] = set()
         # Seed with the abnormal variables, most downstream first so that the
         # blame propagates upwards in one pass per frontier.
-        frontier = [variable for variable in internal
+        frontier = [variable for variable in fail
                     if fail[variable] >= self.abnormal_threshold]
         visited: set[str] = set()
         while frontier:
@@ -639,21 +693,28 @@ class DiagnosisEngine:
                     healthy[variable], 0.0))
                 for variable in self.model.internal_variables}
 
+    def _diagnosis(self, name: str, evidence: dict[str, str],
+                   posteriors: dict[str, dict[str, float]],
+                   provenance: DiagnosisProvenance | None = None
+                   ) -> Diagnosis:
+        """Assemble a Diagnosis: fail probabilities, suspects and ranking."""
+        fail = self._internal_fail_probabilities(posteriors)
+        return Diagnosis(
+            case_name=name,
+            evidence=evidence,
+            posteriors=posteriors,
+            fail_probabilities=fail,
+            suspects=self._deduce_from_fail(fail),
+            ranked_candidates=sorted(fail.items(), key=lambda item: item[1],
+                                     reverse=True),
+            provenance=provenance,
+        )
+
     # ---------------------------------------------------------------- diagnosis
     def diagnose(self, case: DiagnosticCase) -> Diagnosis:
         """Diagnose one case: update posteriors and deduce the suspect list."""
         evidence = case.evidence()
-        posteriors = self.update(evidence)
-        fail = {variable: self.fail_probability(variable, posteriors)
-                for variable in self.model.internal_variables}
-        return Diagnosis(
-            case_name=case.name,
-            evidence=evidence,
-            posteriors=posteriors,
-            fail_probabilities=fail,
-            suspects=self.deduce_candidates(posteriors),
-            ranked_candidates=self.rank_by_fail_probability(posteriors),
-        )
+        return self._diagnosis(case.name, evidence, self.update(evidence))
 
     def _case_from_evidence(self, evidence: Mapping[str, str],
                             name: str) -> DiagnosticCase:
@@ -673,11 +734,12 @@ class DiagnosisEngine:
         """Diagnose a whole population of cases against one shared engine.
 
         Engine construction (network validation, junction-tree compilation)
-        is paid once for the entire batch, every case's posterior update is a
-        single inference sweep, and duplicate failing conditions across the
-        population hit the engine's evidence-keyed cache instead of being
-        recomputed — the intended entry point for customer-return and
-        fault-coverage population workflows.
+        is paid once for the entire batch, and on the exact engines that
+        have one (variable elimination, compiled programs) the posterior
+        updates of every valid case run as ONE batched sweep that
+        deduplicates repeated failing conditions — the intended entry
+        point for customer-return and fault-coverage population workflows.
+        Other engines, and deadline-bound batches, diagnose case by case.
 
         Parameters
         ----------
@@ -710,190 +772,107 @@ class DiagnosisEngine:
         if names is not None and len(names) != len(cases):
             raise DiagnosisError(
                 f"got {len(names)} names for {len(cases)} cases")
-        if deadline is None and type(self) is DiagnosisEngine \
-                and self.compiled:
-            return self._diagnose_batch_compiled(cases, names, on_error)
-        if (deadline is None and type(self) is DiagnosisEngine
-                and isinstance(self._engine, VariableElimination)):
-            return self._diagnose_batch_ve(cases, names, on_error)
-        diagnose = self.diagnose if deadline is None \
-            else self._deadline_diagnose(deadline)
-        results: list[Diagnosis | DiagnosisFailure] = []
-        for index, case in enumerate(cases):
-            results.append(self._diagnose_one(case, index, names, on_error,
-                                              diagnose))
+        if deadline is None and self._batched():
+            results = self._diagnose_batch_swept(cases, names, on_error)
+        else:
+            diagnose = self.diagnose if deadline is None \
+                else self._deadline_diagnose(deadline)
+            results = [self._diagnose_one(case, index, names, on_error,
+                                          diagnose)
+                       for index, case in enumerate(cases)]
         if on_error == "skip":
-            return [result for result in results if result is not None]
+            return [result for result in results if result.ok]
         return results
 
-    def _diagnose_batch_ve(self, cases, names, on_error):
-        """Batched variable-elimination fast path of :meth:`diagnose_batch`.
+    def _batched(self) -> bool:
+        """Whether :meth:`diagnose_batch` can run one batched sweep."""
+        return self.compiled or isinstance(self._engine, VariableElimination)
 
-        Case preparation and evidence validation stay per-case (isolation
-        semantics identical to the scalar loop); the posterior updates of
-        every valid case run through
-        :meth:`~repro.bayesnet.inference.variable_elimination.VariableElimination.posteriors_batch`,
-        which shares one elimination sweep per evidence pattern instead of
-        one per case.
+    def _diagnose_batch_swept(self, cases, names, on_error):
+        """Batched path of :meth:`diagnose_batch`.
+
+        Case preparation and evidence admission (:meth:`_admit`) stay per
+        slot, with the same isolation as the per-case loop; the posterior
+        updates of every admitted slot then run as ONE batched sweep
+        (:meth:`_sweep`), and :meth:`_settle` turns each slot's answer into
+        its result.  Failed slots are handled per ``on_error``; ``"skip"``
+        filtering is left to the caller.
         """
         results: list[Diagnosis | DiagnosisFailure | None] = [None] * len(cases)
-        prepared: list[tuple[int, str, dict[str, str]]] = []
-        evidences: list[dict[str, str]] = []
-        for index, case in enumerate(cases):
-            if isinstance(case, DiagnosticCase):
-                name = case.name
-                raw = case.raw_evidence()
-            else:
-                name = names[index] if names is not None else f"case-{index}"
-                raw = {str(variable): str(state)
-                       for variable, state in case.items()}
+        admitted = []
+        for index, item in enumerate(cases):
+            name = _slot_name(item, index, names)
             try:
-                if not isinstance(case, DiagnosticCase):
-                    case = self._case_from_evidence(case, name)
-                evidence = validate_evidence(self.model, case.evidence())
-                # Surface engine-level evidence problems here, per case, so
-                # the shared batched sweep below can never fail as a whole.
-                self._engine._validate([], evidence)
+                case = item if isinstance(item, DiagnosticCase) \
+                    else self._case_from_evidence(item, name)
+                admission = self._admit(case)
             except Exception as error:
-                if on_error == "raise":
-                    raise
-                results[index] = DiagnosisFailure.from_exception(
-                    name, raw, error,
-                    attempts=tuple(getattr(error, "attempts", ()) or ()),
-                    wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))
+                results[index] = _slot_failure(name, item, error, on_error)
                 continue
-            prepared.append((index, name, evidence))
-            evidences.append(evidence)
-
-        variable_names = self.model.variable_names
-        labels = {variable: self.model.state_table(variable).labels
-                  for variable in variable_names}
-        for (index, name, evidence), computed in zip(
-                prepared,
-                self._engine.posteriors_batch(evidences, validated=True)):
-            if computed is None:
-                error = ImpossibleEvidenceError(
-                    "the evidence has zero probability under the model; "
-                    "posteriors are undefined", evidence=evidence)
-                if on_error == "raise":
-                    raise error
-                results[index] = DiagnosisFailure.from_exception(
-                    name, evidence, error)
-                continue
-            posteriors: dict[str, dict[str, float]] = {}
-            for variable in variable_names:
-                if variable in evidence:
-                    observed = evidence[variable]
-                    posteriors[variable] = {
-                        label: 1.0 if label == observed else 0.0
-                        for label in labels[variable]}
-                else:
-                    posteriors[variable] = computed[variable]
-            fail = self._internal_fail_probabilities(posteriors)
-            results[index] = Diagnosis(
-                case_name=name,
-                evidence=evidence,
-                posteriors=posteriors,
-                fail_probabilities=fail,
-                suspects=self._deduce_from_fail(fail),
-                ranked_candidates=sorted(fail.items(),
-                                         key=lambda item: item[1],
-                                         reverse=True),
-            )
-        if on_error == "skip":
-            return [result for result in results
-                    if isinstance(result, Diagnosis)]
+            if isinstance(admission, Diagnosis):
+                results[index] = admission  # answered at admission
+            else:
+                admitted.append((index, item, case, admission))
+        answers = self._sweep([evidence
+                               for *_, (evidence, _) in admitted])
+        for (index, item, case, (evidence, context)), answer in zip(
+                admitted, answers):
+            try:
+                results[index] = self._settle(case, evidence, context,
+                                              answer)
+            except Exception as error:
+                results[index] = _slot_failure(case.name, item, error,
+                                               on_error)
         return results
 
-    def _diagnose_batch_compiled(self, cases, names, on_error):
-        """Compiled fast path of :meth:`diagnose_batch`.
+    def _admit(self, case: DiagnosticCase):
+        """Admit one slot to the batched sweep: ``(evidence, context)``."""
+        evidence = validate_evidence(self.model, case.evidence())
+        if not self.compiled:
+            # Surface engine-level evidence problems here, per slot, so the
+            # shared sweep can never fail as a whole.
+            self._engine._validate([], evidence)
+        return evidence, None
 
-        Case preparation and evidence validation stay per-case (isolation
-        semantics identical to the scalar loop); valid cases are grouped by
-        evidence-variable signature, each group's evidence is encoded into
-        one integer state matrix, deduplicated, and pushed through the
-        group's :class:`~repro.bayesnet.inference.CompiledProgram` as one
-        vectorised ``run_batch`` sweep.
+    def _sweep(self, evidences: list[dict[str, str]]) -> list:
+        """Answer every admitted slot from batched sweeps.
+
+        Returns, per slot, the free-variable marginals in dicts of the
+        slot's own, or ``None`` for zero-probability evidence.  Interpreted
+        variable elimination runs one shared elimination sweep per evidence
+        pattern over the rows its evidence cache does not hold
+        (:meth:`~repro.bayesnet.inference.variable_elimination.VariableElimination.posteriors_batch`);
+        compiled engines group slots by evidence signature and push each
+        group's deduplicated state matrix through its
+        :class:`~repro.bayesnet.inference.CompiledProgram` as one
+        vectorised ``run_batch``.
         """
-        results: list[Diagnosis | DiagnosisFailure | None] = [None] * len(cases)
-        groups: dict[tuple[str, ...],
-                     list[tuple[int, str, dict[str, str]]]] = {}
-        for index, case in enumerate(cases):
-            if isinstance(case, DiagnosticCase):
-                name = case.name
-                raw = case.raw_evidence()
-            else:
-                name = names[index] if names is not None else f"case-{index}"
-                raw = {str(variable): str(state)
-                       for variable, state in case.items()}
-            try:
-                if not isinstance(case, DiagnosticCase):
-                    case = self._case_from_evidence(case, name)
-                evidence = validate_evidence(self.model, case.evidence())
-            except Exception as error:
-                if on_error == "raise":
-                    raise
-                results[index] = DiagnosisFailure.from_exception(
-                    name, raw, error,
-                    attempts=tuple(getattr(error, "attempts", ()) or ()),
-                    wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))
-                continue
-            signature = tuple(sorted(evidence))
-            groups.setdefault(signature, []).append((index, name, evidence))
-
-        variable_names = self.model.variable_names
-        labels = {variable: self.model.state_table(variable).labels
-                  for variable in variable_names}
-        for signature, slots in groups.items():
+        if not self.compiled:
+            return self._engine.posteriors_batch(evidences, validated=True)
+        answers: list = [None] * len(evidences)
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for position, evidence in enumerate(evidences):
+            groups.setdefault(tuple(sorted(evidence)), []).append(position)
+        for signature, positions in groups.items():
             program = self._program_for(signature)
-            codes = program.encode([evidence for _, _, evidence in slots])
+            codes = program.encode([evidences[position]
+                                    for position in positions])
             unique, inverse = np.unique(codes, axis=0, return_inverse=True)
-            inverse = np.asarray(inverse).reshape(-1)
             batch = program.run_batch(unique, on_impossible="mask")
-            self.compiled_query_count += len(slots)
-            # One marginal-dict set per unique evidence row; duplicated
-            # devices share them, exactly like the evidence-cache hits of
-            # the interpreted batch path.
-            computed_rows: dict[int, dict[str, dict[str, float]]] = {}
-            for (index, name, evidence), row in zip(slots, inverse):
-                row = int(row)
-                if not batch.evidence_probability[row] > 0.0:
-                    error = ImpossibleEvidenceError(
-                        "the evidence has zero probability under the model; "
-                        "posteriors are undefined", evidence=evidence)
-                    if on_error == "raise":
-                        raise error
-                    results[index] = DiagnosisFailure.from_exception(
-                        name, evidence, error)
-                    continue
-                computed = computed_rows.get(row)
-                if computed is None:
-                    computed = batch.distributions(row)
-                    computed_rows[row] = computed
-                posteriors: dict[str, dict[str, float]] = {}
-                for variable in variable_names:
-                    if variable in evidence:
-                        observed = evidence[variable]
-                        posteriors[variable] = {
-                            label: 1.0 if label == observed else 0.0
-                            for label in labels[variable]}
-                    else:
-                        posteriors[variable] = computed[variable]
-                fail = self._internal_fail_probabilities(posteriors)
-                results[index] = Diagnosis(
-                    case_name=name,
-                    evidence=evidence,
-                    posteriors=posteriors,
-                    fail_probabilities=fail,
-                    suspects=self._deduce_from_fail(fail),
-                    ranked_candidates=sorted(fail.items(),
-                                             key=lambda item: item[1],
-                                             reverse=True),
-                )
-        if on_error == "skip":
-            return [result for result in results
-                    if isinstance(result, Diagnosis)]
-        return results
+            self.compiled_query_count += len(positions)
+            # Expanded per slot, so duplicate slots get dicts of their own.
+            for position, row in zip(positions,
+                                     np.asarray(inverse).reshape(-1)):
+                answers[position] = batch.distributions(int(row))
+        return answers
+
+    def _settle(self, case: DiagnosticCase, evidence: dict[str, str],
+                context, computed) -> Diagnosis:
+        """Turn one slot's sweep answer into its Diagnosis."""
+        if computed is None:
+            raise impossible_evidence(evidence)
+        return self._diagnosis(case.name, evidence,
+                               self._full_posteriors(evidence, computed))
 
     def _deadline_diagnose(self, deadline: float):
         """Return a per-case diagnose callable sharing a batch deadline."""
@@ -904,27 +883,12 @@ class DiagnosisEngine:
 
     def _diagnose_one(self, case, index, names, on_error, diagnose):
         """Run one batch slot through ``diagnose`` under the isolation mode."""
-        if isinstance(case, DiagnosticCase):
-            name = case.name
-            raw = case.raw_evidence()
-        else:
-            name = names[index] if names is not None else f"case-{index}"
-            raw = {str(variable): str(state)
-                   for variable, state in case.items()}
+        name = _slot_name(case, index, names)
         try:
-            if not isinstance(case, DiagnosticCase):
-                case = self._case_from_evidence(case, name)
-            return diagnose(case)
+            return diagnose(case if isinstance(case, DiagnosticCase)
+                            else self._case_from_evidence(case, name))
         except Exception as error:
-            if on_error == "raise":
-                raise
-            # Robust serving errors carry their attempt trail; plain engine
-            # errors default to an empty one.
-            failure = DiagnosisFailure.from_exception(
-                name, raw, error,
-                attempts=tuple(getattr(error, "attempts", ()) or ()),
-                wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))
-            return failure if on_error == "collect" else None
+            return _slot_failure(name, case, error, on_error)
 
     def diagnose_measurements(self, conditions: Mapping[str, float],
                               measurements: Mapping[str, float],

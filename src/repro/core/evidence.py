@@ -25,7 +25,7 @@ Two entry points share one issue taxonomy:
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from repro.core.circuit_model import CircuitModelDescription
 from repro.exceptions import EvidenceError
@@ -64,7 +64,7 @@ class EvidenceIssue:
         return f"[{self.kind}] {self.variable}: {self.detail}"
 
 
-def _coerce_state(table_labels: list[str], state: object) -> str | None:
+def _coerce_state(table_labels: Sequence[str], state: object) -> str | None:
     """Try to repair ``state`` onto one of ``table_labels``; None if hopeless."""
     if isinstance(state, bool):
         return None
@@ -92,22 +92,22 @@ def validate_evidence(model: CircuitModelDescription,
     with ``str()`` (matching what :meth:`DiagnosticCase.evidence` does), so
     integer-valued datalog columns that happen to match a label pass.
     """
-    known = set(model.variable_names)
+    labels_of = model._evidence_lookups()[1]
     issues: list[EvidenceIssue] = []
     normalised: dict[str, str] = {}
     for variable, state in evidence.items():
-        if variable not in known:
+        labels = labels_of.get(variable)
+        if labels is None:
             issues.append(EvidenceIssue(
                 UNKNOWN_VARIABLE, str(variable), str(state),
-                f"not one of the {len(known)} model variables of "
+                f"not one of the {len(labels_of)} model variables of "
                 f"{model.name!r}"))
             continue
-        labels = model.state_table(variable).labels
         text = str(state)
         if text not in labels:
             issues.append(EvidenceIssue(
                 UNKNOWN_STATE, variable, text,
-                f"not a usable state; known states: {labels}"))
+                f"not a usable state; known states: {list(labels)}"))
             continue
         normalised[variable] = text
     if issues:
@@ -131,16 +131,16 @@ def sanitize_evidence(model: CircuitModelDescription,
     a diagnosis' provenance and distinguish a clean case from a salvaged
     one.
     """
-    known = set(model.variable_names)
+    labels_of = model._evidence_lookups()[1]
     issues: list[EvidenceIssue] = []
     clean: dict[str, str] = {}
     for variable, state in evidence.items():
-        if variable not in known:
+        labels = labels_of.get(variable)
+        if labels is None:
             issues.append(EvidenceIssue(
                 UNKNOWN_VARIABLE, str(variable), str(state),
                 "dropped: not a model variable"))
             continue
-        labels = model.state_table(variable).labels
         text = str(state)
         if text in labels:
             clean[variable] = text
@@ -149,7 +149,8 @@ def sanitize_evidence(model: CircuitModelDescription,
         if repaired is None:
             issues.append(EvidenceIssue(
                 UNKNOWN_STATE, variable, text,
-                f"dropped: no usable state matches; known states: {labels}"))
+                f"dropped: no usable state matches; known states: "
+                f"{list(labels)}"))
         else:
             issues.append(EvidenceIssue(
                 REPAIRED_STATE, variable, text,

@@ -27,6 +27,17 @@ The serving loop per case:
    repaired.  Degraded results additionally emit a
    :class:`~repro.exceptions.DegradedResultWarning`.
 
+``diagnose_batch`` runs steps 1 and 3 per slot but answers step 2 for the
+whole batch at once: after the evidence boundary and the durable-cache
+lookup (once per distinct evidence; later copies in the batch are hits of
+that entry), the remaining slots share ONE batched sweep of the primary
+engine (variable elimination's ``posteriors_batch`` through the evidence
+cache, or the compiled program's ``run_batch``).  Only a slot that sweep
+could not answer walks the chain, with the sweep counted as its first
+primary attempt; each slot's wall time is its equal share of the batch
+time.  Deadline-bound batches, policies with a per-attempt ``deadline``,
+and primaries without a batched sweep diagnose case by case.
+
 Deadlines are enforced by running the attempt in a daemon worker thread and
 abandoning it on expiry (CPython cannot interrupt a running numpy kernel);
 an abandoned attempt keeps a core busy until it finishes, which is the
@@ -49,6 +60,7 @@ from repro.core.diagnosis import (
     DiagnosisProvenance,
     DiagnosticCase,
     ENGINE_NAMES,
+    impossible_evidence,
 )
 from repro.core.evidence import sanitize_evidence, validate_evidence
 from repro.core.model_builder import BuiltModel
@@ -205,6 +217,11 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         self.posterior_cache = posterior_cache
         self.cache_hits = 0
         self.cache_misses = 0
+        # While a batch runs with a durable cache: evidence key -> the
+        # posteriors an earlier slot found in or stored to the cache (None
+        # while that slot waits for the sweep), so the batch looks up and
+        # stores each distinct evidence once.
+        self._batch_posteriors: dict[tuple, dict | None] | None = None
         # The primary engine is the one the superclass already built; the
         # fallback engines are constructed lazily on first degradation so a
         # healthy serving path never pays for them.
@@ -281,38 +298,73 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         only.
         """
         start = time.perf_counter()
-        attempts: list[AttemptRecord] = []
+        if deadline is not None and deadline <= 0:
+            raise self._deadline_exceeded(case, deadline, deadline, (),
+                                          start, None)
+        admission = self._admit(case)
+        if isinstance(admission, Diagnosis):
+            return admission
+        evidence, (issues, notes, _) = admission
+        return self._run_chain(case, evidence, issues, notes, start,
+                               deadline)
+
+    def _admit(self, case: DiagnosticCase):
+        """Evidence boundary plus durable-cache lookup for one case.
+
+        Returns the cached :class:`Diagnosis` on a hit, else
+        ``(evidence, (issues, notes, pending))`` for inference, where
+        ``pending`` is the evidence key when an earlier slot of the same
+        batch missed on the same evidence (``None`` otherwise).
+        """
+        start = time.perf_counter()
+        evidence, issues = self._evidence_boundary(case)
+        dropped = [issue for issue in issues if issue.kind != "repaired-state"]
         notes: list[str] = []
+        if issues:
+            notes.append(
+                f"evidence sanitised: {len(issues)} issue(s), "
+                f"{len(dropped)} entry(ies) dropped")
+        if self.posterior_cache is None:
+            return evidence, (issues, notes, None)
+        seen = self._batch_posteriors
+        key = tuple(sorted(evidence.items()))
+        if seen is not None and key in seen:
+            if seen[key] is None:
+                return evidence, (issues, notes, key)
+            return self._accept_batch_hit(case, evidence, seen[key], issues,
+                                          notes, start)
+        cached = self._cached_posteriors(evidence)
+        if seen is not None:
+            seen[key] = cached
+        if cached is not None:
+            attempt = AttemptRecord("cache", "ok", time.perf_counter() - start)
+            return self._accept_cached(case, evidence, cached, (attempt,),
+                                       issues, notes, start)
+        return evidence, (issues, notes, None)
+
+    def _run_chain(self, case: DiagnosticCase, evidence: dict[str, str],
+                   issues: tuple, notes: list[str], start: float,
+                   deadline: float | None = None,
+                   attempts: tuple[AttemptRecord, ...] = (),
+                   last_error: BaseException | None = None) -> Diagnosis:
+        """Walk the fallback chain for one admitted case.
+
+        ``attempts`` already made count as the primary engine's first
+        attempts and are not repeated (a failed batched sweep is one).
+        """
         budget_end = None if deadline is None else start + deadline
 
         def remaining() -> float | None:
             return None if budget_end is None \
                 else budget_end - time.perf_counter()
 
-        if deadline is not None and deadline <= 0:
-            raise self._deadline_exceeded(case, deadline, deadline,
-                                          tuple(attempts), start, None)
-
-        evidence, issues = self._evidence_boundary(case)
-        dropped = [issue for issue in issues if issue.kind != "repaired-state"]
-        if issues:
-            notes.append(
-                f"evidence sanitised: {len(issues)} issue(s), "
-                f"{len(dropped)} entry(ies) dropped")
-
-        if self.posterior_cache is not None:
-            cached = self._cached_posteriors(evidence)
-            if cached is not None:
-                attempts.append(AttemptRecord(
-                    "cache", "ok", time.perf_counter() - start))
-                return self._accept_cached(case, evidence, cached,
-                                           tuple(attempts), tuple(issues),
-                                           notes, start)
-
         policy = self.policy
-        last_error: BaseException | None = None
+        made = len(attempts)
+        attempts = list(attempts)
         for position, engine_name in enumerate(policy.chain):
             for retry in range(policy.attempts_per_engine):
+                if position == 0 and retry < made:
+                    continue
                 if retry and policy.backoff > 0:
                     # A backoff longer than the remaining budget would turn
                     # the deadline into dead sleep: clamp, then let the
@@ -351,7 +403,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 attempts.append(AttemptRecord(
                     engine_name, "ok", time.perf_counter() - attempt_start))
                 return self._accept(case, evidence, posteriors, engine_name,
-                                    position, tuple(attempts), tuple(issues),
+                                    position, tuple(attempts), issues,
                                     notes, start)
             notes.append(
                 f"engine {engine_name!r} exhausted "
@@ -364,6 +416,84 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             attempts=tuple(attempts),
             wall_time=time.perf_counter() - start)
         raise error from last_error
+
+    # ------------------------------------------------------------ batch sweep
+    def _batched(self) -> bool:
+        # A per-attempt deadline bounds one case's attempt, not a shared
+        # sweep: such policies keep the per-case loop.
+        return self.policy.deadline is None and super()._batched()
+
+    def _diagnose_batch_swept(self, cases, names, on_error):
+        """One batched primary sweep for every slot the cache did not answer.
+
+        Per slot: evidence boundary and durable-cache lookup
+        (:meth:`_admit`).  The remaining slots share one sweep of the
+        primary engine; a slot the sweep could not answer walks the
+        fallback chain with the sweep as its first primary attempt.  Each
+        slot's wall time is its equal share of the batch time.
+        """
+        started = time.perf_counter()
+        if self.posterior_cache is not None:
+            self._batch_posteriors = {}
+        try:
+            results = super()._diagnose_batch_swept(cases, names, on_error)
+        finally:
+            self._batch_posteriors = None
+        share = (time.perf_counter() - started) / max(len(results), 1)
+        for result in results:
+            if result.ok:
+                result.provenance.wall_time = share
+            else:
+                result.wall_time = share
+        return results
+
+    def _sweep(self, evidences: list[dict[str, str]]) -> list:
+        """The primary's batched sweep; per slot ``(answer, elapsed)``.
+
+        A sweep that raises answers every slot with its error.  The
+        interpreted sweep reads and fills the evidence cache, so rows a
+        previous batch answered (a serving worker's earlier chunks) are
+        not recomputed.
+        """
+        started = time.perf_counter()
+        try:
+            answers = super()._sweep(evidences)
+        except Exception as error:  # noqa: BLE001 - each slot degrades
+            answers = [error] * len(evidences)
+        share = (time.perf_counter() - started) / max(len(evidences), 1)
+        return [(answer, share) for answer in answers]
+
+    def _settle(self, case: DiagnosticCase, evidence: dict[str, str],
+                context, answer) -> Diagnosis:
+        """Accept a swept slot, fail it, or send it down the chain."""
+        issues, notes, pending = context
+        computed, elapsed = answer
+        primary = self.policy.chain[0]
+        start = time.perf_counter()
+        if pending is not None:
+            # An earlier slot settled the same evidence first: a durable hit
+            # if it stored its posteriors, else this slot's own miss.
+            stored = self._batch_posteriors[pending]
+            if stored is not None:
+                return self._accept_batch_hit(case, evidence, stored, issues,
+                                              notes, start)
+            self.cache_misses += 1
+        if isinstance(computed, Exception):
+            attempt = AttemptRecord(primary, "error", elapsed,
+                                    f"{type(computed).__name__}: {computed}")
+            return self._run_chain(case, evidence, issues, notes, start,
+                                   attempts=(attempt,), last_error=computed)
+        if computed is None:
+            error = impossible_evidence(evidence)
+            error.attempts = (AttemptRecord(
+                primary, "error", elapsed,
+                f"{type(error).__name__}: {error}"),)
+            raise error
+        return self._accept(case, evidence,
+                            self._full_posteriors(evidence, computed),
+                            primary, 0,
+                            (AttemptRecord(primary, "ok", elapsed),),
+                            issues, notes, start)
 
     def _deadline_exceeded(self, case: DiagnosticCase,
                            deadline: float | None, left: float | None,
@@ -432,14 +562,28 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         return value
 
     def _store_posteriors(self, evidence: Mapping[str, str],
-                          posteriors: Mapping[str, Mapping[str, float]]
-                          ) -> None:
+                          posteriors: dict[str, dict[str, float]]) -> None:
         """Durably share an exact posterior set; failures never propagate."""
         try:
             self.posterior_cache.put_posteriors(
                 self._model_fingerprint(), evidence, posteriors)
         except (ReproError, OSError):
-            pass
+            return
+        if self._batch_posteriors is not None:
+            self._batch_posteriors[tuple(sorted(evidence.items()))] = \
+                posteriors
+
+    def _accept_batch_hit(self, case: DiagnosticCase,
+                          evidence: dict[str, str],
+                          stored: dict[str, dict[str, float]], issues: tuple,
+                          notes: list[str], start: float) -> Diagnosis:
+        """A durable hit on posteriors an earlier slot of this batch read."""
+        self.cache_hits += 1
+        posteriors = {variable: dict(states)
+                      for variable, states in stored.items()}
+        attempt = AttemptRecord("cache", "ok", time.perf_counter() - start)
+        return self._accept_cached(case, evidence, posteriors, (attempt,),
+                                   issues, notes, start)
 
     def _accept_cached(self, case: DiagnosticCase, evidence: dict[str, str],
                        posteriors: dict[str, dict[str, float]],
@@ -463,20 +607,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 f"case {case.name!r} served degraded from the durable "
                 f"cache: " + "; ".join(notes), DegradedResultWarning,
                 stacklevel=3)
-        return self._build_diagnosis(case, evidence, posteriors, provenance)
-
-    def _build_diagnosis(self, case: DiagnosticCase,
-                         evidence: dict[str, str],
-                         posteriors: dict[str, dict[str, float]],
-                         provenance: DiagnosisProvenance) -> Diagnosis:
-        fail = {variable: self.fail_probability(variable, posteriors)
-                for variable in self.model.internal_variables}
-        return Diagnosis(
-            case_name=case.name, evidence=evidence, posteriors=posteriors,
-            fail_probabilities=fail,
-            suspects=self.deduce_candidates(posteriors),
-            ranked_candidates=self.rank_by_fail_probability(posteriors),
-            provenance=provenance)
+        return self._diagnosis(case.name, evidence, posteriors, provenance)
 
     def _accept(self, case: DiagnosticCase, evidence: dict[str, str],
                 posteriors: dict[str, dict[str, float]], engine_name: str,
@@ -507,7 +638,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             warnings.warn(
                 f"case {case.name!r} served degraded by {engine_name!r}: "
                 + "; ".join(notes), DegradedResultWarning, stacklevel=3)
-        return self._build_diagnosis(case, evidence, posteriors, provenance)
+        return self._diagnosis(case.name, evidence, posteriors, provenance)
 
     def _effective_sample_size(self, engine_name: str) -> float | None:
         """Confidence signal of a sampled posterior; None for exact engines."""

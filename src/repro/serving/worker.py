@@ -30,6 +30,13 @@ model, the worker serves that instead of the payload's, and between chunks
 it polls the version stamp (throttled) — a bump hot-swaps a freshly built
 engine without dropping the chunk stream.
 
+A chunk without a request budget is one ``diagnose_batch(on_error=
+"collect")`` call on the engine: one batched primary sweep for the chunk,
+the fallback chain only for the slots it could not answer (see
+:mod:`repro.core.robust`).  A budgeted chunk runs case by case, draining
+the budget.  ``WorkerChaos.on_case`` runs for every case before its
+diagnosis either way.
+
 Every per-case failure inside a healthy worker is converted to a structured
 :class:`~repro.core.diagnosis.DiagnosisFailure` *here*, so the only way a
 chunk comes back incomplete is the process dying — exactly the condition
@@ -239,12 +246,20 @@ def worker_main(conn, payload: WorkerPayload) -> None:
 def _run_chunk(engine: RobustDiagnosisEngine, pairs, budget, chaos):
     """Diagnose every ``(slot, case)`` pair, never letting one escape.
 
-    The chunk's remaining request budget is shared across its cases via the
-    engine's draining-deadline closure, so a request deadline set at the
-    service API bounds every attempt down in the fallback chain.
+    A deadline-free chunk is one batched ``diagnose_batch``.  A budgeted
+    chunk keeps the per-case loop, sharing the remaining request budget
+    across its cases via the engine's draining-deadline closure, so a
+    request deadline set at the service API bounds every attempt down in
+    the fallback chain.
     """
-    diagnose = engine.diagnose if budget is None \
-        else engine._deadline_diagnose(budget)
+    if budget is None:
+        if chaos is not None:
+            for _, case in pairs:
+                chaos.on_case(case)
+        results = engine.diagnose_batch([case for _, case in pairs],
+                                        on_error="collect")
+        return [(slot, result) for (slot, _), result in zip(pairs, results)]
+    diagnose = engine._deadline_diagnose(budget)
     results = []
     for slot, case in pairs:
         if chaos is not None:

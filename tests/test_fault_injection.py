@@ -249,8 +249,10 @@ class TestBatchUnderChaos:
                  PAPER_DIAGNOSTIC_CASES[1].evidence()]
         with FaultInjector() as chaos:
             # Primary engine hard-down on top of the poisoned case: good
-            # cases degrade, the bad case fails structurally.
+            # cases degrade, the bad case fails structurally.  The batch
+            # runs one batched sweep first, so that path is downed too.
             chaos.raise_on_call(engine._engine, "posteriors")
+            chaos.raise_on_call(engine._engine, "posteriors_batch")
             results = engine.diagnose_batch(
                 batch, names=["d1", "poisoned", "d2"], on_error="collect")
         assert len(results) == 3
@@ -268,6 +270,7 @@ class TestBatchUnderChaos:
     def test_whole_chain_down_collects_attempt_trails(self, engine):
         with FaultInjector() as chaos:
             chaos.raise_on_call(engine._engine, "posteriors")
+            chaos.raise_on_call(engine._engine, "posteriors_batch")
             chaos.raise_on_call(engine._engine_for("lw")._engine, "posteriors")
             results = engine.diagnose_batch(
                 [PAPER_DIAGNOSTIC_CASES[0], PAPER_DIAGNOSTIC_CASES[1]],

@@ -141,8 +141,11 @@ class TestCircuitBreaking:
     def test_flapping_worker_is_quarantined(self, built_model):
         # Worker 0 dies on every first chunk of every incarnation; with a
         # long cooldown it trips its breaker and the batch finishes on
-        # worker 1 alone.
-        chaos = {0: WorkerChaos(kill_on_chunk=1, only_first_generation=False)}
+        # worker 1 alone.  Worker 1 is slowed so the batch outlasts worker
+        # 0's respawn: the breaker only trips on a second crash.
+        chaos = {0: WorkerChaos(kill_on_chunk=1, only_first_generation=False),
+                 1: WorkerChaos(slow_per_case=0.02,
+                                only_first_generation=False)}
         batch = make_batch(24)
         with service(built_model, chunk_size=2, breaker_threshold=2,
                      breaker_cooldown=60.0, max_respawns_per_worker=20,
