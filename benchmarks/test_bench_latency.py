@@ -8,13 +8,6 @@ This benchmark pins the tail latency of that path for both exact engines
 a per-calibration marginal memo).  Engines run with ``cache_size=1`` and a
 rotating evidence set so every timed call is a cold inference sweep, not an
 evidence-cache hit.
-
-The compiled variants time the same workload through ahead-of-time
-:class:`~repro.bayesnet.inference.CompiledProgram` op-lists
-(``DiagnosisEngine(compiled=True)``): the sweep is traced once per
-evidence signature at warm-up (compile time reported, never timed) and
-every timed call is pure array execution — the sub-millisecond SLO the
-serving story depends on, asserted at p50 < 1 ms for the junction tree.
 """
 
 from __future__ import annotations
@@ -112,77 +105,6 @@ def test_bench_single_device_latency(benchmark, built_model,
     # stall the bench station.
     assert p50 < 0.050
     assert p99 < 0.250
-
-
-@pytest.mark.parametrize("inference", ["ve", "jt"])
-def test_bench_compiled_single_device_latency(benchmark, built_model,
-                                              latency_evidences, inference):
-    engine = DiagnosisEngine(built_model, inference=inference,
-                             compiled=True, cache_size=1)
-    # Warm-up pass: compiles one program per evidence-variable signature in
-    # the workload (real deployments warm-compile at worker init), so the
-    # timed region below is pure compiled-query execution.
-    for evidence in latency_evidences:
-        engine.diagnose_evidence(evidence, name="warmup")
-    compile_ms = engine.compile_ms
-
-    timings = []
-    for sample in range(SAMPLES):
-        evidence = latency_evidences[sample % len(latency_evidences)]
-        start = time.perf_counter()
-        engine.diagnose_evidence(evidence, name=f"s{sample}")
-        timings.append(time.perf_counter() - start)
-    timings.sort()
-    p50 = percentile(timings, 0.50)
-    p99 = percentile(timings, 0.99)
-
-    cursor = {"next": 0}
-
-    def one_device():
-        index = cursor["next"]
-        cursor["next"] = (index + 1) % len(latency_evidences)
-        return engine.diagnose_evidence(latency_evidences[index],
-                                        name="bench")
-
-    diagnosis = benchmark(one_device)
-
-    print()
-    print(format_table(
-        ["Engine", "Evidences", "Programs", "Compile (ms)", "p50 (ms)",
-         "p99 (ms)"],
-        [[f"{inference} (compiled)", len(latency_evidences),
-          engine.compile_count, f"{compile_ms:.1f}", f"{p50 * 1e3:.2f}",
-          f"{p99 * 1e3:.2f}"]],
-        title="Compiled single-device diagnosis latency"))
-    if benchmark.stats is not None:
-        benchmark.extra_info["p50_ms"] = round(p50 * 1e3, 3)
-        benchmark.extra_info["p99_ms"] = round(p99 * 1e3, 3)
-        benchmark.extra_info["compile_ms"] = round(compile_ms, 3)
-        benchmark.extra_info["programs_compiled"] = engine.compile_count
-    assert diagnosis.suspects is not None
-    assert engine.compiled_query_count > SAMPLES
-    # The compiled-inference SLO: a cold single-device posterior update on
-    # the junction-tree schedule must land under a millisecond at the
-    # median, with a loose tail bound for CI noise.
-    assert p50 < 0.001
-    assert p99 < 0.010
-
-
-def test_compiled_engine_agrees_on_latency_workload(built_model,
-                                                    latency_evidences):
-    """Compiled programs reproduce the interpreted posteriors at 1e-12."""
-    interpreted = DiagnosisEngine(built_model, inference="jt", cache_size=1)
-    compiled = DiagnosisEngine(built_model, inference="jt", compiled=True,
-                               cache_size=1)
-    for number, evidence in enumerate(latency_evidences[:10]):
-        ours = compiled.diagnose_evidence(evidence, name=f"agree{number}")
-        theirs = interpreted.diagnose_evidence(evidence,
-                                               name=f"agree{number}")
-        assert ours.suspects == theirs.suspects, evidence
-        for variable, distribution in theirs.posteriors.items():
-            for state, probability in distribution.items():
-                assert probability == pytest.approx(
-                    ours.posteriors[variable][state], abs=1e-12)
 
 
 def test_exact_engines_agree_on_latency_workload(built_model,

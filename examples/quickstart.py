@@ -6,13 +6,11 @@ prior from behavioural simulation, fine-tunes the CPTs on a synthetic
 and diagnoses the five Table VI case studies.  The closing sections show
 the production path: the batched population pipeline (thousands of devices
 simulated, tested and converted to learning cases per second), the robust
-engine on noisy records, and the supervised worker-pool service that
-shards a population across processes with crash isolation, deadlines and
-backpressure — the ahead-of-time compiled inference programs that hold the
-interactive single-device path under a millisecond, and the durable
-cross-process state: a crash-safe shared posterior/program cache and a
-versioned model registry that hot-swaps re-trained models into running
-workers.
+engine on noisy records, the supervised worker-pool service that shards a
+population across processes with crash isolation, deadlines and
+backpressure, and the durable cross-process state: a crash-safe shared
+posterior cache and a versioned model registry that hot-swaps re-trained
+models into running workers.
 
 Run with::
 
@@ -198,43 +196,18 @@ def main() -> None:
     print(f"  paper-case suspects after the scaled fit: {agreeing}/"
           f"{len(scaled)} match the 70-device model.")
 
-    # 10. Compiled inference and the latency SLO.  `compiled=True` traces
-    #     the junction-tree sweep once per evidence-variable signature into
-    #     a static op-list (einsum contractions with precomputed paths,
-    #     preallocated buffers, evidence entered by slicing into pinned CPT
-    #     arrays) — every later query is pure array execution, which is what
-    #     holds the interactive bench-station path under a millisecond.
-    #     The same program runs whole populations with a leading device
-    #     axis via the batched diagnose path.
-    print()
-    compiled_engine = DiagnosisEngine(built, inference="jt", compiled=True)
-    compile_ms = compiled_engine.warm_compile(
-        tuple(sorted(PAPER_DIAGNOSTIC_CASES[0].evidence())))
-    evidence = PAPER_DIAGNOSTIC_CASES[0].evidence()
-    compiled_engine.diagnose_evidence(evidence, name="warmup")
-    start = time.perf_counter()
-    single = compiled_engine.diagnose_evidence(evidence, name="compiled")
-    single_ms = (time.perf_counter() - start) * 1e3
-    start = time.perf_counter()
-    swept = compiled_engine.diagnose_batch(population_evidence)
-    sweep = time.perf_counter() - start
-    print(f"Compiled inference: program traced in {compile_ms:.1f} ms "
-          f"({compiled_engine.compile_count} program(s)); single-device "
-          f"posterior in {single_ms:.3f} ms (suspects={single.suspects}); "
-          f"{len(swept)} devices swept in {sweep * 1e3:.0f} ms "
-          f"({len(swept) / sweep:,.0f} devices/s).")
-
-    # 11. Durable caching & hot reload.  `persist_dir` gives the service a
+    # 10. Durable caching & hot reload.  `persist_dir` gives the service a
     #     crash-safe on-disk state shared by every worker: exact posteriors
-    #     and compiled programs land in an append-only, CRC-checksummed
-    #     `PosteriorCache` keyed by the model's content fingerprint, so a
-    #     restarted service answers repeated evidence from disk,
-    #     bit-identically, without recomputing.  The same directory holds a
-    #     versioned `ModelRegistry`: `publish_model` validates a re-trained
-    #     model (structure, CPT sums, a compiled-vs-interpreted parity
-    #     smoke), commits it atomically, and every running worker hot-swaps
-    #     to it between chunks — no restart, and a bad candidate is
-    #     rejected before anything is renamed.
+    #     land in an append-only, CRC-checksummed `PosteriorCache` keyed by
+    #     the model's content fingerprint, so a restarted service answers
+    #     repeated evidence from disk, bit-identically, without
+    #     recomputing.  The same directory holds a versioned
+    #     `ModelRegistry`: `publish_model` validates a re-trained model
+    #     (structure, CPT sums, and the prior marginals of variable
+    #     elimination against the junction tree), commits it atomically,
+    #     and every running worker hot-swaps to it between chunks — no
+    #     restart, and a bad candidate is rejected before anything is
+    #     renamed.
     print()
     config = ServiceConfig(num_workers=2, chunk_size=2)
     with tempfile.TemporaryDirectory() as state:

@@ -50,9 +50,9 @@ access pattern:
   engine construction and per-case posterior sweeps across a population and
   is the intended entry point for population-scale workloads.
 
-``benchmarks/run_bench.py`` snapshots every benchmark kernel's median
-runtime to ``BENCH_<n>.json`` so the performance trajectory is tracked
-across PRs.
+``perfbench/run.py`` times the whole pipeline (retrain, in-process
+diagnosis, served diagnosis) end to end, scaled for host speed, and the
+``benchmarks/`` suite times each paper table's kernel.
 
 Quickstart
 ----------

@@ -3,8 +3,8 @@
 The paper's Dlog2BBN flow consumes "no-stop on fail" ATE datalogs from a
 large defective-device population.  At that scale, one Python
 ``Measurement`` object per executed specification test is the dominant cost
-of the training half of the pipeline (BENCH_2), so this module stores a
-population the way the batched tester produces it: as ``(tests, devices)``
+of the training half of the pipeline, so this module stores a population
+the way the batched tester produces it: as ``(tests, devices)``
 value/verdict planes plus a small per-test metadata table, with the injected
 ground-truth faults in ragged parallel arrays.
 

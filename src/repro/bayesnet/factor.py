@@ -378,12 +378,9 @@ def contract_factors(factors: Sequence[DiscreteFactor],
 
 #: Memoised einsum contraction paths keyed by the operand subscript/shape
 #: structure.  ``np.einsum(optimize=True)`` re-runs the path optimiser on
-#: every call; the inference sweeps issue the same handful of contraction
-#: shapes thousands of times per population, so the path is computed once
-#: and replayed.  Shared between the interpreted engines (via
-#: :func:`contract_factors`) and the ahead-of-time compiled programs of
-#: :mod:`repro.bayesnet.inference.compiled`, which plan their wide
-#: contractions through :func:`cached_einsum_path` at compile time.
+#: every call; the inference engines issue the same handful of contraction
+#: shapes thousands of times per population, so :func:`contract_factors`
+#: computes each path once and replays it.
 _PATH_CACHE: dict[tuple, list] = {}
 _PATH_CACHE_LIMIT = 4096
 

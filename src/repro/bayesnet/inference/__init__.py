@@ -11,9 +11,12 @@ provided.  All engines share the same query interface:
 ``map_query(variables, evidence)``
     most probable joint assignment of ``variables``.
 
-The exact engines additionally support ahead-of-time compilation
-(``compile_posteriors``) into static :class:`CompiledProgram` op-lists for
-sub-millisecond single-device queries and vectorised population sweeps.
+Variable elimination additionally answers whole populations at once
+(``posteriors_batch``): one batched sweep per evidence-variable set over
+the deduplicated state-code rows.  Elimination orders and contraction
+plans are memoised, so the structure is planned once and every later case
+only replays it.  Batched diagnosis runs every population through that
+sweep.
 """
 
 from repro.bayesnet.inference.elimination_order import (
@@ -25,11 +28,6 @@ from repro.bayesnet.inference.variable_elimination import VariableElimination
 from repro.bayesnet.inference.junction_tree import JunctionTree
 from repro.bayesnet.inference.likelihood_weighting import LikelihoodWeighting
 from repro.bayesnet.inference.gibbs import GibbsSampling
-from repro.bayesnet.inference.compiled import (
-    BatchPosteriors,
-    CompiledProgram,
-    compile_posteriors,
-)
 
 __all__ = [
     "min_degree_order",
@@ -39,7 +37,4 @@ __all__ = [
     "JunctionTree",
     "LikelihoodWeighting",
     "GibbsSampling",
-    "BatchPosteriors",
-    "CompiledProgram",
-    "compile_posteriors",
 ]

@@ -421,19 +421,6 @@ class JunctionTree:
         """Return ``P(evidence)`` after calibrating on ``evidence``."""
         return self._ensure_calibrated(dict(evidence)).probability
 
-    def compile_posteriors(self, evidence_vars):
-        """Trace this tree's calibration into a ``CompiledProgram``.
-
-        The collect/distribute schedule for the evidence-variable set is
-        recorded once as a static op-list (pinned CPT gathers, precomputed
-        contraction plans, preallocated buffers); the returned program
-        answers ``run(evidence)`` / ``run_batch(matrix)`` without
-        rebuilding per-query potentials.  See
-        :mod:`repro.bayesnet.inference.compiled`.
-        """
-        from repro.bayesnet.inference.compiled import compile_from_engine
-        return compile_from_engine(self, evidence_vars, "jt")
-
     # ------------------------------------------------------------- inspection
     @property
     def cliques(self) -> list[frozenset[str]]:

@@ -284,19 +284,6 @@ class VariableElimination:
         joint = self.query(variables, evidence)
         return joint.argmax()
 
-    def compile_posteriors(self, evidence_vars):
-        """Trace this engine's bucket sweep into a ``CompiledProgram``.
-
-        The shared forward/backward sweep for the evidence-variable set is
-        recorded once as a static op-list (pinned CPT gathers, precomputed
-        contraction plans, preallocated buffers); the returned program
-        answers ``run(evidence)`` / ``run_batch(matrix)`` without
-        re-walking the factor graph.  See
-        :mod:`repro.bayesnet.inference.compiled`.
-        """
-        from repro.bayesnet.inference.compiled import compile_from_engine
-        return compile_from_engine(self, evidence_vars, "ve")
-
     def probability_of_evidence(self, evidence: Evidence) -> float:
         """Return ``P(evidence)`` (the data likelihood of the observation).
 

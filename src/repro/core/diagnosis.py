@@ -15,8 +15,6 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Mapping, Sequence
 
-import numpy as np
-
 from repro.bayesnet.inference import (
     GibbsSampling,
     JunctionTree,
@@ -386,17 +384,6 @@ class DiagnosisEngine:
         defaults to the ``REPRO_EVIDENCE_CACHE_SIZE`` environment variable
         or 128.  The per-engine (and therefore per-serving-worker) memory
         knob; ignored by the samplers.
-    compiled:
-        When true (and the engine is exact), posterior updates run through
-        ahead-of-time :class:`~repro.bayesnet.inference.CompiledProgram`
-        op-lists: the engine's sweep is traced once per evidence-variable
-        signature (compile-on-first-use, invalidated when CPDs are
-        replaced, like the evidence caches) and every query after that is
-        pure array execution — the sub-millisecond single-device path and
-        the vectorised ``diagnose_batch`` sweep.  Ignored by the
-        samplers.  ``compile_count`` / ``compile_ms`` /
-        ``compiled_query_count`` expose what compilation cost and how many
-        queries it served.
     abnormal_threshold:
         Fail probability above which an internal block counts as *abnormal*
         (clearly not in its healthy state).
@@ -410,9 +397,7 @@ class DiagnosisEngine:
                  ambiguous_threshold: float = 0.4, *,
                  num_samples: int | None = None,
                  seed: int | None = None,
-                 cache_size: int | None = None,
-                 compiled: bool = False,
-                 program_cache=None) -> None:
+                 cache_size: int | None = None) -> None:
         if not 0.0 < ambiguous_threshold <= abnormal_threshold <= 1.0:
             raise DiagnosisError(
                 "thresholds must satisfy 0 < ambiguous <= abnormal <= 1, got "
@@ -441,21 +426,6 @@ class DiagnosisEngine:
             raise DiagnosisError(
                 f"unknown inference engine {inference!r}; "
                 f"use one of {ENGINE_NAMES}")
-        # Compilation only applies to the exact engines; the samplers have
-        # no static sweep to trace.
-        self.compiled = bool(compiled) and inference in ("jt", "ve")
-        self._programs: dict[tuple[str, ...], object] = {}
-        self._programs_version: int | None = None
-        self.compile_count = 0
-        self.compile_ms = 0.0
-        self.compiled_query_count = 0
-        # Optional shared cross-process program cache (trace once, ship the
-        # op-list to every worker): a `repro.persist.PosteriorCache` keyed
-        # by content fingerprint, so entries of a replaced model are
-        # unreachable rather than wrong.
-        self.program_cache = program_cache if self.compiled else None
-        self.program_cache_hits = 0
-        self._fingerprints = None
         # Per-case lookups, built once: the model is frozen after
         # construction.
         self._observed = {
@@ -470,100 +440,9 @@ class DiagnosisEngine:
                             if parent in internal)
             for variable in internal}
 
-    # ----------------------------------------------------------- compilation
-    def _program_for(self, signature: tuple[str, ...]):
-        """Return the compiled program for one evidence-variable signature.
-
-        Compile-on-first-use keyed by the sorted evidence-variable tuple;
-        the whole program cache is dropped when the network's CPDs are
-        replaced (``cpd_version`` advances), mirroring how the interpreted
-        evidence caches invalidate.
-        """
-        version = self.network.cpd_version
-        if self._programs_version != version:
-            self._programs.clear()
-            self._programs_version = version
-        program = self._programs.get(signature)
-        if program is None:
-            program = self._shared_program(signature)
-            if program is None:
-                program = self._engine.compile_posteriors(signature)
-                self.compile_count += 1
-                self.compile_ms += program.compile_ms
-                self._share_program(program)
-            self._programs[signature] = program
-        return program
-
-    def _model_fingerprint(self) -> str:
-        if self._fingerprints is None:
-            from repro.persist.fingerprint import FingerprintTracker
-            self._fingerprints = FingerprintTracker(self.network)
-        return self._fingerprints.current()
-
-    def _shared_program(self, signature: tuple[str, ...]):
-        """Try the shared cross-process cache before tracing locally.
-
-        A hit is only accepted when its schedule and evidence signature
-        match exactly; the content-fingerprint key already guarantees the
-        pinned CPT planes equal this engine's network bit-for-bit.
-        """
-        if self.program_cache is None:
-            return None
-        try:
-            program = self.program_cache.get_program(
-                self._model_fingerprint(), signature, self.inference_name)
-        except OSError:
-            return None
-        if program is None \
-                or tuple(program.evidence_vars) != tuple(signature) \
-                or program.schedule != self.inference_name:
-            return None
-        # Re-pin to this process's CPD generation counter (the fingerprint
-        # proved content equality; the counters are process-local).
-        program.cpd_version = self.network.cpd_version
-        self.program_cache_hits += 1
-        return program
-
-    def _share_program(self, program) -> None:
-        if self.program_cache is None:
-            return
-        try:
-            self.program_cache.put_program(self._model_fingerprint(),
-                                           program)
-        except (ReproError, OSError):
-            # Sharing is an optimisation; a full disk or a corrupt cache
-            # must never fail the diagnosis that triggered the trace.
-            pass
-
-    def warm_compile(self, evidence_vars: Sequence[str] | None = None
-                     ) -> float:
-        """Precompile the standard-workload program; return its cost in ms.
-
-        ``evidence_vars`` defaults to every non-internal model variable —
-        the full controllable+observable evidence a tester produces, which
-        is the signature real diagnostic traffic carries.  Serving workers
-        call this once at init so the first request never pays the compile.
-        No-op (0.0) on non-compiled engines.
-        """
-        if not self.compiled:
-            return 0.0
-        if evidence_vars is None:
-            internal = set(self.model.internal_variables)
-            evidence_vars = [variable
-                             for variable in self.model.variable_names
-                             if variable not in internal]
-        before = self.compile_ms
-        self._program_for(tuple(sorted(set(evidence_vars))))
-        return self.compile_ms - before
-
     # --------------------------------------------------------------- posteriors
     def initial_probabilities(self) -> dict[str, dict[str, float]]:
         """Return the prior marginals of every variable (the Init.% column)."""
-        if self.compiled:
-            self.compiled_query_count += 1
-            computed = self._program_for(()).posteriors({})
-            return {variable: computed[variable]
-                    for variable in self.model.variable_names}
         return self._engine.posteriors(self.model.variable_names, evidence={})
 
     def update(self, evidence: Mapping[str, str]) -> dict[str, dict[str, float]]:
@@ -574,14 +453,9 @@ class DiagnosisEngine:
         per variable; evidence variables collapse onto their observed state.
         """
         evidence = validate_evidence(self.model, evidence)
-        if self.compiled:
-            program = self._program_for(tuple(sorted(evidence)))
-            self.compiled_query_count += 1
-            computed = program.posteriors(evidence)
-        else:
-            free = [variable for variable in self.model.variable_names
-                    if variable not in evidence]
-            computed = self._engine.posteriors(free, evidence)
+        free = [variable for variable in self.model.variable_names
+                if variable not in evidence]
+        computed = self._engine.posteriors(free, evidence)
         return self._full_posteriors(evidence, computed)
 
     def _full_posteriors(self, evidence: Mapping[str, str],
@@ -734,10 +608,9 @@ class DiagnosisEngine:
         """Diagnose a whole population of cases against one shared engine.
 
         Engine construction (network validation, junction-tree compilation)
-        is paid once for the entire batch, and on the exact engines that
-        have one (variable elimination, compiled programs) the posterior
-        updates of every valid case run as ONE batched sweep that
-        deduplicates repeated failing conditions — the intended entry
+        is paid once for the entire batch, and on variable elimination the
+        posterior updates of every valid case run as ONE batched sweep
+        that deduplicates repeated failing conditions — the intended entry
         point for customer-return and fault-coverage population workflows.
         Other engines, and deadline-bound batches, diagnose case by case.
 
@@ -786,7 +659,7 @@ class DiagnosisEngine:
 
     def _batched(self) -> bool:
         """Whether :meth:`diagnose_batch` can run one batched sweep."""
-        return self.compiled or isinstance(self._engine, VariableElimination)
+        return isinstance(self._engine, VariableElimination)
 
     def _diagnose_batch_swept(self, cases, names, on_error):
         """Batched path of :meth:`diagnose_batch`.
@@ -828,43 +701,21 @@ class DiagnosisEngine:
     def _admit(self, case: DiagnosticCase):
         """Admit one slot to the batched sweep: ``(evidence, context)``."""
         evidence = validate_evidence(self.model, case.evidence())
-        if not self.compiled:
-            # Surface engine-level evidence problems here, per slot, so the
-            # shared sweep can never fail as a whole.
-            self._engine._validate([], evidence)
+        # Surface engine-level evidence problems here, per slot, so the
+        # shared sweep can never fail as a whole.
+        self._engine._validate([], evidence)
         return evidence, None
 
     def _sweep(self, evidences: list[dict[str, str]]) -> list:
         """Answer every admitted slot from batched sweeps.
 
         Returns, per slot, the free-variable marginals in dicts of the
-        slot's own, or ``None`` for zero-probability evidence.  Interpreted
-        variable elimination runs one shared elimination sweep per evidence
-        pattern over the rows its evidence cache does not hold
-        (:meth:`~repro.bayesnet.inference.variable_elimination.VariableElimination.posteriors_batch`);
-        compiled engines group slots by evidence signature and push each
-        group's deduplicated state matrix through its
-        :class:`~repro.bayesnet.inference.CompiledProgram` as one
-        vectorised ``run_batch``.
+        slot's own, or ``None`` for zero-probability evidence: variable
+        elimination runs one shared elimination sweep per evidence pattern
+        over the rows its evidence cache does not hold
+        (:meth:`~repro.bayesnet.inference.variable_elimination.VariableElimination.posteriors_batch`).
         """
-        if not self.compiled:
-            return self._engine.posteriors_batch(evidences, validated=True)
-        answers: list = [None] * len(evidences)
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for position, evidence in enumerate(evidences):
-            groups.setdefault(tuple(sorted(evidence)), []).append(position)
-        for signature, positions in groups.items():
-            program = self._program_for(signature)
-            codes = program.encode([evidences[position]
-                                    for position in positions])
-            unique, inverse = np.unique(codes, axis=0, return_inverse=True)
-            batch = program.run_batch(unique, on_impossible="mask")
-            self.compiled_query_count += len(positions)
-            # Expanded per slot, so duplicate slots get dicts of their own.
-            for position, row in zip(positions,
-                                     np.asarray(inverse).reshape(-1)):
-                answers[position] = batch.distributions(int(row))
-        return answers
+        return self._engine.posteriors_batch(evidences, validated=True)
 
     def _settle(self, case: DiagnosticCase, evidence: dict[str, str],
                 context, computed) -> Diagnosis:

@@ -32,10 +32,9 @@ whole batch at once: after the evidence boundary and the durable-cache
 lookup (once per distinct evidence; later copies in the batch are hits of
 that entry), the remaining slots share ONE batched sweep of the primary
 engine (variable elimination's ``posteriors_batch`` through the evidence
-cache, or the compiled program's ``run_batch``).  Only a slot that sweep
-could not answer walks the chain, with the sweep counted as its first
-primary attempt; each slot's wall time is its equal share of the batch
-time.  Deadline-bound batches, policies with a per-attempt ``deadline``,
+cache).  Only a slot that sweep could not answer walks the chain, with the
+sweep counted as its first primary attempt; each slot's wall time is its
+equal share of the batch time.  Deadline-bound batches, policies with a per-attempt ``deadline``,
 and primaries without a batched sweep diagnose case by case.
 
 Deadlines are enforced by running the attempt in a daemon worker thread and
@@ -130,14 +129,6 @@ class FallbackPolicy:
         the per-worker memory knob for serving fleets.  ``None`` defers to
         the ``REPRO_EVIDENCE_CACHE_SIZE`` environment variable / the
         library default (128).
-    compiled:
-        When true, exact engines in the chain serve posterior updates from
-        ahead-of-time compiled inference programs
-        (:class:`~repro.bayesnet.inference.CompiledProgram`) — traced once
-        per evidence-variable signature, invalidated on CPD replacement.
-        Serving workers additionally precompile at init
-        (``warm_compile``) so the first request never pays the trace.
-        Approximate engines ignore the flag.
     """
 
     chain: tuple[str, ...] = ("ve", "lw", "gibbs")
@@ -149,7 +140,6 @@ class FallbackPolicy:
     min_effective_sample_size: float = 50.0
     on_invalid_evidence: str = "raise"
     evidence_cache_size: int | None = None
-    compiled: bool = False
 
     def __post_init__(self) -> None:
         if not self.chain:
@@ -206,15 +196,12 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                          ambiguous_threshold=ambiguous_threshold,
                          num_samples=self.policy.num_samples,
                          seed=self.policy.seed,
-                         cache_size=self.policy.evidence_cache_size,
-                         compiled=self.policy.compiled,
-                         program_cache=posterior_cache)
+                         cache_size=self.policy.evidence_cache_size)
         # Optional durable shared cache (`repro.persist.PosteriorCache`):
         # exact posteriors are served from / written to it keyed by the
         # model's content fingerprint + the sanitised evidence signature.
-        # The same cache doubles as the compiled-program cache (wired to
-        # the superclass above).
         self.posterior_cache = posterior_cache
+        self._fingerprints = None
         self.cache_hits = 0
         self.cache_misses = 0
         # While a batch runs with a durable cache: evidence key -> the
@@ -238,9 +225,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 ambiguous_threshold=self.ambiguous_threshold,
                 num_samples=self.policy.num_samples,
                 seed=self.policy.seed,
-                cache_size=self.policy.evidence_cache_size,
-                compiled=self.policy.compiled,
-                program_cache=self.posterior_cache)
+                cache_size=self.policy.evidence_cache_size)
             self._fallback_engines[name] = engine
         return engine
 
@@ -546,6 +531,13 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         clean, sanitize_issues = sanitize_evidence(self.model, merged)
         issues.extend(sanitize_issues)
         return clean, tuple(issues)
+
+    def _model_fingerprint(self) -> str:
+        """Content fingerprint of the served model, the durable-cache key."""
+        if self._fingerprints is None:
+            from repro.persist.fingerprint import FingerprintTracker
+            self._fingerprints = FingerprintTracker(self.network)
+        return self._fingerprints.current()
 
     def _cached_posteriors(self, evidence: Mapping[str, str]
                            ) -> dict[str, dict[str, float]] | None:

@@ -4,9 +4,9 @@ Three pieces make warm inference state survive worker crashes and service
 restarts without ever risking a wrong answer:
 
 * :class:`~repro.persist.cache.PosteriorCache` — a crash-safe, append-only
-  on-disk cache of posterior planes and serialized compiled programs, with
-  per-record CRC32 checksums, torn-tail recovery, corrupt-entry quarantine,
-  LRU compaction and ``flock`` multi-process safety.
+  on-disk cache of exact posterior sets, with per-record CRC32 checksums,
+  torn-tail recovery, corrupt-entry quarantine, LRU compaction and
+  ``flock`` multi-process safety.
 * :class:`~repro.persist.registry.ModelRegistry` — versioned, validation-
   gated atomic model hot-swap (publish → workers pick it up between
   chunks).

@@ -1,4 +1,4 @@
-"""Crash-safe shared posterior/program cache.
+"""Crash-safe shared posterior cache.
 
 The diagnosis workflow is train-once / query-many: one fitted block-level
 network answers posterior queries for whole device populations, so every
@@ -30,11 +30,11 @@ work was redone per worker process and re-done again after every restart.
   processes their offsets are stale so they rescan instead of misreading.
 
 Keys are ``(kind, model_fingerprint, ...)`` tuples built by the typed
-wrappers (:meth:`PosteriorCache.put_posteriors` /
-:meth:`PosteriorCache.put_program`).  Because the model component is a
-content fingerprint (:func:`~repro.persist.fingerprint.model_fingerprint`),
-CPD replacement re-keys the cache automatically: entries of a superseded
-model become unreachable rather than wrong.
+wrappers (:meth:`PosteriorCache.put_posteriors`).  Because the model
+component is a content fingerprint
+(:func:`~repro.persist.fingerprint.model_fingerprint`), CPD replacement
+re-keys the cache automatically: entries of a superseded model become
+unreachable rather than wrong.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class _Entry:
 
 
 class PosteriorCache:
-    """Durable, corruption-proof, multi-process posterior/program cache.
+    """Durable, corruption-proof, multi-process posterior cache.
 
     Parameters
     ----------
@@ -614,22 +614,3 @@ class PosteriorCache:
                  {variable: {state: float(p)
                              for state, p in distribution.items()}
                   for variable, distribution in posteriors.items()})
-
-    def get_program(self, model_version: str,
-                    evidence_vars: tuple[str, ...], schedule: str):
-        """Load a serialized compiled program traced by any process."""
-        blob = self.get(("program", model_version, str(schedule),
-                         tuple(evidence_vars)))
-        if not isinstance(blob, (bytes, bytearray)):
-            return None
-        from repro.bayesnet.inference.compiled import CompiledProgram
-        try:
-            return CompiledProgram.from_bytes(bytes(blob))
-        except PersistError:
-            return None
-
-    def put_program(self, model_version: str, program) -> None:
-        """Durably commit one compiled program's serialized op-list."""
-        self.put(("program", model_version, str(program.schedule),
-                  tuple(program.evidence_vars)),
-                 program.to_bytes())

@@ -7,8 +7,8 @@ version counter.  The distinction matters for correctness: a counter says
 this posterior".  Two processes that trained bit-identical models share
 cache entries automatically, a replaced (or chaos-corrupted) CPD changes the
 digest and makes every stale entry unreachable, and a restarted service
-re-keys itself without any coordination.  The shared posterior/program cache
-is therefore *self-invalidating*: wrong-model hits are impossible by
+re-keys itself without any coordination.  The shared posterior cache is
+therefore *self-invalidating*: wrong-model hits are impossible by
 construction, not by discipline.
 """
 
@@ -53,9 +53,9 @@ class FingerprintTracker:
 
     Hashing ~20 small tables is cheap but not free on a sub-millisecond
     serving path, so the digest is recomputed only when the network's
-    ``cpd_version`` advances (the same signal that drops the evidence and
-    program caches).  In-place table mutation stays undetectable, exactly
-    as with every other ``cpd_version``-keyed cache in the library.
+    ``cpd_version`` advances (the same signal that drops the evidence
+    caches).  In-place table mutation stays undetectable, exactly as with
+    every other ``cpd_version``-keyed cache in the library.
     """
 
     def __init__(self, network: BayesianNetwork) -> None:

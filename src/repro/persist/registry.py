@@ -10,8 +10,8 @@ construction:
 1. **Validation gate first.**  ``publish()`` runs
    :func:`~repro.core.model_builder.validate_built_network` (structure,
    CPT column sums, finiteness) plus a small parity smoke — the candidate's
-   compiled empty-evidence program against the interpreted variable-
-   elimination engine — *before* anything is renamed.  A failing candidate
+   prior marginals from variable elimination against those from the
+   junction tree — *before* anything is renamed.  A failing candidate
    raises :class:`~repro.exceptions.ModelPublishError` and the registry is
    untouched: rollback means the swap never happened.
 2. **Atomic artifacts.**  The model pickle is written to a tmp file,
@@ -21,8 +21,8 @@ construction:
    stamp or the new one — never a half-written model behind a live stamp.
 3. **Cheap polling.**  Workers call :meth:`current_version` between chunks
    (one small file read); a bump tells them to reload, drop their evidence
-   and program caches, and re-key their durable cache entries via the new
-   model fingerprint.
+   caches, and re-key their durable cache entries via the new model
+   fingerprint.
 
 Loads verify the artifact's magic and CRC32 and raise a structured
 :class:`~repro.exceptions.ModelRegistryError` on any mismatch — a corrupt
@@ -59,36 +59,34 @@ _MODEL_HEADER = struct.Struct("<4sI")
 _CURRENT_FILE = "CURRENT"
 _LOCK_FILE = "LOCK.registry"
 
-#: Absolute tolerance of the publish-time compiled-vs-interpreted smoke.
+#: Absolute tolerance of the publish-time VE-vs-junction-tree smoke.
 _PARITY_ATOL = 1e-9
 
 
 def _smoke_parity(model: BuiltModel) -> None:
-    """Compare the candidate's compiled program against interpreted VE.
+    """Compare the candidate's prior marginals under VE and the junction tree.
 
-    Uses the empty evidence signature (prior marginals over every
-    variable): it exercises the full contraction pipeline over every CPT
-    without needing any case data, so a network that validates structurally
-    but computes garbage (NaN tables slipped past, broken state ordering)
-    is caught here, before the swap.
+    Uses the empty evidence (prior marginals over every variable): it runs
+    both exact engines' full contraction pipelines over every CPT without
+    needing any case data, so a network that validates structurally but
+    computes garbage (NaN tables slipped past, broken state ordering), or
+    an engine that disagrees with the other, is caught here, before the
+    swap.
     """
-    from repro.bayesnet.inference.variable_elimination import \
-        VariableElimination
+    from repro.bayesnet.inference import JunctionTree, VariableElimination
 
-    engine = VariableElimination(model.network)
-    program = engine.compile_posteriors(())
-    compiled = program.posteriors({})
-    interpreted = engine.posteriors(list(program.variables), {})
-    for variable in program.variables:
-        want = interpreted[variable]
-        got = compiled[variable]
-        for state, probability in want.items():
-            if not np.isclose(got.get(state, np.nan), probability,
-                              atol=_PARITY_ATOL, rtol=0.0):
+    variables = list(model.network.nodes)
+    want = VariableElimination(model.network).posteriors(variables, {})
+    got = JunctionTree(model.network).posteriors(variables, {})
+    for variable in variables:
+        for state, probability in want[variable].items():
+            other = got[variable].get(state, np.nan)
+            if not np.isclose(other, probability, atol=_PARITY_ATOL,
+                              rtol=0.0):
                 raise ModelPublishError(
-                    f"publish-time parity smoke failed: compiled "
-                    f"P({variable}={state}) = {got.get(state)!r} vs "
-                    f"interpreted {probability!r}")
+                    f"publish-time parity smoke failed: junction-tree "
+                    f"P({variable}={state}) = {other!r} vs variable "
+                    f"elimination {probability!r}")
 
 
 class ModelRegistry:

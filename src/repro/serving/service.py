@@ -357,9 +357,9 @@ class DiagnosisService:
     persist_dir:
         Optional directory of durable cross-process state.  When set,
         every worker shares one crash-safe
-        :class:`~repro.persist.PosteriorCache` (posteriors + compiled
-        programs, under ``<persist_dir>/cache``) that survives worker
-        crashes *and* service restarts, and watches the
+        :class:`~repro.persist.PosteriorCache` (posteriors, under
+        ``<persist_dir>/cache``) that survives worker crashes *and*
+        service restarts, and watches the
         :class:`~repro.persist.ModelRegistry` under
         ``<persist_dir>/models`` — a :meth:`publish_model` call hot-swaps
         every worker's engine between chunks, no restart.  A published
@@ -419,8 +419,6 @@ class DiagnosisService:
         self._retries = 0
         self._respawns = 0
         self._probes = 0
-        self._compile_ms = 0.0
-        self._compiled_queries = 0
         self._latency = LatencyWindow()
         self._case_latency = LatencyWindow(512)
         self._chunk_size = self.config.chunk_size
@@ -603,8 +601,6 @@ class DiagnosisService:
                 chunk_latency_p50=self._latency.percentile(50.0),
                 chunk_latency_p99=self._latency.percentile(99.0),
                 uptime=time.monotonic() - self._start_time,
-                compile_ms=self._compile_ms,
-                compiled_queries=self._compiled_queries,
                 cache_hits=self._cache_hits,
                 cache_misses=self._cache_misses,
                 cache_quarantined=self._cache_quarantined,
@@ -753,10 +749,6 @@ class DiagnosisService:
         if kind == "ready":
             if worker.state == "starting":
                 worker.state = "idle"
-            if len(message) > 2:
-                # Workers with compiled policies report their one-time
-                # program-trace cost alongside readiness.
-                self._compile_ms += float(message[2])
             self._dispatch(now)
         elif kind == "done":
             self._complete_chunk(worker, message, now)
@@ -772,7 +764,7 @@ class DiagnosisService:
                                   now)
 
     def _complete_chunk(self, worker: _Worker, message, now: float) -> None:
-        _, chunk_id, results, elapsed = message[:4]
+        _, chunk_id, results, elapsed, deltas = message
         chunk = worker.chunk
         if chunk is None or chunk.chunk_id != chunk_id:
             return  # stale (should not happen: one pipe per process)
@@ -783,10 +775,7 @@ class DiagnosisService:
         self._latency.record(elapsed)
         if chunk.pairs:
             self._case_latency.record(elapsed / len(chunk.pairs))
-        if len(message) > 4:
-            self._compiled_queries += int(message[4])
-        if len(message) > 5 and message[5]:
-            deltas = message[5]
+        if deltas:
             self._cache_hits += int(deltas.get("cache_hits", 0))
             self._cache_misses += int(deltas.get("cache_misses", 0))
             self._cache_quarantined += int(

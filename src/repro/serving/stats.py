@@ -78,13 +78,6 @@ class ServiceStats:
         before any chunk completed).
     uptime:
         Seconds since the service started.
-    compile_ms:
-        Total milliseconds workers spent ahead-of-time compiling inference
-        programs at init (0.0 for non-compiled policies) — the one-time
-        cost the warm-compile step keeps out of first-chunk latency.
-    compiled_queries:
-        Lifetime count of posterior queries served from compiled programs
-        across all workers.
     cache_hits / cache_misses:
         Durable-cache lookups across all workers (0 without
         ``persist_dir``): hits were answered from the shared on-disk
@@ -116,8 +109,6 @@ class ServiceStats:
     chunk_latency_p50: float | None
     chunk_latency_p99: float | None
     uptime: float
-    compile_ms: float = 0.0
-    compiled_queries: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_quarantined: int = 0

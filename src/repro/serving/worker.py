@@ -13,22 +13,20 @@ parent -> worker
     ``("stop",)`` — graceful exit.
 
 worker -> parent
-    ``("ready", pid, compile_ms)`` once the engine is built (and, for
-    compiled policies, warm-compiled — the compile cost is reported here
-    instead of silently inflating the first chunk's latency),
+    ``("ready", pid)`` once the engine is built,
     ``("done", chunk_id, [(slot, Diagnosis | DiagnosisFailure), ...],
-    elapsed, compiled_queries, persist_deltas)`` per chunk
+    elapsed, persist_deltas)`` per chunk
     (``persist_deltas`` is a counter-delta dict — cache hits/misses,
     quarantined records, model reloads — or ``None`` without
     ``persist_dir``), ``("probe-ok", probe_id)`` per probe, and
     ``("fatal", message)`` if the engine cannot even be constructed.
 
 With a ``persist_dir``, each worker opens the *shared* durable cache
-(posteriors + compiled programs survive crashes and restarts) and the
-model registry.  The registry is authoritative: when it holds a published
-model, the worker serves that instead of the payload's, and between chunks
-it polls the version stamp (throttled) — a bump hot-swaps a freshly built
-engine without dropping the chunk stream.
+(posteriors survive crashes and restarts) and the model registry.  The
+registry is authoritative: when it holds a published model, the worker
+serves that instead of the payload's, and between chunks it polls the
+version stamp (throttled) — a bump hot-swaps a freshly built engine without
+dropping the chunk stream.
 
 A chunk without a request budget is one ``diagnose_batch(on_error=
 "collect")`` call on the engine: one batched primary sweep for the chunk,
@@ -183,17 +181,6 @@ def worker_main(conn, payload: WorkerPayload) -> None:
         model = payload.built_model if persist is None \
             else persist.resolve_model(payload.built_model)
         engine = _build_engine(payload, model, persist)
-        compile_ms = 0.0
-        if getattr(payload.policy, "compiled", False):
-            # Pay the one-time program trace here, before the worker
-            # reports ready, so the first chunk's latency is pure query
-            # cost.  The cost is logged once per worker and reported to the
-            # supervisor for the service-wide ``ServiceStats.compile_ms``
-            # counter.
-            compile_ms = engine.warm_compile()
-            logging.getLogger("repro.serving").info(
-                "worker %d compiled inference programs in %.1f ms",
-                payload.worker_index, compile_ms)
     except Exception:  # noqa: BLE001 - reported to the supervisor
         try:
             conn.send(("fatal", traceback.format_exc()))
@@ -204,7 +191,7 @@ def worker_main(conn, payload: WorkerPayload) -> None:
     chaos = payload.chaos
     chunk_number = 0
     try:
-        conn.send(("ready", os.getpid(), compile_ms))
+        conn.send(("ready", os.getpid()))
         while True:
             try:
                 message = conn.recv()
@@ -224,18 +211,14 @@ def worker_main(conn, payload: WorkerPayload) -> None:
                 fresh = persist.poll_reload()
                 if fresh is not None:
                     # Hot swap: a fresh engine drops every stale evidence
-                    # and program cache with it, and the new model's
-                    # content fingerprint re-keys the durable cache.
+                    # cache with it, and the new model's content
+                    # fingerprint re-keys the durable cache.
                     persist.note_engine_swap(engine)
                     engine = _build_engine(payload, fresh, persist)
-                    if getattr(payload.policy, "compiled", False):
-                        engine.warm_compile()
             started = time.perf_counter()
-            queries_before = engine.compiled_query_count
             results = _run_chunk(engine, pairs, budget, chaos)
             conn.send(("done", chunk_id, results,
                        time.perf_counter() - started,
-                       engine.compiled_query_count - queries_before,
                        None if persist is None else persist.deltas(engine)))
     except (EOFError, OSError, BrokenPipeError):
         pass

@@ -11,6 +11,8 @@ suite can prove the serving layer degrades instead of dying:
   scenarios;
 * **artificial latency** — a sleep prepended to any method, for deadline /
   timeout scenarios;
+* **perturbed results** — a transform applied to what any method returns,
+  for silently-wrong-answer scenarios;
 * **corrupted CPD** — NaN, negative or unnormalised entries written into a
   network's live CPT (with cache-invalidating replacement semantics, so
   engines cannot serve stale-but-clean cached posteriors);
@@ -198,6 +200,21 @@ class FaultInjector:
         def wrapper(*args, **kwargs):
             time.sleep(seconds)
             return original(*args, **kwargs)
+
+        self._patch(target, method, wrapper)
+
+    def perturb_result(self, target: object, method: str,
+                       transform) -> None:
+        """Return ``transform(result)`` from every call of ``target.method``.
+
+        The numeric-drift scenario: the call still succeeds, but its answer
+        is wrong, so only a cross-check against an independent computation
+        can catch it.
+        """
+        original = getattr(target, method)
+
+        def wrapper(*args, **kwargs):
+            return transform(original(*args, **kwargs))
 
         self._patch(target, method, wrapper)
 

@@ -1,0 +1,261 @@
+"""Every exact answer path against brute-force joint enumeration.
+
+Hypothesis draws random networks of at most seven variables with one to
+three states each, sprinkled with zero CPT entries (sometimes a whole zero
+row, so some evidence is impossible).  The oracle shares no code with the
+engines: it multiplies the drawn CPT arrays over every joint assignment and
+reads ``P(evidence)`` and each free variable's marginal off the joint
+table.  Variable elimination (single queries and ``posteriors_batch``), the
+junction tree and ``DiagnosisEngine.diagnose_batch`` must all agree with it
+to 1e-12, and every path must refuse zero-probability evidence.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bayesnet import BayesianNetwork, TabularCPD
+from repro.bayesnet.inference import JunctionTree, VariableElimination
+from repro.core import DiagnosisEngine
+from repro.core.blocks import BlockType, ModelVariable
+from repro.core.circuit_model import CircuitModelDescription
+from repro.core.model_builder import BuiltModel
+from repro.core.states import StateDefinition, StateTable
+from repro.exceptions import ImpossibleEvidenceError
+
+TOL = 1e-12
+
+#: State labels in reverse alphabetical order, so that code mixing up label
+#: order and state index cannot pass by accident.
+LABELS = ("z", "y", "x")
+
+
+@dataclasses.dataclass
+class RandomNetwork:
+    """A drawn network plus the raw arrays the oracle multiplies."""
+
+    network: BayesianNetwork
+    names: list[str]
+    cards: list[int]
+    parents: dict[str, list[str]]
+    #: Per variable, ``P(variable | parents)`` shaped ``(card, *parent_cards)``.
+    tables: dict[str, np.ndarray]
+    #: Evidence the drawn zero row makes impossible (None without one).
+    impossible: dict[str, str] | None
+
+    def labels(self, name: str) -> tuple[str, ...]:
+        return LABELS[:self.cards[self.names.index(name)]]
+
+
+@st.composite
+def random_networks(draw, min_card: int = 1) -> RandomNetwork:
+    count = draw(st.integers(min_value=1, max_value=7))
+    names = [f"n{i}" for i in range(count)]
+    cards = [draw(st.integers(min_value=min_card, max_value=3))
+             for _ in names]
+    parents = {name: draw(st.lists(st.sampled_from(names[:i]), unique=True,
+                                   max_size=3)) if i else []
+               for i, name in enumerate(names)}
+    # Zero or at least 0.01: no evidence is merely near-impossible.
+    weight = st.floats(min_value=0.0, max_value=1.0).map(
+        lambda value: value if value >= 0.01 else 0.0)
+    # A whole zero row (one state impossible under every parent
+    # configuration) makes evidence of probability zero.
+    zeroed = draw(st.sampled_from([None] + [name for name, card
+                                            in zip(names, cards)
+                                            if card > 1]))
+    tables = {}
+    for name, card in zip(names, cards):
+        shape = (card, *(cards[names.index(parent)]
+                         for parent in parents[name]))
+        table = np.array(draw(st.lists(weight, min_size=math.prod(shape),
+                                       max_size=math.prod(shape)))
+                         ).reshape(shape)
+        if name == zeroed:
+            table[-1] = 0.0
+        table[0] = np.where(table.sum(axis=0) == 0.0, 1.0, table[0])
+        tables[name] = table / table.sum(axis=0)
+    network = BayesianNetwork(
+        [(parent, name) for name in names for parent in parents[name]],
+        nodes=names)
+    for name, card in zip(names, cards):
+        network.add_cpd(TabularCPD(
+            name, card, tables[name].reshape(card, -1), parents[name],
+            [cards[names.index(parent)] for parent in parents[name]],
+            state_names={variable: LABELS[:cards[names.index(variable)]]
+                         for variable in [name, *parents[name]]}))
+    impossible = None if zeroed is None \
+        else {zeroed: LABELS[cards[names.index(zeroed)] - 1]}
+    return RandomNetwork(network, names, cards, parents, tables, impossible)
+
+
+@st.composite
+def evidence_rows(draw, net: RandomNetwork) -> list[dict[str, str]]:
+    """Random rows plus empty, full, duplicate and impossible evidence."""
+    def row():
+        chosen = draw(st.lists(st.sampled_from(net.names), unique=True))
+        return {name: draw(st.sampled_from(net.labels(name)))
+                for name in chosen}
+
+    rows = [row() for _ in range(draw(st.integers(min_value=1,
+                                                  max_value=6)))]
+    full = {name: draw(st.sampled_from(net.labels(name)))
+            for name in net.names}
+    rows += [{}, full, dict(rows[0])]
+    if net.impossible is not None:
+        rows.append({**row(), **net.impossible})
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def cases(draw, min_card: int = 1):
+    net = draw(random_networks(min_card))
+    return net, draw(evidence_rows(net))
+
+
+# ---------------------------------------------------------------- the oracle
+def joint_table(net: RandomNetwork) -> np.ndarray:
+    """The joint distribution, one axis per variable in ``net.names`` order."""
+    joint = np.empty(net.cards)
+    position = {name: axis for axis, name in enumerate(net.names)}
+    for assignment in np.ndindex(*net.cards):
+        probability = 1.0
+        for name in net.names:
+            index = (assignment[position[name]],
+                     *(assignment[position[parent]]
+                       for parent in net.parents[name]))
+            probability *= net.tables[name][index]
+        joint[assignment] = probability
+    return joint
+
+
+def enumerate_posteriors(net: RandomNetwork, joint: np.ndarray,
+                         evidence: dict[str, str]):
+    """Free-variable marginals given ``evidence``; None when P(e) is zero."""
+    index = tuple(net.labels(name).index(evidence[name]) if name in evidence
+                  else slice(None) for name in net.names)
+    conditioned = joint[index]
+    free = [name for name in net.names if name not in evidence]
+    total = conditioned.sum()
+    if total == 0.0:
+        return None
+    posteriors = {}
+    for axis, name in enumerate(free):
+        others = tuple(other for other in range(len(free)) if other != axis)
+        marginal = conditioned.sum(axis=others) / total
+        posteriors[name] = dict(zip(net.labels(name), marginal.tolist()))
+    return posteriors
+
+
+def assert_matches(actual, expected, evidence) -> None:
+    assert actual.keys() == expected.keys(), evidence
+    for name, distribution in expected.items():
+        assert actual[name].keys() == distribution.keys(), (name, evidence)
+        for state, probability in distribution.items():
+            assert actual[name][state] == pytest.approx(
+                probability, abs=TOL, rel=0), (name, state, evidence)
+
+
+# ------------------------------------------------------------------ the paths
+@given(cases())
+@settings(max_examples=40, deadline=None)
+def test_variable_elimination_posteriors(case):
+    net, rows = case
+    joint = joint_table(net)
+    engine = VariableElimination(net.network)
+    for evidence in rows:
+        expected = enumerate_posteriors(net, joint, evidence)
+        free = [name for name in net.names if name not in evidence]
+        if expected is None:
+            with pytest.raises(ImpossibleEvidenceError):
+                engine.posteriors(free, evidence)
+        else:
+            assert_matches(engine.posteriors(free, evidence), expected,
+                           evidence)
+
+
+@given(cases())
+@settings(max_examples=40, deadline=None)
+def test_variable_elimination_posteriors_batch(case):
+    net, rows = case
+    joint = joint_table(net)
+    engine = VariableElimination(net.network)
+    expected = [enumerate_posteriors(net, joint, evidence)
+                for evidence in rows]
+    assert engine.posteriors_batch([]) == []
+    # The second batch is answered from the evidence cache.
+    for answers in (engine.posteriors_batch(rows),
+                    engine.posteriors_batch(rows)):
+        assert len(answers) == len(rows)
+        for evidence, answer, want in zip(rows, answers, expected):
+            if want is None:
+                assert answer is None, evidence
+            else:
+                assert_matches(answer, want, evidence)
+        owned = [id(distribution) for answer in answers if answer
+                 for distribution in answer.values()]
+        assert len(owned) == len(set(owned))
+
+
+@given(cases())
+@settings(max_examples=40, deadline=None)
+def test_junction_tree_posteriors(case):
+    net, rows = case
+    joint = joint_table(net)
+    engine = JunctionTree(net.network)
+    for evidence in rows:
+        expected = enumerate_posteriors(net, joint, evidence)
+        free = [name for name in net.names if name not in evidence]
+        if expected is None:
+            with pytest.raises(ImpossibleEvidenceError):
+                engine.posteriors(free, evidence)
+        else:
+            assert_matches(engine.posteriors(free, evidence), expected,
+                           evidence)
+
+
+def built_model(net: RandomNetwork, roles) -> BuiltModel:
+    """Wrap a drawn network as a circuit model (every block healthy at z)."""
+    description = CircuitModelDescription(
+        "random",
+        [ModelVariable(name, role) for name, role in zip(net.names, roles)],
+        [StateTable(name, [StateDefinition(label, float(k), float(k))
+                           for k, label in enumerate(net.labels(name))])
+         for name in net.names],
+        [(parent, name) for name in net.names
+         for parent in net.parents[name]])
+    return BuiltModel(description=description, network=net.network,
+                      prior_network=net.network,
+                      discretizer=description.discretizer(),
+                      healthy_states={name: LABELS[0] for name in net.names},
+                      training_case_count=0)
+
+
+# Circuit-model state tables need two usable states per block, so these
+# networks draw two or three states per variable.
+@given(cases(min_card=2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_diagnose_batch_posteriors(case, data):
+    net, rows = case
+    roles = [data.draw(st.sampled_from([BlockType.CONTROL, BlockType.OBSERVE,
+                                        BlockType.INTERNAL]))
+             for _ in net.names]
+    joint = joint_table(net)
+    results = DiagnosisEngine(built_model(net, roles)).diagnose_batch(
+        rows, on_error="collect")
+    assert len(results) == len(rows)
+    for evidence, result in zip(rows, results):
+        expected = enumerate_posteriors(net, joint, evidence)
+        if expected is None:
+            assert not result.ok
+            assert result.error_type == "ImpossibleEvidenceError"
+            continue
+        for name, state in evidence.items():
+            expected[name] = {label: float(label == state)
+                              for label in net.labels(name)}
+        assert_matches(result.posteriors, expected, evidence)

@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bayesnet.factor import DiscreteFactor, factor_product
+from repro.bayesnet.factor import (
+    DiscreteFactor,
+    cached_einsum_path,
+    factor_product,
+)
 from repro.exceptions import FactorError
 
 
@@ -126,3 +130,12 @@ class TestOperations:
         factors = [DiscreteFactor([name], [2], [0.5, 0.5]) for name in "abc"]
         product = factor_product(factors)
         assert np.isclose(product.values.sum(), 1.0)
+
+
+def test_cached_einsum_path_memoises():
+    key = ("test-factor", ((0, 1), (2, 2)), (0,))
+    operands = [np.ones((2, 2)), [0, 1], np.ones((2, 2)), [1, 2], [0, 2]]
+    first = cached_einsum_path(key, operands)
+    second = cached_einsum_path(key, operands)
+    assert first is second  # cache hit returns the memoised path object
+    assert first[0] == "einsum_path"

@@ -1,10 +1,10 @@
-"""Durable cross-process state: cache, registry, fingerprints, sharing.
+"""Durable cross-process state: cache, registry, fingerprints.
 
 Covers the crash-safe :class:`~repro.persist.PosteriorCache` (round trips,
 torn-tail recovery, bit-flip quarantine, LRU compaction, cross-instance
-visibility), content fingerprinting, compiled-program serialization and
-sharing, the validation-gated :class:`~repro.persist.ModelRegistry`, and the
-robust engine's durable-cache fast path.  Everything here runs in-process;
+visibility), content fingerprinting, the validation-gated
+:class:`~repro.persist.ModelRegistry` and its publish-time engine-parity
+smoke, and the robust engine's durable-cache fast path.  Everything here runs in-process;
 the ``kill -9`` crash-recovery scenarios live in ``test_persist_chaos.py``.
 """
 
@@ -16,21 +16,22 @@ import json
 import numpy as np
 import pytest
 
+from repro.bayesnet.inference import JunctionTree
 from repro.core import FallbackPolicy, RobustDiagnosisEngine
-from repro.core.diagnosis import DiagnosisEngine
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
-from repro.exceptions import (
-    ModelPublishError,
-    ModelRegistryError,
-    PersistError,
-)
+from repro.exceptions import ModelPublishError, ModelRegistryError
 from repro.persist import (
     FingerprintTracker,
     ModelRegistry,
     PosteriorCache,
     model_fingerprint,
 )
-from repro.testing import cache_segments, flip_byte, truncate_tail
+from repro.testing import (
+    FaultInjector,
+    cache_segments,
+    flip_byte,
+    truncate_tail,
+)
 
 
 @pytest.fixture
@@ -230,36 +231,6 @@ class TestFingerprint:
 
 
 # ---------------------------------------------------------------------------
-# Compiled-program serialization and cross-engine sharing
-# ---------------------------------------------------------------------------
-
-class TestProgramSharing:
-    def test_from_bytes_rejects_garbage(self):
-        from repro.bayesnet.inference.compiled import CompiledProgram
-        with pytest.raises(PersistError):
-            CompiledProgram.from_bytes(b"not a program")
-        with pytest.raises(PersistError):
-            CompiledProgram.from_bytes(
-                __import__("pickle").dumps({"wrong": "type"}))
-
-    def test_shared_program_skips_the_second_trace(self, regulator_built_model,
-                                                   tmp_path):
-        case = PAPER_DIAGNOSTIC_CASES[1]
-        with PosteriorCache(tmp_path / "c") as cache:
-            tracer = DiagnosisEngine(regulator_built_model, compiled=True,
-                                     program_cache=cache)
-            reference = tracer.diagnose(case)
-            assert tracer.compile_count >= 1
-
-            sharer = DiagnosisEngine(regulator_built_model, compiled=True,
-                                     program_cache=cache)
-            shared = sharer.diagnose(case)
-            assert sharer.program_cache_hits >= 1
-            assert sharer.compile_count == 0  # the trace came off disk
-            assert shared.posteriors == reference.posteriors  # bit-identical
-
-
-# ---------------------------------------------------------------------------
 # ModelRegistry
 # ---------------------------------------------------------------------------
 
@@ -306,6 +277,35 @@ class TestModelRegistry:
             assert registry.current_version() == 1
             assert registry.current_fingerprint() \
                 == model_fingerprint(regulator_built_model.network)
+
+    def test_engine_disagreement_is_refused_before_the_swap(
+            self, regulator_built_model, tmp_path):
+        """The publish smoke alone: the candidate validates structurally, but
+        its junction-tree prior marginals drift 1e-6 from variable
+        elimination's."""
+        def drifted(posteriors):
+            variable, states = next(iter(posteriors.items()))
+            state = next(iter(states))
+            return {**posteriors,
+                    variable: {**states, state: states[state] + 1e-6}}
+
+        candidate = copy.deepcopy(regulator_built_model)
+        cpd = candidate.network.get_cpd(candidate.network.nodes[0]).copy()
+        cpd.table[...] = np.roll(cpd.table, 1, axis=0)
+        candidate.network.add_cpd(cpd)
+        with ModelRegistry(tmp_path / "models") as registry:
+            registry.publish(regulator_built_model)
+            live = registry.current_fingerprint()
+            assert model_fingerprint(candidate.network) != live
+            with FaultInjector() as chaos:
+                chaos.perturb_result(JunctionTree, "posteriors", drifted)
+                with pytest.raises(ModelPublishError,
+                                   match="parity smoke"):
+                    registry.publish(candidate)
+            assert registry.current_version() == 1
+            assert registry.current_fingerprint() == live
+            # Once the engines agree again, the same candidate publishes.
+            assert registry.publish(candidate) == 2
 
     def test_corrupt_artifact_refuses_to_load(self, regulator_built_model,
                                               tmp_path):

@@ -37,9 +37,8 @@ pytestmark = pytest.mark.filterwarnings(
 ZEROED = "reg1"
 
 
-def policy(compiled: bool = False, **overrides) -> FallbackPolicy:
-    options = dict(chain=("ve", "lw"), num_samples=500, seed=3,
-                   compiled=compiled)
+def policy(**overrides) -> FallbackPolicy:
+    options = dict(chain=("ve", "lw"), num_samples=500, seed=3)
     options.update(overrides)
     return FallbackPolicy(**options)
 
@@ -95,10 +94,9 @@ def diagnose_alone(engine, case):
         return error
 
 
-@pytest.mark.parametrize("compiled", [False, True])
-def test_each_slot_matches_diagnose(built_model, chunk, compiled):
-    batch_engine = RobustDiagnosisEngine(built_model, policy(compiled))
-    single_engine = RobustDiagnosisEngine(built_model, policy(compiled))
+def test_each_slot_matches_diagnose(built_model, chunk):
+    batch_engine = RobustDiagnosisEngine(built_model, policy())
+    single_engine = RobustDiagnosisEngine(built_model, policy())
     results = batch_engine.diagnose_batch(chunk, on_error="collect")
 
     assert [result.case_name for result in results] == \
@@ -133,12 +131,9 @@ def test_each_slot_matches_diagnose(built_model, chunk, compiled):
 
 @pytest.mark.parametrize("engine_type", [DiagnosisEngine,
                                          RobustDiagnosisEngine])
-@pytest.mark.parametrize("compiled", [False, True])
-def test_duplicate_slots_own_their_posteriors(built_model, engine_type,
-                                              compiled):
-    engine = engine_type(built_model, compiled=compiled) \
-        if engine_type is DiagnosisEngine \
-        else engine_type(built_model, policy(compiled))
+def test_duplicate_slots_own_their_posteriors(built_model, engine_type):
+    engine = engine_type(built_model) if engine_type is DiagnosisEngine \
+        else engine_type(built_model, policy())
     case = PAPER_DIAGNOSTIC_CASES[0]
     first, twin = engine.diagnose_batch([case, case])
     expected = copy.deepcopy(twin.posteriors)
@@ -175,17 +170,11 @@ def test_wall_time_is_an_equal_share_of_the_batch(built_model, chunk):
     assert sum(shares) <= elapsed
 
 
-@pytest.mark.parametrize("compiled", [False, True])
-def test_failed_sweep_walks_the_chain_per_slot(built_model, compiled):
-    engine = RobustDiagnosisEngine(built_model, policy(compiled))
+def test_failed_sweep_walks_the_chain_per_slot(built_model):
+    engine = RobustDiagnosisEngine(built_model, policy())
     cases = list(PAPER_DIAGNOSTIC_CASES)
-    if compiled:
-        target = engine._program_for(tuple(sorted(cases[0].evidence())))
-        method = "run_batch"
-    else:
-        target, method = engine._engine, "posteriors_batch"
     with FaultInjector() as chaos:
-        chaos.raise_on_call(target, method)
+        chaos.raise_on_call(engine._engine, "posteriors_batch")
         with pytest.warns(DegradedResultWarning):
             results = engine.diagnose_batch(cases, on_error="collect")
     for result in results:
@@ -226,9 +215,7 @@ def test_durable_cache_hits_keep_their_provenance(built_model, tmp_path):
         assert after.posteriors == before.posteriors
 
 
-@pytest.mark.parametrize("compiled", [False, True])
-def test_duplicate_slots_share_one_durable_entry(built_model, tmp_path,
-                                                 compiled):
+def test_duplicate_slots_share_one_durable_entry(built_model, tmp_path):
     """A batch looks up and stores each distinct evidence once; its later
     copies are durable hits of that entry, as they are case by case."""
     distinct = list(PAPER_DIAGNOSTIC_CASES)
@@ -238,13 +225,12 @@ def test_duplicate_slots_share_one_durable_entry(built_model, tmp_path,
              dataclasses.replace(distinct[0], name="third")]
     copies = len(cases) - len(distinct)
     with PosteriorCache(tmp_path / "cache") as cache:
-        engine = RobustDiagnosisEngine(built_model, policy(compiled),
+        engine = RobustDiagnosisEngine(built_model, policy(),
                                        posterior_cache=cache)
         cold = engine.diagnose_batch(cases)
         assert (engine.cache_misses, engine.cache_hits) == \
             (len(distinct), copies)
-        # One record per distinct row (and per traced program): no key is
-        # written twice.
+        # One record per distinct row: no key is written twice.
         assert cache.puts == len(cache.keys())
         assert sum(key[0] == "posterior" for key in cache.keys()) == \
             len(distinct)
@@ -297,19 +283,6 @@ def test_served_cache_hits_move_the_service_counter(built_model, tmp_path):
     assert {result.provenance.engine for result in warm} == {"cache"}
     assert stats.cache_hits == len(cases)
     assert stats.cache_misses == len(cases)
-
-
-def test_served_compiled_chunks_count_their_queries(built_model):
-    cases = list(PAPER_DIAGNOSTIC_CASES)
-    config = ServiceConfig(num_workers=1, chunk_size=2)
-    reference = RobustDiagnosisEngine(built_model, policy(compiled=True))
-    with DiagnosisService(built_model, policy(compiled=True),
-                          config) as service:
-        served = service.diagnose_batch(cases, timeout=120)
-        stats = service.stats()
-    assert stats.compiled_queries == len(cases)
-    for case, result in zip(cases, served):
-        assert result.suspects == reference.diagnose(case).suspects
 
 
 class _Recorder:
