@@ -38,7 +38,7 @@ access pattern:
   *all* requested marginals from one sweep: the junction tree calibrates
   once per evidence set and reads every clique, and variable elimination
   runs one shared-bucket forward/backward pass over its bucket tree.  Both
-  engines cache results keyed by the evidence signature, so repeated
+  engines cache results keyed by the evidence codec's row key, so repeated
   queries on the same failing condition are near-free (the ``sweep_count``
   / ``calibration_count`` attributes expose this for testing).
 * **Vectorised sampling** — the forward, likelihood-weighting and Gibbs

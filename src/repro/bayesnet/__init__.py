@@ -9,6 +9,8 @@ an open implementation of everything block-level diagnosis needs:
   factors with product, marginalisation, reduction and normalisation.
 * :class:`~repro.bayesnet.cpd.TabularCPD` — conditional probability tables.
 * :class:`~repro.bayesnet.network.BayesianNetwork` — the network itself.
+* :class:`~repro.bayesnet.codec.EvidenceCodec` — the one reading of evidence
+  (labels, state codes, per-entry defects) every engine and learner uses.
 * Exact inference — variable elimination and junction-tree belief
   propagation (``repro.bayesnet.inference``).
 * Approximate inference — likelihood weighting and Gibbs sampling.

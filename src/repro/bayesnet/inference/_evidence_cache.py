@@ -1,27 +1,25 @@
-"""Shared evidence-signature and cache machinery for the exact engines.
+"""The evidence-keyed LRU shared by the exact engines.
 
 Both exact engines follow the same compute-once, query-many pattern: a full
 sweep (shared-bucket elimination or junction-tree calibration) is cached
-keyed by the *evidence signature* — the evidence mapping with every state
-normalised to its integer index — and repeated queries on the same failing
-condition are answered from the cache.  This module keeps the signature and
-LRU semantics identical across the engines, and guards against the one way a
-cache can silently lie: replacing a CPD on the underlying network (the
-public ``add_cpd`` mutation path) drops every cached sweep.
+under the evidence's row key — sorted ``(variable, state code)`` pairs, read
+by the network's :class:`~repro.bayesnet.codec.EvidenceCodec` — and repeated
+queries on the same failing condition are answered from the cache.  This
+module keeps the LRU semantics identical across the engines, and guards
+against the one way a cache can silently lie: replacing a CPD on the
+underlying network (the public ``add_cpd`` mutation path) drops every cached
+sweep.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Mapping
-
-import numpy as np
 
 from repro.bayesnet.network import BayesianNetwork
 from repro.bayesnet.sampling import cpd_signature
 from repro.exceptions import InferenceError
 
-#: Number of evidence signatures whose sweeps/calibrations are kept cached.
+#: Number of evidence row keys whose sweeps/calibrations are kept cached.
 DEFAULT_CACHE_SIZE = 128
 
 #: Environment variable overriding the default cache capacity process-wide —
@@ -58,33 +56,8 @@ def resolve_cache_size(explicit: int | None = None) -> int:
     return value
 
 
-def evidence_key(network: BayesianNetwork,
-                 evidence: Mapping[str, str | int]) -> tuple:
-    """Return a hashable signature of ``evidence`` with states normalised.
-
-    Raises :class:`InferenceError` for unknown evidence variables or state
-    names, so every cached path reports bad evidence the same way the
-    uncached engines do.
-    """
-    items = []
-    for variable, state in evidence.items():
-        if variable not in network.graph:
-            raise InferenceError(f"unknown evidence variable {variable!r}")
-        if isinstance(state, (int, np.integer)):
-            items.append((variable, int(state)))
-        else:
-            names = network.get_cpd(variable).state_names[variable]
-            try:
-                items.append((variable, names.index(str(state))))
-            except ValueError:
-                raise InferenceError(
-                    f"unknown state {state!r} for evidence variable "
-                    f"{variable!r}") from None
-    return tuple(sorted(items))
-
-
 class EvidenceCache:
-    """A small LRU keyed by evidence signature, dropped on CPD replacement."""
+    """A small LRU keyed by evidence row key, dropped on CPD replacement."""
 
     def __init__(self, network: BayesianNetwork,
                  max_entries: int = DEFAULT_CACHE_SIZE) -> None:

@@ -18,13 +18,12 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.bayesnet.codec import Evidence, EvidenceCodec
 from repro.bayesnet.factor import DiscreteFactor
 from repro.bayesnet.network import BayesianNetwork
-from repro.bayesnet.sampling import CompiledSampler, state_to_index
+from repro.bayesnet.sampling import CompiledSampler
 from repro.exceptions import ImpossibleEvidenceError, InferenceError
 from repro.utils.rng import ensure_rng
-
-Evidence = Mapping[str, str | int]
 
 
 class GibbsSampling(CompiledSampler):
@@ -82,9 +81,6 @@ class GibbsSampling(CompiledSampler):
     def _recompile(self) -> None:
         super()._recompile()
         self._build_child_strides()
-
-    def _state_index(self, variable: str, state: str | int) -> int:
-        return state_to_index(self.network, variable, state)
 
     # ---------------------------------------------------------- vectorised core
     def _initial_states(self, evidence: Mapping[str, int],
@@ -171,12 +167,14 @@ class GibbsSampling(CompiledSampler):
         The arrays have length ``num_samples``; retained sweeps contribute
         one sample per chain (round-robin) after each chain's burn-in.
         """
+        return self._sample_states(evidence or {}, ())
+
+    def _sample_states(self, evidence: Evidence, query: Sequence[str]
+                       ) -> dict[str, np.ndarray]:
+        """:meth:`sample_states` after the codec checks ``query`` too."""
         self._refresh_tables()
-        evidence_indices = {variable: self._state_index(variable, state)
-                            for variable, state in (evidence or {}).items()}
-        for variable in evidence_indices:
-            if variable not in self.network.graph:
-                raise InferenceError(f"unknown evidence variable {variable!r}")
+        evidence_indices = EvidenceCodec.of(self.network).encode(
+            evidence, InferenceError, query)
         chains = self.chains
         states = self._initial_states(evidence_indices, chains)
         # Truly-impossible evidence keeps every redraw at joint probability
@@ -190,7 +188,7 @@ class GibbsSampling(CompiledSampler):
             raise ImpossibleEvidenceError(
                 "every initial chain has zero probability under the clamped "
                 "evidence; the evidence is impossible under the model",
-                evidence=dict(evidence or {}))
+                evidence=dict(evidence))
         free = [node for node in self._order if node not in evidence_indices]
         kept: dict[str, list[np.ndarray]] = {node: [] for node in self._order}
         retained = 0
@@ -219,10 +217,7 @@ class GibbsSampling(CompiledSampler):
         variables = list(variables)
         if not variables:
             raise InferenceError("query requires at least one variable")
-        for variable in variables:
-            if variable not in self.network.graph:
-                raise InferenceError(f"unknown query variable {variable!r}")
-        states = self.sample_states(evidence)
+        states = self._sample_states(evidence or {}, variables)
         cards = [self.network.cardinality(v) for v in variables]
         names = {v: self.network.state_names(v) for v in variables}
         indices = states[variables[0]]
@@ -241,7 +236,7 @@ class GibbsSampling(CompiledSampler):
                    evidence: Evidence | None = None) -> dict[str, dict[str, float]]:
         """Return the marginal posterior estimate of each variable."""
         variables = list(variables)
-        states = self.sample_states(evidence)
+        states = self._sample_states(evidence or {}, variables)
         result: dict[str, dict[str, float]] = {}
         for variable in variables:
             card = self.network.cardinality(variable)

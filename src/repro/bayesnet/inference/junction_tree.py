@@ -8,10 +8,13 @@ sepset tree), evidence is entered, the tree is calibrated with a single
 collect/distribute pass, and every node marginal is then available without
 further elimination work.
 
-Calibrations are cached keyed by the evidence signature (not just the most
-recent evidence set), and the per-variable marginals read from the calibrated
-cliques are memoised alongside each calibration, so population workflows that
-revisit the same failing condition pay for calibration exactly once.
+Evidence is read once by the network's
+:class:`~repro.bayesnet.codec.EvidenceCodec` into state codes (a bad entry
+raises ``InferenceError``, as in every engine) and its row key.
+Calibrations are cached by that key (not just the most recent evidence
+set), and the per-variable marginals read from the calibrated cliques are
+memoised alongside each calibration, so population workflows that revisit
+the same failing condition pay for calibration exactly once.
 """
 
 from __future__ import annotations
@@ -20,16 +23,14 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.bayesnet.codec import Evidence, EvidenceCodec
 from repro.bayesnet.factor import DiscreteFactor, contract_factors
 from repro.bayesnet.inference._evidence_cache import (
     EvidenceCache,
-    evidence_key,
     resolve_cache_size,
 )
 from repro.bayesnet.network import BayesianNetwork
 from repro.exceptions import ImpossibleEvidenceError, InferenceError
-
-Evidence = Mapping[str, str | int]
 
 
 class _Clique:
@@ -48,12 +49,10 @@ class _Clique:
 class _Calibration:
     """One calibrated state of the tree: potentials, P(e) and marginal memo."""
 
-    __slots__ = ("evidence", "potentials", "probability", "marginals",
-                 "distributions")
+    __slots__ = ("potentials", "probability", "marginals", "distributions")
 
-    def __init__(self, evidence: dict, potentials: list[DiscreteFactor],
+    def __init__(self, potentials: list[DiscreteFactor],
                  probability: float) -> None:
-        self.evidence = evidence
         self.potentials = potentials
         self.probability = probability
         self.marginals: dict[str, DiscreteFactor] = {}
@@ -96,7 +95,6 @@ class JunctionTree:
             for node in network.nodes}
         self.calibration_count = 0
         self._calibrations = EvidenceCache(network, resolve_cache_size(cache_size))
-        self._current: _Calibration | None = None
 
     # ------------------------------------------------------------ construction
     def _build_tree(self) -> None:
@@ -197,10 +195,11 @@ class JunctionTree:
         names = {v: self._state_names[v] for v in variables}
         return DiscreteFactor._from_parts(variables, cards, np.ones(cards), names)
 
-    def _initial_potentials(self, evidence: Evidence) -> list[DiscreteFactor]:
+    def _initial_potentials(self, codes: Mapping[str, int]
+                            ) -> list[DiscreteFactor]:
         assigned: list[list[DiscreteFactor]] = [[] for _ in self._cliques]
         for cpd in self.network.cpds:
-            factor = cpd.to_factor().reduce(evidence)
+            factor = cpd.to_factor().reduce(codes)
             family = set(cpd.parents) | {cpd.variable}
             home = None
             for clique in self._cliques:
@@ -218,7 +217,7 @@ class JunctionTree:
             # other clique variables may have no assigned CPD factor at all;
             # multiplying by the identity over the unobserved clique scope
             # keeps every non-evidence axis present for querying.
-            scope = [v for v in clique.variables if v not in evidence]
+            scope = [v for v in clique.variables if v not in codes]
             potentials.append(contract_factors(
                 [self._identity_factor(scope)] + assigned[index]))
         return potentials
@@ -227,14 +226,12 @@ class JunctionTree:
     def calibrate(self, evidence: Evidence | None = None) -> None:
         """Enter ``evidence`` and calibrate the tree with collect/distribute."""
         evidence = dict(evidence or {})
-        for variable, state in evidence.items():
-            if variable not in self.network.graph:
-                raise InferenceError(f"unknown evidence variable {variable!r}")
-            names = self._state_names[variable]
-            if isinstance(state, str) and state not in names:
-                raise InferenceError(
-                    f"unknown state {state!r} for evidence variable {variable!r}")
-        potentials = self._initial_potentials(evidence)
+        self._calibrate(EvidenceCodec.of(self.network).key(
+            evidence, InferenceError), evidence)
+
+    def _calibrate(self, key: tuple, evidence: dict) -> _Calibration:
+        """Calibrate on the evidence whose row key is ``key``; cache it."""
+        potentials = self._initial_potentials(dict(key))
         count = len(self._cliques)
         if count == 0:
             raise InferenceError("network has no nodes")
@@ -278,28 +275,24 @@ class JunctionTree:
             raise ImpossibleEvidenceError(
                 "evidence has zero probability under the model; "
                 "cannot calibrate the junction tree", evidence=evidence)
-        calibration = _Calibration(evidence, calibrated, total)
+        calibration = _Calibration(calibrated, total)
         self._calibrations.refresh()
-        self._calibrations.put(evidence_key(self.network, evidence), calibration)
-        self._current = calibration
+        self._calibrations.put(key, calibration)
+        return calibration
 
-    def _ensure_calibrated(self, evidence: dict) -> _Calibration:
+    def _ensure_calibrated(self, evidence: dict,
+                           variables: Sequence[str] = ()) -> _Calibration:
         """Return the calibration for ``evidence``, computing it if needed.
 
-        Replacing a CPD on the network drops every cached calibration (and
-        the current one), so parameter updates recalibrate from live tables.
+        The codec checks the evidence and the query ``variables`` first.
+        Replacing a CPD on the network drops every cached calibration, so
+        parameter updates recalibrate from live tables.
         """
-        if self._calibrations.refresh():
-            self._current = None
-        if self._current is not None and self._current.evidence == evidence:
-            return self._current
-        cached = self._calibrations.get(evidence_key(self.network, evidence))
-        if cached is not None:
-            self._current = cached
-            return cached
-        self.calibrate(evidence)
-        assert self._current is not None
-        return self._current
+        key = EvidenceCodec.of(self.network).key(evidence, InferenceError,
+                                                 variables)
+        self._calibrations.refresh()
+        cached = self._calibrations.get(key)
+        return self._calibrate(key, evidence) if cached is None else cached
 
     def _dfs_order(self, root: int) -> list[int]:
         order = []
@@ -364,13 +357,7 @@ class JunctionTree:
         variables = list(variables)
         if not variables:
             raise InferenceError("query requires at least one variable")
-        for variable in variables:
-            if variable not in self.network.graph:
-                raise InferenceError(f"unknown query variable {variable!r}")
-            if variable in evidence:
-                raise InferenceError(
-                    f"variable {variable!r} appears both as query and evidence")
-        calibration = self._ensure_calibrated(evidence)
+        calibration = self._ensure_calibrated(evidence, variables)
 
         query_set = set(variables)
         for clique, potential in zip(self._cliques, calibration.potentials):
@@ -388,27 +375,14 @@ class JunctionTree:
     def posterior(self, variable: str,
                   evidence: Evidence | None = None) -> dict[str, float]:
         """Return ``P(variable | evidence)`` as ``{state: probability}``."""
-        evidence = dict(evidence or {})
-        if variable not in self.network.graph:
-            raise InferenceError(f"unknown query variable {variable!r}")
-        if variable in evidence:
-            raise InferenceError(
-                f"variable {variable!r} appears both as query and evidence")
-        calibration = self._ensure_calibrated(evidence)
-        return self._distribution(variable, calibration)
+        return self.posteriors([variable], evidence)[variable]
 
     def posteriors(self, variables: Iterable[str],
                    evidence: Evidence | None = None) -> dict[str, dict[str, float]]:
         """Return every requested marginal from one calibration of the tree."""
         evidence = dict(evidence or {})
         variables = list(variables)
-        for variable in variables:
-            if variable not in self.network.graph:
-                raise InferenceError(f"unknown query variable {variable!r}")
-            if variable in evidence:
-                raise InferenceError(
-                    f"variable {variable!r} appears both as query and evidence")
-        calibration = self._ensure_calibrated(evidence)
+        calibration = self._ensure_calibrated(evidence, variables)
         return {variable: self._distribution(variable, calibration)
                 for variable in variables}
 

@@ -17,13 +17,12 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.bayesnet.codec import Evidence, EvidenceCodec
 from repro.bayesnet.factor import DiscreteFactor
 from repro.bayesnet.network import BayesianNetwork
-from repro.bayesnet.sampling import CompiledSampler, state_to_index
+from repro.bayesnet.sampling import CompiledSampler
 from repro.exceptions import ImpossibleEvidenceError, InferenceError
 from repro.utils.rng import ensure_rng
-
-Evidence = Mapping[str, str | int]
 
 
 class LikelihoodWeighting(CompiledSampler):
@@ -71,9 +70,6 @@ class LikelihoodWeighting(CompiledSampler):
             total_weight ** 2 / float((weights ** 2).sum()))
         return total_weight
 
-    def _state_index(self, variable: str, state: str | int) -> int:
-        return state_to_index(self.network, variable, state)
-
     def _sample_batch(self, evidence: Mapping[str, int]
                       ) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Draw the whole particle population in one vectorised pass.
@@ -102,14 +98,8 @@ class LikelihoodWeighting(CompiledSampler):
         if not variables:
             raise InferenceError("query requires at least one variable")
         evidence = dict(evidence or {})
-        for variable in variables:
-            if variable not in self.network.graph:
-                raise InferenceError(f"unknown query variable {variable!r}")
-            if variable in evidence:
-                raise InferenceError(
-                    f"variable {variable!r} appears both as query and evidence")
-        evidence_indices = {variable: self._state_index(variable, state)
-                            for variable, state in evidence.items()}
+        evidence_indices = EvidenceCodec.of(self.network).encode(
+            evidence, InferenceError, variables)
 
         cards = [self.network.cardinality(v) for v in variables]
         names = {v: self.network.state_names(v) for v in variables}
@@ -133,14 +123,8 @@ class LikelihoodWeighting(CompiledSampler):
         """Return the marginals of several variables from one shared sample set."""
         variables = list(variables)
         evidence = dict(evidence or {})
-        for variable in variables:
-            if variable not in self.network.graph:
-                raise InferenceError(f"unknown query variable {variable!r}")
-            if variable in evidence:
-                raise InferenceError(
-                    f"variable {variable!r} appears both as query and evidence")
-        evidence_indices = {variable: self._state_index(variable, state)
-                            for variable, state in evidence.items()}
+        evidence_indices = EvidenceCodec.of(self.network).encode(
+            evidence, InferenceError, variables)
         states, weights = self._sample_batch(evidence_indices)
         total_weight = self._finish_weights(weights, evidence)
         result: dict[str, dict[str, float]] = {}

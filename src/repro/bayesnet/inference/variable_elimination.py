@@ -9,9 +9,16 @@ posterior of every model variable.  Answering those one elimination per
 variable repeats almost all of the work, so :meth:`VariableElimination.posteriors`
 runs a single shared-bucket sweep instead — a forward bucket-elimination pass
 followed by a backward message pass over the implied bucket tree — which
-yields every marginal at roughly the cost of one elimination.  The result is
-cached keyed by the evidence signature, making repeated queries on the same
-case near-free.
+yields every marginal at roughly the cost of one elimination.
+
+Evidence enters through the network's
+:class:`~repro.bayesnet.codec.EvidenceCodec`: each case is read once into
+its row key (sorted ``(variable, code)`` pairs), which keys the evidence
+cache and, grouped by evidence variables, becomes the code matrix of one
+batched sweep.  A label names its state and a Python or numpy integer the
+state at that index; a bad entry (unknown variable, unknown label, an index
+out of range) raises ``InferenceError``.
+Repeated queries on the same case are answered from the cache.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.bayesnet.codec import Evidence, EvidenceCodec
 from repro.bayesnet.factor import DiscreteFactor, contract_factors
 from repro.bayesnet.inference._evidence_cache import (
     EvidenceCache,
-    evidence_key,
     resolve_cache_size,
 )
 from repro.bayesnet.inference.elimination_order import (
@@ -33,8 +40,6 @@ from repro.bayesnet.inference.elimination_order import (
 )
 from repro.bayesnet.network import BayesianNetwork
 from repro.exceptions import ImpossibleEvidenceError, InferenceError
-
-Evidence = Mapping[str, str | int]
 
 #: Elimination orders shared across engines.  The greedy heuristics are pure
 #: functions of the DAG structure (plus cardinalities for min-weight), so
@@ -87,10 +92,6 @@ class VariableElimination:
         # tracks CPD replacement through the evidence-cache refresh.
         self._order_cache: dict[frozenset, list[str]] = {}
         self._base_factors: list[DiscreteFactor] | None = None
-        # Per-variable (state-name set, names, cardinality) entries used by
-        # _validate, rebuilt lazily when CPDs are replaced.
-        self._schema: dict[str, tuple[frozenset, list[str], int]] = {}
-        self._schema_version = -1
 
     # ---------------------------------------------------------------- caching
     def _refresh_caches(self) -> None:
@@ -137,49 +138,10 @@ class VariableElimination:
         return order
 
     # ----------------------------------------------------------------- checks
-    def _validation_schema(self) -> dict[str, tuple[frozenset, list[str], int]]:
-        """Per-variable ``(state-name set, cardinality)`` lookup for _validate.
-
-        Batched queries validate hundreds of evidence dicts over the same
-        handful of variables, so the per-variable CPD walk is done once per
-        CPD generation and validation becomes plain dict probes.
-        """
-        version = self.network.cpd_version
-        if self._schema_version != version:
-            self._schema = {}
-            self._schema_version = version
-        return self._schema
-
-    def _validate(self, variables: Sequence[str], evidence: Evidence) -> None:
-        schema = self._validation_schema()
-        for variable in variables:
-            if variable not in self.network.graph:
-                raise InferenceError(f"unknown query variable {variable!r}")
-        for variable, state in evidence.items():
-            entry = schema.get(variable)
-            if entry is None:
-                if variable not in self.network.graph:
-                    raise InferenceError(
-                        f"unknown evidence variable {variable!r}")
-                cpd = self.network.get_cpd(variable)
-                names = cpd.state_names[variable]
-                entry = (frozenset(names), list(names), cpd.cardinality)
-                schema[variable] = entry
-            name_set, names, cardinality = entry
-            if isinstance(state, str) and state not in name_set:
-                raise InferenceError(
-                    f"unknown state {state!r} for evidence variable {variable!r}; "
-                    f"known states: {names}")
-            if isinstance(state, int) and not 0 <= state < cardinality:
-                raise InferenceError(
-                    f"state index {state} out of range for evidence variable "
-                    f"{variable!r}")
-        if variables:
-            overlap = set(variables) & set(evidence)
-            if overlap:
-                raise InferenceError(
-                    f"variables {sorted(overlap)} appear both as query and "
-                    f"evidence")
+    def _key(self, variables: Sequence[str], evidence: Evidence) -> tuple:
+        """The row key of ``evidence`` after checking it and the query."""
+        return EvidenceCodec.of(self.network).key(evidence, InferenceError,
+                                                  variables)
 
     # ------------------------------------------------------------------ query
     def query(self, variables: Sequence[str],
@@ -189,14 +151,14 @@ class VariableElimination:
         variables = list(variables)
         if not variables:
             raise InferenceError("query requires at least one variable")
-        self._validate(variables, evidence)
+        codes = dict(self._key(variables, evidence))
 
         self._refresh_caches()
-        factors = [factor.reduce(evidence) if evidence else factor
+        factors = [factor.reduce(codes) if codes else factor
                    for factor in self._factors()]
         keep = set(variables)
         to_eliminate = [node for node in self.network.nodes
-                        if node not in keep and node not in evidence]
+                        if node not in keep and node not in codes]
         order = self._elimination_order(to_eliminate)
         self.sweep_count += 1
 
@@ -218,65 +180,23 @@ class VariableElimination:
                 "posteriors are undefined", evidence=evidence)
         return result.normalize()
 
-    # ------------------------------------------------------- all-marginal sweep
-    def _all_marginals(self, evidence: Evidence
-                       ) -> tuple[dict[str, dict[str, float]] | None, float]:
-        """Return ``({variable: {state: probability}}, P(evidence))``.
-
-        All non-evidence marginals come from ONE shared-bucket sweep: a
-        forward bucket-elimination pass builds the bucket tree, a backward
-        pass sends each bucket the information external to its subtree, and
-        the product of a bucket's own potential with its backward message is
-        the exact joint over the bucket scope.  The sweep runs through the
-        batched array kernel with a single case row, so scalar and batched
-        posteriors are bit-for-bit identical (every batched operation is
-        elementwise along the case axis).  Results are cached per evidence
-        signature.  Zero-probability evidence yields ``(None, 0.0)`` (also
-        cached); posterior readers turn that into an error.  Replacing a CPD
-        on the network drops the cache, so parameter updates are never
-        served stale posteriors.
-        """
-        self._refresh_caches()
-        key = evidence_key(self.network, evidence)
-        cached = self._marginal_cache.get(key)
-        if cached is not None:
-            return cached
-        # Callers validated the evidence already (posterior/posteriors).
-        ((variables, codes, _),) = self._batch_groups([evidence],
-                                                      validated=True)
-        marginals, constants = self._sweep_batch(variables, codes)
-        distributions = self._batch_distributions(marginals, constants)
-        result = (distributions[0],
-                  float(constants[0]) if distributions[0] is not None else 0.0)
-        self._marginal_cache.put(key, result)
-        return result
-
     # -------------------------------------------------------------- posteriors
     def posterior(self, variable: str,
                   evidence: Evidence | None = None) -> dict[str, float]:
         """Return ``P(variable | evidence)`` as ``{state: probability}``."""
-        evidence = dict(evidence or {})
-        self._validate([variable], evidence)
-        marginals, _ = self._all_marginals(evidence)
-        if marginals is None:
-            raise ImpossibleEvidenceError(
-                "the evidence has zero probability under the model; "
-                "posteriors are undefined", evidence=evidence)
-        return dict(marginals[variable])
+        return self.posteriors([variable], evidence)[variable]
 
     def posteriors(self, variables: Iterable[str],
                    evidence: Evidence | None = None) -> dict[str, dict[str, float]]:
         """Return the marginal posterior of each variable from a single sweep."""
         variables = list(variables)
         evidence = dict(evidence or {})
-        self._validate(variables, evidence)
-        marginals, _ = self._all_marginals(evidence)
+        (marginals,) = self._answers([self._key(variables, evidence)])
         if marginals is None:
             raise ImpossibleEvidenceError(
                 "the evidence has zero probability under the model; "
                 "posteriors are undefined", evidence=evidence)
-        return {variable: dict(marginals[variable])
-                for variable in variables}
+        return {variable: marginals[variable] for variable in variables}
 
     def map_query(self, variables: Sequence[str],
                   evidence: Evidence | None = None) -> dict[str, str]:
@@ -292,86 +212,75 @@ class VariableElimination:
         likelihood scoring workloads.  Full-sweep results cached for the same
         evidence are reused instead of running a new pass.
         """
-        evidence = dict(evidence)
-        if not evidence:
+        key = self._key((), evidence)
+        if not key:
             return 1.0
-        self._validate([], evidence)
         self._refresh_caches()
-        key = evidence_key(self.network, evidence)
         cached_sweep = self._marginal_cache.get(key)
         if cached_sweep is not None:
             return cached_sweep[1]
         cached_probability = self._probability_cache.get(key)
         if cached_probability is not None:
             return cached_probability
-        probability = self._forward_constant(evidence)
+        # Only the forward bucket pass, routed through the batched kernel
+        # with a single case row so the scalar and batched likelihood paths
+        # can never diverge numerically.
+        self.sweep_count += 1
+        ((_, variables, codes),) = _code_groups([key])
+        probability = float(self._forward_pass_batch(variables, codes)[-1][0])
         self._probability_cache.put(key, probability)
         return probability
 
-    def _forward_constant(self, evidence: Evidence) -> float:
-        """Run only the forward bucket pass and return ``P(evidence)``.
-
-        Routed through the batched kernel with a single case row so the
-        scalar and batched likelihood paths can never diverge numerically.
-        """
-        self.sweep_count += 1
-        ((variables, codes, _),) = self._batch_groups([evidence],
-                                                      validated=True)
-        return float(self._forward_pass_batch(variables, codes)[-1][0])
-
     # ------------------------------------------------------------ batched sweeps
-    def posteriors_batch(self, evidence_list: Sequence[Evidence], *,
-                         validated: bool = False
+    def posteriors_batch(self, evidence_list: Sequence[Evidence]
                          ) -> list[dict[str, dict[str, float]] | None]:
         """Return every case's all-marginal posteriors from batched sweeps.
 
-        Cases are grouped by their evidence variable set, duplicate evidence
-        configurations are deduplicated, rows the evidence cache already
-        holds (answered by an earlier call or by :meth:`posteriors`) are read
-        from it, and each group's remaining rows run ONE elimination sweep
-        with the case axis carried through every ``einsum`` contraction —
-        the population-scoring counterpart of :meth:`posteriors`; swept rows
-        are cached in turn.  Each result slot maps every non-evidence
-        variable to its posterior distribution, in dicts of its own;
-        zero-probability evidence yields ``None`` in that slot (callers
-        decide whether that is an error), and non-finite CPD entries raise
-        :class:`InferenceError` exactly like the scalar sweep.
-
-        ``validated=True`` skips per-case evidence validation — for callers
-        (the batched diagnosis path) that already ran :meth:`_validate` on
-        every case to keep failure isolation per slot.
+        Each case is read once into its row key (``InferenceError`` on a bad
+        entry, before any sweep), and the keys are answered like
+        :meth:`posteriors` answers one: the population-scoring counterpart.
+        Each result slot maps every non-evidence variable to its posterior
+        distribution, in dicts of its own; zero-probability evidence yields
+        ``None`` in that slot (callers decide whether that is an error), and
+        non-finite CPD entries raise :class:`InferenceError`.
         """
-        results: list[dict[str, dict[str, float]] | None] = [None] * len(evidence_list)
-        for variables, codes, indices in self._batch_groups(
-                evidence_list, validated=validated):
-            # The evidence key of each row, as evidence_key builds it:
-            # sorted (variable, state index) pairs.
-            keys = [tuple(zip(variables, row)) for row in codes.tolist()]
-            entries: dict[tuple, tuple | None] = {}
-            missing: list[int] = []
-            for row, key in enumerate(keys):
-                if key not in entries:
-                    entries[key] = self._marginal_cache.get(key)
-                    if entries[key] is None:
-                        missing.append(row)
-            if missing:
-                marginals, constants = self._sweep_batch(variables,
-                                                         codes[missing])
-                for row, distribution, constant in zip(
-                        missing,
-                        self._batch_distributions(marginals, constants),
-                        constants.tolist()):
-                    entry = (distribution,
-                             constant if distribution is not None else 0.0)
-                    entries[keys[row]] = entry
-                    self._marginal_cache.put(keys[row], entry)
-            for slot, key in zip(indices, keys):
-                distribution = entries[key][0]
-                if distribution is not None:
-                    results[slot] = {
-                        variable: dict(states)
-                        for variable, states in distribution.items()}
-        return results
+        codec = EvidenceCodec.of(self.network)
+        return self._answers([codec.key(evidence or {}, InferenceError)
+                              for evidence in evidence_list])
+
+    def _answers(self, keys: Sequence[tuple]
+                 ) -> list[dict[str, dict[str, float]] | None]:
+        """Every row key's free-variable marginals, in dicts of its own.
+
+        Distinct keys the evidence cache already holds are read from it.
+        The rest run ONE shared-bucket sweep per evidence variable set, with
+        the case axis carried through every contraction: a forward
+        bucket-elimination pass builds the bucket tree, a backward pass
+        sends each bucket the information external to its subtree, and the
+        product of a bucket's own potential with its backward message is
+        the exact joint over the bucket scope.  Every batched operation is
+        elementwise along the case axis, so a key's posteriors do not depend
+        on the batch it is swept in.  Swept keys are cached as
+        ``(marginals, P(evidence))``, zero-probability evidence as
+        ``(None, 0.0)``; replacing a CPD on the network drops the cache.
+        """
+        self._refresh_caches()
+        entries: dict[tuple, tuple | None] = dict.fromkeys(keys)
+        for key in entries:
+            entries[key] = self._marginal_cache.get(key)
+        for group, variables, codes in _code_groups(
+                [key for key, entry in entries.items() if entry is None]):
+            marginals, constants = self._sweep_batch(variables, codes)
+            for key, distribution, constant in zip(
+                    group, self._batch_distributions(marginals, constants),
+                    constants.tolist()):
+                entries[key] = (distribution,
+                                constant if distribution is not None else 0.0)
+                self._marginal_cache.put(key, entries[key])
+        return [None if entries[key][0] is None else {
+                    variable: dict(states)
+                    for variable, states in entries[key][0].items()}
+                for key in keys]
 
     def probabilities_of_evidence(self, evidence_list: Sequence[Evidence]
                                   ) -> np.ndarray:
@@ -381,60 +290,21 @@ class VariableElimination:
         forward-only bucket pass per distinct evidence variable set, with all
         of that group's unique configurations evaluated along the case axis.
         """
-        results = np.ones(len(evidence_list))
-        for variables, codes, indices in self._batch_groups(evidence_list):
-            if not variables:
-                continue
-            unique, inverse = np.unique(codes, axis=0, return_inverse=True)
+        codec = EvidenceCodec.of(self.network)
+        keys = [codec.key(evidence or {}, InferenceError)
+                for evidence in evidence_list]
+        self._refresh_caches()
+        probabilities = {(): 1.0}
+        for group, variables, codes in _code_groups(
+                dict.fromkeys(key for key in keys if key)):
             self.sweep_count += 1
-            constants = self._forward_pass_batch(variables, unique)[-1]
+            constants = self._forward_pass_batch(variables, codes)[-1]
             if not np.all(np.isfinite(constants)):
                 raise InferenceError(
                     "non-finite evidence probability; the network contains "
                     "corrupted (NaN/inf) CPD entries")
-            results[indices] = constants[inverse]
-        return results
-
-    def _batch_groups(self, evidence_list: Sequence[Evidence], *,
-                      validated: bool = False
-                      ) -> list[tuple[list[str], np.ndarray, list[int]]]:
-        """Validate and encode cases, grouped by evidence variable set.
-
-        Returns ``(variables, codes, indices)`` triples where ``codes`` is
-        the ``(cases, len(variables))`` state-index matrix of the group and
-        ``indices`` maps its rows back to ``evidence_list`` slots.
-        """
-        self._refresh_caches()
-        lookups: dict[str, dict[str, int]] = {}
-        groups: dict[frozenset, tuple[list[str], list[list[int]], list[int]]] = {}
-        for slot, evidence in enumerate(evidence_list):
-            evidence = dict(evidence or {})
-            if not validated:
-                self._validate([], evidence)
-            key = frozenset(evidence)
-            group = groups.get(key)
-            if group is None:
-                group = (sorted(evidence), [], [])
-                groups[key] = group
-            variables, rows, indices = group
-            row = []
-            for variable in variables:
-                state = evidence[variable]
-                if isinstance(state, str):
-                    lookup = lookups.get(variable)
-                    if lookup is None:
-                        names = self.network.get_cpd(variable).state_names[variable]
-                        lookup = {name: i for i, name in enumerate(names)}
-                        lookups[variable] = lookup
-                    row.append(lookup[state])
-                else:
-                    row.append(int(state))
-            rows.append(row)
-            indices.append(slot)
-        return [(variables, np.array(rows, dtype=np.int64).reshape(len(rows),
-                                                                   len(variables)),
-                 indices)
-                for variables, rows, indices in groups.values()]
+            probabilities.update(zip(group, constants.tolist()))
+        return np.array([probabilities[key] for key in keys], dtype=float)
 
     def _batch_distributions(self, marginals, constants
                              ) -> list[dict[str, dict[str, float]] | None]:
@@ -678,3 +548,18 @@ class VariableElimination:
         with np.errstate(divide="ignore", invalid="ignore"):
             values = np.where(den_values > 0, num_values / den_values, 0.0)
         return list(num_vars), values, num_batched or den_batched
+
+
+def _code_groups(keys: Iterable[tuple]):
+    """Group row keys by evidence variables: ``(keys, variables, codes)``.
+
+    ``codes`` is the group's ``(rows, variables)`` state-code matrix.
+    """
+    groups: dict[tuple, list[tuple]] = {}
+    for key in keys:
+        groups.setdefault(tuple(variable for variable, _ in key),
+                          []).append(key)
+    for variables, members in groups.items():
+        yield members, list(variables), np.array(
+            [[code for _, code in key] for key in members],
+            dtype=np.int64).reshape(len(members), len(variables))

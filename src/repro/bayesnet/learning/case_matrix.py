@@ -21,6 +21,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.bayesnet.codec import EvidenceCodec
 from repro.exceptions import LearningError
 
 _MISSING = -1
@@ -139,34 +140,18 @@ class CaseMatrix:
                     seen.setdefault(variable)
             variables = list(seen)
         variables = list(variables)
-        lookup = {}
         for variable in variables:
             if variable not in state_names:
                 raise LearningError(
                     f"no state names supplied for variable {variable!r}")
-            lookup[variable] = {str(name): code for code, name
-                                in enumerate(state_names[variable])}
+        code = EvidenceCodec({variable: state_names[variable]
+                              for variable in variables}).code
         codes = np.full((len(cases), len(variables)), _MISSING, dtype=np.int16)
         for row, case in enumerate(cases):
             for column, variable in enumerate(variables):
-                value = case.get(variable)
-                if value is None:
-                    continue
-                if isinstance(value, (int, np.integer)) \
-                        and not isinstance(value, bool):
-                    code = int(value)
-                    if not 0 <= code < len(lookup[variable]):
-                        raise LearningError(
-                            f"state index {code} out of range for variable "
-                            f"{variable!r}")
-                else:
-                    code = lookup[variable].get(str(value), _MISSING)
-                    if code < 0:
-                        raise LearningError(
-                            f"unknown state {value!r} for variable "
-                            f"{variable!r}; known states: "
-                            f"{list(state_names[variable])}")
-                codes[row, column] = code
+                value = code(variable, case.get(variable), LearningError)
+                if value is not None:
+                    codes[row, column] = value
         return cls(variables, codes, state_names)
 
     @classmethod
@@ -224,18 +209,10 @@ class CaseMatrix:
         target = [str(name) for name in state_names]
         if own == target:
             return column
-        mapping = np.empty(len(own) + 1, dtype=np.int16)
-        mapping[_MISSING] = _MISSING
-        positions = {name: code for code, name in enumerate(target)}
-        for code, name in enumerate(own):
-            mapped = positions.get(name)
-            if mapped is None:
-                if bool((column == code).any()):
-                    raise LearningError(
-                        f"unknown state {name!r} for variable {variable!r}; "
-                        f"known states: {target}")
-                mapped = _MISSING
-            mapping[code] = mapped
+        mapping = np.full(len(own) + 1, _MISSING, dtype=np.int16)
+        target_code = EvidenceCodec({variable: target}).code
+        for code in np.unique(column[column >= 0]).tolist():
+            mapping[code] = target_code(variable, own[code], LearningError)
         return mapping[column]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,10 +15,11 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.bayesnet.codec import EvidenceCodec
 from repro.bayesnet.cpd import TabularCPD
 from repro.bayesnet.inference.variable_elimination import VariableElimination
 from repro.bayesnet.learning.case_matrix import CaseMatrix
-from repro.bayesnet.learning.mle import resolve_schema, state_index
+from repro.bayesnet.learning.mle import resolve_schema
 from repro.bayesnet.network import BayesianNetwork
 from repro.exceptions import LearningError
 
@@ -64,6 +65,7 @@ class ExpectationMaximization:
         self.tolerance = float(tolerance)
         self._cardinalities, self._state_names = resolve_schema(
             structure, cardinalities, state_names)
+        self._codec = EvidenceCodec(self._state_names)
         if initial_network is not None:
             self._initial = initial_network.copy()
         else:
@@ -97,18 +99,12 @@ class ExpectationMaximization:
         else:
             grouped = {}
             for case in cases:
-                evidence = {}
-                for variable, value in case.items():
-                    if variable not in network.graph:
-                        continue
-                    index = state_index(value, variable, self._state_names)
-                    if index is not None:
-                        evidence[variable] = index
-                key = tuple(sorted(evidence.items()))
-                if key in grouped:
-                    grouped[key] = (grouped[key][0], grouped[key][1] + 1)
-                else:
-                    grouped[key] = (evidence, 1)
+                key = self._codec.key(
+                    {variable: value for variable, value in case.items()
+                     if value is not None and variable in network.graph},
+                    LearningError)
+                evidence, multiplicity = grouped.get(key, (dict(key), 0))
+                grouped[key] = (evidence, multiplicity + 1)
 
         log_likelihood = 0.0
         for evidence, multiplicity in grouped.values():

@@ -7,6 +7,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.bayesnet.codec import EvidenceCodec
 from repro.bayesnet.cpd import TabularCPD
 from repro.bayesnet.learning.case_matrix import CaseMatrix
 from repro.bayesnet.network import BayesianNetwork
@@ -34,6 +35,7 @@ class MaximumLikelihoodEstimator:
         self.structure = structure
         self._cardinalities, self._state_names = resolve_schema(
             structure, cardinalities, state_names)
+        self._codec = EvidenceCodec(self._state_names)
 
     # ----------------------------------------------------------------- fitting
     def state_counts(self, cases: Sequence[Case] | CaseMatrix,
@@ -72,23 +74,8 @@ class MaximumLikelihoodEstimator:
                 .reshape(child_card, columns).astype(float)
             cache[key] = counts
             return counts
-        counts = np.zeros((child_card, columns), dtype=float)
-        for case in cases:
-            row = state_index(case.get(node), node, self._state_names)
-            if row is None:
-                continue
-            column = 0
-            skip = False
-            for parent, card in zip(parents, parent_cards):
-                parent_index = state_index(case.get(parent), parent, self._state_names)
-                if parent_index is None:
-                    skip = True
-                    break
-                column = column * card + parent_index
-            if skip:
-                continue
-            counts[row, column] += 1.0
-        return counts
+        return family_counts(cases, node, parents, self._cardinalities,
+                             self._codec)
 
     def estimate_cpd(self, cases: Sequence[Case] | CaseMatrix,
                      node: str) -> TabularCPD:
@@ -120,6 +107,32 @@ class MaximumLikelihoodEstimator:
 
 
 # --------------------------------------------------------------------- helpers
+def family_counts(cases: Sequence[Case], node: str, parents: Sequence[str],
+                  cardinalities: Mapping[str, int],
+                  codec: EvidenceCodec) -> np.ndarray:
+    """Count the dict cases that observe ``node`` and all its ``parents``.
+
+    Returns the ``(child_card, parent_configs)`` count matrix; ``codec``
+    reads every cell (``None`` is missing, a bad value raises
+    :class:`LearningError`).
+    """
+    parent_cards = [cardinalities[parent] for parent in parents]
+    counts = np.zeros((cardinalities[node], math.prod(parent_cards)))
+    for case in cases:
+        row = codec.code(node, case.get(node), LearningError)
+        if row is None:
+            continue
+        column = 0
+        for parent, card in zip(parents, parent_cards):
+            index = codec.code(parent, case.get(parent), LearningError)
+            if index is None:
+                break
+            column = column * card + index
+        else:
+            counts[row, column] += 1.0
+    return counts
+
+
 def resolve_schema(structure: BayesianNetwork,
                    cardinalities: Mapping[str, int] | None,
                    state_names: Mapping[str, Sequence[str]] | None
@@ -146,27 +159,3 @@ def resolve_schema(structure: BayesianNetwork,
         resolved_cards[node] = cpd.cardinality
         resolved_names[node] = list(cpd.state_names[node])
     return resolved_cards, resolved_names
-
-
-def state_index(value: object, variable: str,
-                state_names: Mapping[str, Sequence[str]]) -> int | None:
-    """Translate a case value into a state index.
-
-    ``None`` (missing observation) maps to ``None``; integers are taken as
-    indices; anything else is looked up among the state names.
-    """
-    if value is None:
-        return None
-    names = list(state_names[variable])
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        index = int(value)
-        if not 0 <= index < len(names):
-            raise LearningError(
-                f"state index {index} out of range for variable {variable!r}")
-        return index
-    text = str(value)
-    if text not in names:
-        raise LearningError(
-            f"unknown state {value!r} for variable {variable!r}; "
-            f"known states: {names}")
-    return names.index(text)

@@ -13,42 +13,20 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from repro.bayesnet.learning.mle import MaximumLikelihoodEstimator, state_index
+from repro.bayesnet.codec import EvidenceCodec
+from repro.bayesnet.learning.mle import family_counts
 from repro.bayesnet.network import BayesianNetwork
 from repro.exceptions import LearningError
 
 Case = Mapping[str, object]
 
 
-def _family_counts(cases: Sequence[Case], node: str, parents: Sequence[str],
-                   cardinalities: Mapping[str, int],
-                   state_names: Mapping[str, Sequence[str]]) -> np.ndarray:
-    child_card = cardinalities[node]
-    parent_cards = [cardinalities[p] for p in parents]
-    columns = int(np.prod(parent_cards)) if parents else 1
-    counts = np.zeros((child_card, columns), dtype=float)
-    for case in cases:
-        row = state_index(case.get(node), node, state_names)
-        if row is None:
-            continue
-        column = 0
-        skip = False
-        for parent, card in zip(parents, parent_cards):
-            parent_index = state_index(case.get(parent), parent, state_names)
-            if parent_index is None:
-                skip = True
-                break
-            column = column * card + parent_index
-        if not skip:
-            counts[row, column] += 1.0
-    return counts
-
-
 def bic_score(cases: Sequence[Case], node: str, parents: Sequence[str],
               cardinalities: Mapping[str, int],
               state_names: Mapping[str, Sequence[str]]) -> float:
     """Return the BIC family score of ``node`` with parent set ``parents``."""
-    counts = _family_counts(cases, node, parents, cardinalities, state_names)
+    counts = family_counts(cases, node, parents, cardinalities,
+                           EvidenceCodec(state_names))
     sample_size = counts.sum()
     if sample_size == 0:
         return 0.0
@@ -70,7 +48,8 @@ def bdeu_score(cases: Sequence[Case], node: str, parents: Sequence[str],
     """Return the BDeu family score of ``node`` with parent set ``parents``."""
     if equivalent_sample_size <= 0:
         raise LearningError("equivalent_sample_size must be positive")
-    counts = _family_counts(cases, node, parents, cardinalities, state_names)
+    counts = family_counts(cases, node, parents, cardinalities,
+                           EvidenceCodec(state_names))
     child_card, columns = counts.shape
     alpha_column = equivalent_sample_size / columns
     alpha_cell = alpha_column / child_card

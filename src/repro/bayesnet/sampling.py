@@ -17,6 +17,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.bayesnet.codec import EvidenceCodec
 from repro.bayesnet.network import BayesianNetwork
 from repro.exceptions import InferenceError
 from repro.utils.rng import ensure_rng
@@ -80,23 +81,6 @@ def cpd_signature(network: BayesianNetwork) -> tuple:
     detectable and remains unsupported, as before.)
     """
     return (id(network), network.cpd_version)
-
-
-def state_to_index(network: BayesianNetwork, variable: str,
-                   state: str | int) -> int:
-    """Normalise a state name or index for ``variable``, validating range."""
-    cpd = network.get_cpd(variable)
-    if isinstance(state, (int, np.integer)):
-        index = int(state)
-        if not 0 <= index < cpd.cardinality:
-            raise InferenceError(
-                f"state index {index} out of range for variable {variable!r}")
-        return index
-    try:
-        return cpd.state_names[variable].index(str(state))
-    except ValueError:
-        raise InferenceError(
-            f"unknown state {state!r} for variable {variable!r}") from None
 
 
 def compile_network(network: BayesianNetwork) -> dict[str, CompiledNode]:
@@ -201,9 +185,8 @@ class ForwardSampler(CompiledSampler):
             If ``max_attempts`` forward samples do not yield enough accepted
             samples (evidence too unlikely for rejection sampling).
         """
-        evidence_indices = {
-            variable: state_to_index(self.network, variable, state)
-            for variable, state in evidence.items()}
+        evidence_indices = EvidenceCodec.of(self.network).encode(
+            evidence, InferenceError)
         accepted: list[dict[str, str | int]] = []
         attempts = 0
         while len(accepted) < count and attempts < max_attempts:

@@ -10,8 +10,10 @@ It is a pure description — the BBN itself is built from it by
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+import functools
+from collections.abc import Iterable, Sequence
 
+from repro.bayesnet.codec import EvidenceCodec
 from repro.bayesnet.graph import DirectedGraph
 from repro.core.blocks import BlockType, ModelVariable
 from repro.core.states import Discretizer, StateTable
@@ -104,17 +106,10 @@ class CircuitModelDescription:
             self.__dict__["_role_cache"] = cached
         return cached
 
-    def _evidence_lookups(self) -> tuple[frozenset[str],
-                                         dict[str, tuple[str, ...]]]:
-        # Frozen like the role partition; evidence handling asks per case
-        # which variables are controllable and which labels each one has.
-        cached = self.__dict__.get("_evidence_cache")
-        if cached is None:
-            cached = (frozenset(self._role_lists()[0]),
-                      {name: tuple(table.labels)
-                       for name, table in self._state_tables.items()})
-            self.__dict__["_evidence_cache"] = cached
-        return cached
+    @functools.cached_property
+    def evidence_codec(self) -> EvidenceCodec:
+        """The codec of the usable-state labels (the model is frozen)."""
+        return EvidenceCodec(self.state_names())
 
     @property
     def controllable_variables(self) -> list[str]:
@@ -184,15 +179,6 @@ class CircuitModelDescription:
             for label, lower, upper, remark in table.rows():
                 rows.append((name, label, lower, upper, remark))
         return rows
-
-    def validate_against(self, evidence: Mapping[str, str]) -> None:
-        """Check that an evidence mapping uses known variables and states."""
-        for variable, state in evidence.items():
-            table = self.state_table(variable)
-            if str(state) not in table.labels:
-                raise ModelBuildError(
-                    f"unknown state {state!r} for variable {variable!r}; "
-                    f"known states: {table.labels}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CircuitModelDescription(name={self.name!r}, "

@@ -53,25 +53,6 @@ def chunk_slices(total: int, chunk_size: int) -> list[slice]:
             for start in range(0, total, chunk_size)]
 
 
-def case_from_evidence(model, evidence: Mapping[str, str],
-                       name: str) -> "DiagnosticCase":
-    """Wrap a raw evidence mapping into a :class:`DiagnosticCase`.
-
-    Splits entries into controllable/observable by the model's variable
-    roles.  Unknown variables are binned as observable so that evidence
-    validation reports them as structured ``unknown-variable`` issues
-    rather than this split raising first.  Module-level so serving layers
-    can normalise cases before shipping them to worker processes.
-    """
-    controllable_names = model._evidence_lookups()[0]
-    controllable = {variable: state for variable, state in evidence.items()
-                    if variable in controllable_names}
-    observable = {variable: state for variable, state in evidence.items()
-                  if variable not in controllable}
-    return DiagnosticCase(name=name, controllable_states=controllable,
-                          observable_states=observable)
-
-
 def impossible_evidence(evidence: Mapping[str, str]
                         ) -> ImpossibleEvidenceError:
     """The error for evidence the model assigns probability zero."""
@@ -432,7 +413,7 @@ class DiagnosisEngine:
             variable: {state: {label: float(label == state)
                                for label in labels}
                        for state in labels}
-            for variable, labels in self.model._evidence_lookups()[1].items()}
+            for variable, labels in self.model.state_names().items()}
         internal = set(self.model.internal_variables)
         self._internal_parents = {
             variable: tuple(parent
@@ -452,7 +433,10 @@ class DiagnosisEngine:
         (calibration / shared-bucket elimination) rather than one elimination
         per variable; evidence variables collapse onto their observed state.
         """
-        evidence = validate_evidence(self.model, evidence)
+        return self._update(validate_evidence(self.model, evidence))
+
+    def _update(self, evidence: dict[str, str]) -> dict[str, dict[str, float]]:
+        """:meth:`update` on evidence :func:`validate_evidence` returned."""
         free = [variable for variable in self.model.variable_names
                 if variable not in evidence]
         computed = self._engine.posteriors(free, evidence)
@@ -587,18 +571,17 @@ class DiagnosisEngine:
     # ---------------------------------------------------------------- diagnosis
     def diagnose(self, case: DiagnosticCase) -> Diagnosis:
         """Diagnose one case: update posteriors and deduce the suspect list."""
-        evidence = case.evidence()
-        return self._diagnosis(case.name, evidence, self.update(evidence))
+        return self._diagnose(case.name, case)
 
-    def _case_from_evidence(self, evidence: Mapping[str, str],
-                            name: str) -> DiagnosticCase:
-        """Wrap a raw evidence mapping into a :class:`DiagnosticCase`."""
-        return case_from_evidence(self.model, evidence, name)
+    def _diagnose(self, name: str, case) -> Diagnosis:
+        """Diagnose one slot: a :class:`DiagnosticCase` or a raw mapping."""
+        evidence = validate_evidence(self.model, case)
+        return self._diagnosis(name, evidence, self._update(evidence))
 
     def diagnose_evidence(self, evidence: Mapping[str, str],
                           name: str = "adhoc") -> Diagnosis:
         """Diagnose from a raw evidence mapping (observable/controllable states)."""
-        return self.diagnose(self._case_from_evidence(evidence, name))
+        return self._diagnose(name, evidence)
 
     def diagnose_batch(self, cases: Sequence[DiagnosticCase | Mapping[str, str]],
                        names: Sequence[str] | None = None,
@@ -618,7 +601,7 @@ class DiagnosisEngine:
         ----------
         cases:
             :class:`DiagnosticCase` instances, or raw evidence mappings
-            (variable -> observed state) which are wrapped like
+            (variable -> observed state), read as they are like
             :meth:`diagnose_evidence` does.
         names:
             Optional case names, aligned with ``cases``; only used for raw
@@ -648,7 +631,7 @@ class DiagnosisEngine:
         if deadline is None and self._batched():
             results = self._diagnose_batch_swept(cases, names, on_error)
         else:
-            diagnose = self.diagnose if deadline is None \
+            diagnose = self._diagnose if deadline is None \
                 else self._deadline_diagnose(deadline)
             results = [self._diagnose_one(case, index, names, on_error,
                                           diagnose)
@@ -676,57 +659,55 @@ class DiagnosisEngine:
         for index, item in enumerate(cases):
             name = _slot_name(item, index, names)
             try:
-                case = item if isinstance(item, DiagnosticCase) \
-                    else self._case_from_evidence(item, name)
-                admission = self._admit(case)
+                admission = self._admit(name, item)
             except Exception as error:
                 results[index] = _slot_failure(name, item, error, on_error)
                 continue
             if isinstance(admission, Diagnosis):
                 results[index] = admission  # answered at admission
             else:
-                admitted.append((index, item, case, admission))
+                admitted.append((index, item, name, admission))
         answers = self._sweep([evidence
                                for *_, (evidence, _) in admitted])
-        for (index, item, case, (evidence, context)), answer in zip(
+        for (index, item, name, (evidence, context)), answer in zip(
                 admitted, answers):
             try:
-                results[index] = self._settle(case, evidence, context,
+                results[index] = self._settle(name, evidence, context,
                                               answer)
             except Exception as error:
-                results[index] = _slot_failure(case.name, item, error,
-                                               on_error)
+                results[index] = _slot_failure(name, item, error, on_error)
         return results
 
-    def _admit(self, case: DiagnosticCase):
-        """Admit one slot to the batched sweep: ``(evidence, context)``."""
-        evidence = validate_evidence(self.model, case.evidence())
-        # Surface engine-level evidence problems here, per slot, so the
-        # shared sweep can never fail as a whole.
-        self._engine._validate([], evidence)
-        return evidence, None
+    def _admit(self, name: str, case):
+        """Admit one slot to the batched sweep: ``(evidence, context)``.
+
+        The slot's one evidence check; a bad entry fails this slot alone,
+        so the shared sweep sees checked labels only.
+        """
+        return validate_evidence(self.model, case), None
 
     def _sweep(self, evidences: list[dict[str, str]]) -> list:
         """Answer every admitted slot from batched sweeps.
 
         Returns, per slot, the free-variable marginals in dicts of the
         slot's own, or ``None`` for zero-probability evidence: variable
-        elimination runs one shared elimination sweep per evidence pattern
-        over the rows its evidence cache does not hold
+        elimination encodes each slot once and runs one shared elimination
+        sweep per evidence pattern over the rows its evidence cache does
+        not hold
         (:meth:`~repro.bayesnet.inference.variable_elimination.VariableElimination.posteriors_batch`).
         """
-        return self._engine.posteriors_batch(evidences, validated=True)
+        return self._engine.posteriors_batch(evidences)
 
-    def _settle(self, case: DiagnosticCase, evidence: dict[str, str],
+    def _settle(self, name: str, evidence: dict[str, str],
                 context, computed) -> Diagnosis:
         """Turn one slot's sweep answer into its Diagnosis."""
         if computed is None:
             raise impossible_evidence(evidence)
-        return self._diagnosis(case.name, evidence,
+        return self._diagnosis(name, evidence,
                                self._full_posteriors(evidence, computed))
 
     def _deadline_diagnose(self, deadline: float):
-        """Return a per-case diagnose callable sharing a batch deadline."""
+        """Return a per-slot ``diagnose(name, case)`` sharing a batch deadline."""
         raise DiagnosisError(
             f"{type(self).__name__} does not enforce batch deadlines; use "
             "repro.core.robust.RobustDiagnosisEngine for deadline-bounded "
@@ -736,8 +717,7 @@ class DiagnosisEngine:
         """Run one batch slot through ``diagnose`` under the isolation mode."""
         name = _slot_name(case, index, names)
         try:
-            return diagnose(case if isinstance(case, DiagnosticCase)
-                            else self._case_from_evidence(case, name))
+            return diagnose(name, case)
         except Exception as error:
             return _slot_failure(name, case, error, on_error)
 

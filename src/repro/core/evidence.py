@@ -6,35 +6,33 @@ forced condition and as a measured response with contradictory values.  The
 paper's diagnostic mode (Section III-B) assumes clean data; this module is
 the boundary that makes the serving layer safe against the dirty kind.
 
-Two entry points share one issue taxonomy:
-
-:func:`validate_evidence`
-    Collects *every* defect of an evidence mapping into structured
-    :class:`EvidenceIssue` records and raises a single
-    :class:`~repro.exceptions.EvidenceError` carrying all of them — a
-    serving layer reports the whole case's problems at once instead of
-    failing on the first.
-
-:func:`sanitize_evidence`
-    Repairs what it can (string coercion, whitespace, case-insensitive
-    label match, integer state indices) and drops what it cannot, returning
-    the cleaned mapping together with the issue records — the "keep
-    answering, scoped to what the evidence supports" mode.
+The model's :class:`~repro.bayesnet.codec.EvidenceCodec` reads a raw
+mapping, or both sections of a :class:`~repro.core.diagnosis.DiagnosticCase`,
+in one pass, and every bad entry becomes one structured
+:class:`EvidenceIssue`.  :func:`validate_evidence` (strict: labels only)
+raises a single :class:`~repro.exceptions.EvidenceError` carrying every
+issue, so a serving layer reports all of a case's problems at once;
+:func:`sanitize_evidence` repairs what it can (whitespace, case-insensitive
+label match, integer state index), drops the rest and returns the issues —
+the "keep answering, scoped to what the evidence supports" mode.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
+from repro.bayesnet.codec import (
+    CONFLICT,
+    LABELS,
+    REPAIR,
+    REPAIRED_STATE,
+    UNKNOWN_VARIABLE,
+    Defect,
+    EvidenceCodec,
+)
 from repro.core.circuit_model import CircuitModelDescription
 from repro.exceptions import EvidenceError
-
-#: Issue kinds, in the order sanitisation examines an entry.
-UNKNOWN_VARIABLE = "unknown-variable"
-UNKNOWN_STATE = "unknown-state"
-CONFLICT = "conflicting-entry"
-REPAIRED_STATE = "repaired-state"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,58 +62,62 @@ class EvidenceIssue:
         return f"[{self.kind}] {self.variable}: {self.detail}"
 
 
-def _coerce_state(table_labels: Sequence[str], state: object) -> str | None:
-    """Try to repair ``state`` onto one of ``table_labels``; None if hopeless."""
-    if isinstance(state, bool):
-        return None
-    if isinstance(state, int) and not isinstance(state, bool):
-        if 0 <= state < len(table_labels):
-            return table_labels[state]
-        return None
-    text = str(state).strip()
-    if text in table_labels:
-        return text
-    lowered = text.lower()
-    matches = [label for label in table_labels if label.lower() == lowered]
-    if len(matches) == 1:
-        return matches[0]
-    return None
+def _read(model: CircuitModelDescription, evidence, mode: str
+          ) -> tuple[dict[str, str], list[Defect]]:
+    """Read a mapping, or a case's two sections, with the model's codec.
+
+    Returns the good entries as labels and the codec's defects.
+    """
+    codec = model.evidence_codec
+    if isinstance(evidence, Mapping):
+        return codec.read(evidence, mode=mode)
+    return codec.read(evidence.controllable_states,
+                      evidence.observable_states, mode=mode)
+
+
+def _issue(model: CircuitModelDescription | None, defect: Defect,
+           strict: bool) -> EvidenceIssue:
+    """The structured record of one codec defect (conflicts need no model)."""
+    kind, variable, value, other = defect
+    if kind == CONFLICT:
+        return EvidenceIssue(
+            kind, variable, None,
+            f"controllable state {value!r} contradicts observable state "
+            f"{other!r}")
+    if kind == UNKNOWN_VARIABLE:
+        return EvidenceIssue(
+            kind, str(variable), str(value),
+            f"not one of the {len(model.variable_names)} model variables "
+            f"of {model.name!r}" if strict
+            else "dropped: not a model variable")
+    if kind == REPAIRED_STATE:
+        return EvidenceIssue(kind, variable, str(value),
+                             f"repaired {value!r} -> {other!r}")
+    labels = list(model.evidence_codec.labels[variable])
+    return EvidenceIssue(
+        kind, variable, str(value),
+        f"not a usable state; known states: {labels}" if strict else
+        f"dropped: no usable state matches; known states: {labels}")
 
 
 def validate_evidence(model: CircuitModelDescription,
                       evidence: Mapping[str, object]) -> dict[str, str]:
-    """Check an evidence mapping and return it normalised to string states.
+    """Check evidence and return it normalised to string state labels.
 
-    Every defect — unknown model variable, illegal state label — is
-    collected; if any exist an :class:`EvidenceError` carrying all the
-    :class:`EvidenceIssue` records is raised.  State values are normalised
-    with ``str()`` (matching what :meth:`DiagnosticCase.evidence` does), so
-    integer-valued datalog columns that happen to match a label pass.
+    ``evidence`` is a raw mapping or a :class:`DiagnosticCase`, whose
+    sections are merged.  Every defect — conflicting sections, unknown
+    model variable, illegal state label — is collected; if any exist an
+    :class:`EvidenceError` carrying all the :class:`EvidenceIssue` records
+    is raised.  Integer-valued datalog columns that spell a label pass.
     """
-    labels_of = model._evidence_lookups()[1]
-    issues: list[EvidenceIssue] = []
-    normalised: dict[str, str] = {}
-    for variable, state in evidence.items():
-        labels = labels_of.get(variable)
-        if labels is None:
-            issues.append(EvidenceIssue(
-                UNKNOWN_VARIABLE, str(variable), str(state),
-                f"not one of the {len(labels_of)} model variables of "
-                f"{model.name!r}"))
-            continue
-        text = str(state)
-        if text not in labels:
-            issues.append(EvidenceIssue(
-                UNKNOWN_STATE, variable, text,
-                f"not a usable state; known states: {list(labels)}"))
-            continue
-        normalised[variable] = text
-    if issues:
+    labels, defects = _read(model, evidence, LABELS)
+    if defects:
+        issues = [_issue(model, defect, True) for defect in defects]
         raise EvidenceError(
             f"evidence for {model.name!r} has {len(issues)} problem(s): "
             + "; ".join(str(issue) for issue in issues),
             issues=tuple(issues))
-    return normalised
+    return labels
 
 
 def sanitize_evidence(model: CircuitModelDescription,
@@ -123,40 +125,18 @@ def sanitize_evidence(model: CircuitModelDescription,
                       ) -> tuple[dict[str, str], tuple[EvidenceIssue, ...]]:
     """Repair or drop bad evidence entries instead of raising.
 
-    Returns ``(clean_evidence, issues)``.  Unknown variables are dropped;
-    unknown states are repaired when an unambiguous coercion exists
+    Returns ``(clean_evidence, issues)``.  ``evidence`` is a raw mapping or
+    a :class:`DiagnosticCase`; a block its two sections give different
+    states is dropped (neither side can be trusted).  Unknown variables are
+    dropped; unknown states are repaired when an unambiguous reading exists
     (whitespace stripping, case-insensitive label match, in-range integer
     state index) and dropped otherwise.  Every drop *and* every repair is
     recorded as an :class:`EvidenceIssue`, so callers can attach the list to
     a diagnosis' provenance and distinguish a clean case from a salvaged
     one.
     """
-    labels_of = model._evidence_lookups()[1]
-    issues: list[EvidenceIssue] = []
-    clean: dict[str, str] = {}
-    for variable, state in evidence.items():
-        labels = labels_of.get(variable)
-        if labels is None:
-            issues.append(EvidenceIssue(
-                UNKNOWN_VARIABLE, str(variable), str(state),
-                "dropped: not a model variable"))
-            continue
-        text = str(state)
-        if text in labels:
-            clean[variable] = text
-            continue
-        repaired = _coerce_state(labels, state)
-        if repaired is None:
-            issues.append(EvidenceIssue(
-                UNKNOWN_STATE, variable, text,
-                f"dropped: no usable state matches; known states: "
-                f"{list(labels)}"))
-        else:
-            issues.append(EvidenceIssue(
-                REPAIRED_STATE, variable, text,
-                f"repaired {state!r} -> {repaired!r}"))
-            clean[variable] = repaired
-    return clean, tuple(issues)
+    labels, defects = _read(model, evidence, REPAIR)
+    return labels, tuple(_issue(model, defect, False) for defect in defects)
 
 
 def merge_case_evidence(controllable: Mapping[str, object],
@@ -169,21 +149,10 @@ def merge_case_evidence(controllable: Mapping[str, object],
     :class:`EvidenceError` naming every conflicting block.  Agreeing
     duplicates merge silently.
     """
-    merged = {variable: str(state) for variable, state in controllable.items()}
-    issues: list[EvidenceIssue] = []
-    for variable, state in observable.items():
-        text = str(state)
-        previous = merged.get(variable)
-        if previous is not None and previous != text:
-            issues.append(EvidenceIssue(
-                CONFLICT, variable, None,
-                f"controllable state {previous!r} contradicts observable "
-                f"state {text!r}"))
-            continue
-        merged[variable] = text
-    if issues:
+    merged, conflicts = EvidenceCodec.merge(controllable, observable)
+    if conflicts:
         raise EvidenceError(
             "conflicting controllable/observable entries for: "
-            + ", ".join(issue.variable for issue in issues),
-            issues=tuple(issues))
-    return merged
+            + ", ".join(str(defect.variable) for defect in conflicts),
+            issues=tuple(_issue(None, defect, True) for defect in conflicts))
+    return {variable: str(state) for variable, state in merged.items()}

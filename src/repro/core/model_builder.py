@@ -85,17 +85,10 @@ def validate_built_network(model: CircuitModelDescription,
     * its table has the declared shape, only finite non-negative entries,
       and every parent-configuration column sums to 1 (within ``atol``).
 
-    A passing validation is memoised on the network against the model object
-    and the network's ``cpd_version``, so a long-lived prior network (the
-    common case: one designer prior reused across many builds) is walked
-    once, not once per build.  In-place table mutation stays undetectable,
-    as with every ``cpd_version``-keyed cache.
+    The tables are walked on every call, never memoised: a memo keyed by
+    ``cpd_version`` would survive a deep copy whose tables are then
+    poisoned in place, and the walk costs a fraction of a millisecond.
     """
-    stamp = (model, network.cpd_version, atol)
-    previous = network.__dict__.get("_built_validation")
-    if (previous is not None and previous[0] is model
-            and previous[1:] == stamp[1:]):
-        return
     issues: list[str] = []
     for variable in model.variable_names:
         try:
@@ -141,7 +134,6 @@ def validate_built_network(model: CircuitModelDescription,
         raise ModelBuildError(
             f"{context} failed validation ({len(issues)} issue(s)):\n  - "
             + "\n  - ".join(issues))
-    network.__dict__["_built_validation"] = stamp
 
 
 class Dlog2BBN:

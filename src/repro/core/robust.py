@@ -12,7 +12,10 @@ The serving loop per case:
 
 1. **Evidence boundary** — strict :func:`~repro.core.evidence.validate_evidence`
    or repair-and-continue :func:`~repro.core.evidence.sanitize_evidence`,
-   per :class:`FallbackPolicy.on_invalid_evidence`.
+   per :class:`FallbackPolicy.on_invalid_evidence`: one pass of the model's
+   :class:`~repro.bayesnet.codec.EvidenceCodec` over the case as it
+   arrives, naming every bad entry once.  The codec's row key of the
+   checked evidence keys the batch's durable-cache lookups.
 2. **Fallback chain** — each engine in ``policy.chain`` (default
    ``ve -> lw -> gibbs``) is attempted up to ``attempts_per_engine`` times
    with exponential backoff, each attempt under an optional wall-clock
@@ -204,10 +207,10 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         self._fingerprints = None
         self.cache_hits = 0
         self.cache_misses = 0
-        # While a batch runs with a durable cache: evidence key -> the
-        # posteriors an earlier slot found in or stored to the cache (None
-        # while that slot waits for the sweep), so the batch looks up and
-        # stores each distinct evidence once.
+        # While a batch runs with a durable cache: the codec row key of the
+        # evidence -> the posteriors an earlier slot found in or stored to
+        # the cache (None while that slot waits for the sweep), so the batch
+        # looks up and stores each distinct evidence once.
         self._batch_posteriors: dict[tuple, dict | None] | None = None
         # The primary engine is the one the superclass already built; the
         # fallback engines are constructed lazily on first degradation so a
@@ -246,14 +249,14 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             deadline = remaining if deadline is None \
                 else min(deadline, remaining)
         if deadline is None:
-            return DiagnosisEngine.update(engine, evidence)
+            return engine._update(evidence)
         deadline = max(deadline, 1e-6)
 
         outcome: dict[str, object] = {}
 
         def worker() -> None:
             try:
-                outcome["value"] = DiagnosisEngine.update(engine, evidence)
+                outcome["value"] = engine._update(evidence)
             except BaseException as error:  # noqa: BLE001 - re-raised below
                 outcome["error"] = error
 
@@ -282,27 +285,35 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         further engines.  ``None`` keeps the policy's per-attempt behaviour
         only.
         """
+        return self._diagnose(case.name, case, deadline)
+
+    def _diagnose(self, name: str, case,
+                  deadline: float | None = None) -> Diagnosis:
+        """:meth:`diagnose` for one slot: a case or a raw mapping."""
         start = time.perf_counter()
         if deadline is not None and deadline <= 0:
-            raise self._deadline_exceeded(case, deadline, deadline, (),
+            raise self._deadline_exceeded(name, deadline, deadline, (),
                                           start, None)
-        admission = self._admit(case)
+        admission = self._admit(name, case)
         if isinstance(admission, Diagnosis):
             return admission
         evidence, (issues, notes, _) = admission
-        return self._run_chain(case, evidence, issues, notes, start,
+        return self._run_chain(name, evidence, issues, notes, start,
                                deadline)
 
-    def _admit(self, case: DiagnosticCase):
-        """Evidence boundary plus durable-cache lookup for one case.
+    def _admit(self, name: str, case):
+        """Evidence boundary plus durable-cache lookup for one slot.
 
         Returns the cached :class:`Diagnosis` on a hit, else
         ``(evidence, (issues, notes, pending))`` for inference, where
-        ``pending`` is the evidence key when an earlier slot of the same
-        batch missed on the same evidence (``None`` otherwise).
+        ``pending`` is the row key when an earlier slot of the same batch
+        missed on the same evidence (``None`` otherwise).
         """
         start = time.perf_counter()
-        evidence, issues = self._evidence_boundary(case)
+        if self.policy.on_invalid_evidence == "raise":
+            evidence, issues = validate_evidence(self.model, case), ()
+        else:
+            evidence, issues = sanitize_evidence(self.model, case)
         dropped = [issue for issue in issues if issue.kind != "repaired-state"]
         notes: list[str] = []
         if issues:
@@ -312,22 +323,23 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         if self.posterior_cache is None:
             return evidence, (issues, notes, None)
         seen = self._batch_posteriors
-        key = tuple(sorted(evidence.items()))
+        key = None if seen is None \
+            else self.model.evidence_codec.key(evidence, EvidenceError)
         if seen is not None and key in seen:
             if seen[key] is None:
                 return evidence, (issues, notes, key)
-            return self._accept_batch_hit(case, evidence, seen[key], issues,
+            return self._accept_batch_hit(name, evidence, seen[key], issues,
                                           notes, start)
         cached = self._cached_posteriors(evidence)
         if seen is not None:
             seen[key] = cached
         if cached is not None:
             attempt = AttemptRecord("cache", "ok", time.perf_counter() - start)
-            return self._accept_cached(case, evidence, cached, (attempt,),
+            return self._accept_cached(name, evidence, cached, (attempt,),
                                        issues, notes, start)
         return evidence, (issues, notes, None)
 
-    def _run_chain(self, case: DiagnosticCase, evidence: dict[str, str],
+    def _run_chain(self, name: str, evidence: dict[str, str],
                    issues: tuple, notes: list[str], start: float,
                    deadline: float | None = None,
                    attempts: tuple[AttemptRecord, ...] = (),
@@ -363,7 +375,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 left = remaining()
                 if left is not None and left <= 0:
                     raise self._deadline_exceeded(
-                        case, deadline, left, tuple(attempts), start,
+                        name, deadline, left, tuple(attempts), start,
                         last_error)
                 attempt_start = time.perf_counter()
                 try:
@@ -387,7 +399,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                     continue
                 attempts.append(AttemptRecord(
                     engine_name, "ok", time.perf_counter() - attempt_start))
-                return self._accept(case, evidence, posteriors, engine_name,
+                return self._accept(name, evidence, posteriors, engine_name,
                                     position, tuple(attempts), issues,
                                     notes, start)
             notes.append(
@@ -396,7 +408,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
 
         error = FallbackExhaustedError(
             f"all {len(policy.chain)} engine(s) of the fallback chain failed "
-            f"for case {case.name!r}; last error: "
+            f"for case {name!r}; last error: "
             f"{type(last_error).__name__}: {last_error}",
             attempts=tuple(attempts),
             wall_time=time.perf_counter() - start)
@@ -448,7 +460,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         share = (time.perf_counter() - started) / max(len(evidences), 1)
         return [(answer, share) for answer in answers]
 
-    def _settle(self, case: DiagnosticCase, evidence: dict[str, str],
+    def _settle(self, name: str, evidence: dict[str, str],
                 context, answer) -> Diagnosis:
         """Accept a swept slot, fail it, or send it down the chain."""
         issues, notes, pending = context
@@ -460,13 +472,13 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             # if it stored its posteriors, else this slot's own miss.
             stored = self._batch_posteriors[pending]
             if stored is not None:
-                return self._accept_batch_hit(case, evidence, stored, issues,
+                return self._accept_batch_hit(name, evidence, stored, issues,
                                               notes, start)
             self.cache_misses += 1
         if isinstance(computed, Exception):
             attempt = AttemptRecord(primary, "error", elapsed,
                                     f"{type(computed).__name__}: {computed}")
-            return self._run_chain(case, evidence, issues, notes, start,
+            return self._run_chain(name, evidence, issues, notes, start,
                                    attempts=(attempt,), last_error=computed)
         if computed is None:
             error = impossible_evidence(evidence)
@@ -474,13 +486,13 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 primary, "error", elapsed,
                 f"{type(error).__name__}: {error}"),)
             raise error
-        return self._accept(case, evidence,
+        return self._accept(name, evidence,
                             self._full_posteriors(evidence, computed),
                             primary, 0,
                             (AttemptRecord(primary, "ok", elapsed),),
                             issues, notes, start)
 
-    def _deadline_exceeded(self, case: DiagnosticCase,
+    def _deadline_exceeded(self, name: str,
                            deadline: float | None, left: float | None,
                            attempts: tuple[AttemptRecord, ...], start: float,
                            last_error: BaseException | None,
@@ -488,7 +500,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         """Build the budget-exhausted error, with the attempt trail attached."""
         error = DeadlineExceededError(
             f"deadline budget of {deadline:g}s exhausted for case "
-            f"{case.name!r} after {len(attempts)} attempt(s)",
+            f"{name!r} after {len(attempts)} attempt(s)",
             remaining=left, deadline=deadline)
         error.attempts = attempts
         error.wall_time = time.perf_counter() - start
@@ -507,30 +519,12 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         """
         budget_end = time.perf_counter() + max(deadline, 0.0)
 
-        def diagnose(case: DiagnosticCase) -> Diagnosis:
-            return self.diagnose(
-                case, deadline=budget_end - time.perf_counter())
+        def diagnose(name: str, case) -> Diagnosis:
+            return self._diagnose(
+                name, case, deadline=budget_end - time.perf_counter())
 
         return diagnose
 
-    def _evidence_boundary(self, case: DiagnosticCase):
-        """Apply the policy's evidence mode; returns ``(evidence, issues)``."""
-        if self.policy.on_invalid_evidence == "raise":
-            return validate_evidence(self.model, case.evidence()), ()
-        issues: list = []
-        try:
-            merged = case.evidence()
-        except EvidenceError as error:
-            # Conflicting controllable/observable entries: neither side can
-            # be trusted, so the conflicting blocks are dropped entirely.
-            conflicting = {issue.variable for issue in error.issues}
-            merged = {variable: state
-                      for variable, state in case.raw_evidence().items()
-                      if variable not in conflicting}
-            issues.extend(error.issues)
-        clean, sanitize_issues = sanitize_evidence(self.model, merged)
-        issues.extend(sanitize_issues)
-        return clean, tuple(issues)
 
     def _model_fingerprint(self) -> str:
         """Content fingerprint of the served model, the durable-cache key."""
@@ -562,10 +556,10 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         except (ReproError, OSError):
             return
         if self._batch_posteriors is not None:
-            self._batch_posteriors[tuple(sorted(evidence.items()))] = \
-                posteriors
+            self._batch_posteriors[self.model.evidence_codec.key(
+                evidence, EvidenceError)] = posteriors
 
-    def _accept_batch_hit(self, case: DiagnosticCase,
+    def _accept_batch_hit(self, name: str,
                           evidence: dict[str, str],
                           stored: dict[str, dict[str, float]], issues: tuple,
                           notes: list[str], start: float) -> Diagnosis:
@@ -574,10 +568,10 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         posteriors = {variable: dict(states)
                       for variable, states in stored.items()}
         attempt = AttemptRecord("cache", "ok", time.perf_counter() - start)
-        return self._accept_cached(case, evidence, posteriors, (attempt,),
+        return self._accept_cached(name, evidence, posteriors, (attempt,),
                                    issues, notes, start)
 
-    def _accept_cached(self, case: DiagnosticCase, evidence: dict[str, str],
+    def _accept_cached(self, name: str, evidence: dict[str, str],
                        posteriors: dict[str, dict[str, float]],
                        attempts: tuple[AttemptRecord, ...], issues: tuple,
                        notes: list[str], start: float) -> Diagnosis:
@@ -596,12 +590,12 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             notes=tuple(notes))
         if degraded:
             warnings.warn(
-                f"case {case.name!r} served degraded from the durable "
+                f"case {name!r} served degraded from the durable "
                 f"cache: " + "; ".join(notes), DegradedResultWarning,
                 stacklevel=3)
-        return self._diagnosis(case.name, evidence, posteriors, provenance)
+        return self._diagnosis(name, evidence, posteriors, provenance)
 
-    def _accept(self, case: DiagnosticCase, evidence: dict[str, str],
+    def _accept(self, name: str, evidence: dict[str, str],
                 posteriors: dict[str, dict[str, float]], engine_name: str,
                 chain_position: int, attempts: tuple[AttemptRecord, ...],
                 issues: tuple, notes: list[str], start: float) -> Diagnosis:
@@ -628,9 +622,9 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             notes=tuple(notes))
         if degraded:
             warnings.warn(
-                f"case {case.name!r} served degraded by {engine_name!r}: "
+                f"case {name!r} served degraded by {engine_name!r}: "
                 + "; ".join(notes), DegradedResultWarning, stacklevel=3)
-        return self._diagnosis(case.name, evidence, posteriors, provenance)
+        return self._diagnosis(name, evidence, posteriors, provenance)
 
     def _effective_sample_size(self, engine_name: str) -> float | None:
         """Confidence signal of a sampled posterior; None for exact engines."""

@@ -57,7 +57,6 @@ from repro.core.diagnosis import (
     Diagnosis,
     DiagnosisFailure,
     DiagnosticCase,
-    case_from_evidence,
     chunk_slices,
 )
 from repro.core.model_builder import BuiltModel
@@ -542,17 +541,20 @@ class DiagnosisService:
                            deadline=deadline).result(timeout)
 
     def _normalize(self, cases, names) -> list[DiagnosticCase]:
+        """Name every slot as a :class:`DiagnosticCase` for the workers.
+
+        A raw mapping rides untouched as a one-section case, so the worker's
+        codec reads exactly what the caller sent.
+        """
         cases = list(cases)
         if names is not None and len(names) != len(cases):
             raise DiagnosisError(
                 f"got {len(names)} names for {len(cases)} cases")
-        normalized = []
-        for index, case in enumerate(cases):
-            if not isinstance(case, DiagnosticCase):
-                name = names[index] if names is not None else f"case-{index}"
-                case = case_from_evidence(self.model, case, name)
-            normalized.append(case)
-        return normalized
+        return [case if isinstance(case, DiagnosticCase) else DiagnosticCase(
+                    name=names[index] if names is not None
+                    else f"case-{index}",
+                    controllable_states={}, observable_states=dict(case))
+                for index, case in enumerate(cases)]
 
     def _check_intake_open(self) -> None:
         if self._draining or self._stopped:

@@ -48,7 +48,6 @@ import logging
 import time
 import traceback
 
-from repro.core.diagnosis import Diagnosis, DiagnosisFailure, DiagnosticCase
 from repro.core.model_builder import BuiltModel
 from repro.core.robust import FallbackPolicy, RobustDiagnosisEngine
 
@@ -247,17 +246,7 @@ def _run_chunk(engine: RobustDiagnosisEngine, pairs, budget, chaos):
     for slot, case in pairs:
         if chaos is not None:
             chaos.on_case(case)
-        results.append((slot, _diagnose_collect(diagnose, case)))
+        # One slot of a collect-mode batch: any failure becomes its record.
+        results.append((slot, engine._diagnose_one(case, slot, None,
+                                                   "collect", diagnose)))
     return results
-
-
-def _diagnose_collect(diagnose, case: DiagnosticCase,
-                      ) -> Diagnosis | DiagnosisFailure:
-    """Run one case, converting any failure into a structured record."""
-    try:
-        return diagnose(case)
-    except Exception as error:  # noqa: BLE001 - structured transport
-        return DiagnosisFailure.from_exception(
-            case.name, case.raw_evidence(), error,
-            attempts=tuple(getattr(error, "attempts", ()) or ()),
-            wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.ate import PopulationGenerator
 from repro.ate.programs import (
@@ -14,6 +15,17 @@ from repro.bayesnet import BayesianNetwork, TabularCPD
 from repro.circuits import BehavioralSimulator, build_hypothetical_circuit, build_voltage_regulator
 from repro.core import DiagnosisEngine, Dlog2BBN
 from repro.core.behavioral_prior import SimulationPriorBuilder
+
+#: Hypothesis profiles.  Tier-1 is deterministic: every run draws the same
+#: examples from a seed derived from each test.  ``fuzz`` draws ten times as
+#: many from random seeds (``--hypothesis-profile fuzz``).
+settings.register_profile("tier1", max_examples=40, deadline=None,
+                          derandomize=True, database=None)
+settings.register_profile("fuzz", max_examples=400, deadline=None)
+
+
+def pytest_configure(config):
+    settings.load_profile(config.getoption("--hypothesis-profile") or "tier1")
 
 
 @pytest.fixture

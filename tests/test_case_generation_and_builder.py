@@ -209,6 +209,18 @@ class TestBuildTimeValidation:
         with pytest.raises(ModelBuildError, match="state labels"):
             validate_built_network(regulator_circuit.model, network)
 
+    def test_deep_copy_poisoned_in_place_rejected(self, regulator_built_model):
+        """No validation verdict survives a deep copy of a validated model."""
+        import copy
+
+        from repro.core import validate_built_network
+        validate_built_network(regulator_built_model.description,
+                               regulator_built_model.network)
+        candidate = copy.deepcopy(regulator_built_model)
+        candidate.network.get_cpd("reg1").table[0, 0] = np.nan
+        with pytest.raises(ModelBuildError, match="NaN"):
+            validate_built_network(candidate.description, candidate.network)
+
     def test_all_defects_collected(self, regulator_circuit, regulator_prior):
         from repro.core import validate_built_network
         poisoned = regulator_prior.copy()

@@ -6,27 +6,31 @@ row, so some evidence is impossible).  The oracle shares no code with the
 engines: it multiplies the drawn CPT arrays over every joint assignment and
 reads ``P(evidence)`` and each free variable's marginal off the joint
 table.  Variable elimination (single queries and ``posteriors_batch``), the
-junction tree and ``DiagnosisEngine.diagnose_batch`` must all agree with it
-to 1e-12, and every path must refuse zero-probability evidence.
+junction tree, ``DiagnosisEngine.diagnose_batch`` and a robust engine's
+durable-cache round trip must all agree with it to 1e-12, and every path
+must refuse zero-probability evidence.  Label, Python-int and numpy-int
+forms of the same evidence share one evidence-cache entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.bayesnet import BayesianNetwork, TabularCPD
 from repro.bayesnet.inference import JunctionTree, VariableElimination
-from repro.core import DiagnosisEngine
+from repro.core import DiagnosisEngine, RobustDiagnosisEngine
 from repro.core.blocks import BlockType, ModelVariable
 from repro.core.circuit_model import CircuitModelDescription
 from repro.core.model_builder import BuiltModel
 from repro.core.states import StateDefinition, StateTable
 from repro.exceptions import ImpossibleEvidenceError
+from repro.persist import PosteriorCache
 
 TOL = 1e-12
 
@@ -163,7 +167,6 @@ def assert_matches(actual, expected, evidence) -> None:
 
 # ------------------------------------------------------------------ the paths
 @given(cases())
-@settings(max_examples=40, deadline=None)
 def test_variable_elimination_posteriors(case):
     net, rows = case
     joint = joint_table(net)
@@ -180,7 +183,6 @@ def test_variable_elimination_posteriors(case):
 
 
 @given(cases())
-@settings(max_examples=40, deadline=None)
 def test_variable_elimination_posteriors_batch(case):
     net, rows = case
     joint = joint_table(net)
@@ -203,7 +205,6 @@ def test_variable_elimination_posteriors_batch(case):
 
 
 @given(cases())
-@settings(max_examples=40, deadline=None)
 def test_junction_tree_posteriors(case):
     net, rows = case
     joint = joint_table(net)
@@ -217,6 +218,32 @@ def test_junction_tree_posteriors(case):
         else:
             assert_matches(engine.posteriors(free, evidence), expected,
                            evidence)
+
+
+@given(cases())
+def test_label_and_index_forms_share_one_cache_entry(case):
+    net, rows = case
+    joint = joint_table(net)
+    ve = VariableElimination(net.network)
+    jt = JunctionTree(net.network)
+    for evidence in rows:
+        expected = enumerate_posteriors(net, joint, evidence)
+        if expected is None:
+            continue
+        free = [name for name in net.names if name not in evidence]
+        indices = {name: net.labels(name).index(state)
+                   for name, state in evidence.items()}
+        by_ve = ve.posteriors(free, evidence)
+        by_jt = jt.posteriors(free, evidence)
+        assert_matches(by_ve, expected, evidence)
+        assert_matches(by_jt, expected, evidence)
+        sweeps, calibrations = ve.sweep_count, jt.calibration_count
+        for form in (indices, {name: np.int64(index)
+                               for name, index in indices.items()}):
+            assert ve.posteriors(free, form) == by_ve
+            assert jt.posteriors(free, form) == by_jt
+        assert (ve.sweep_count, jt.calibration_count) == (sweeps,
+                                                          calibrations)
 
 
 def built_model(net: RandomNetwork, roles) -> BuiltModel:
@@ -239,7 +266,6 @@ def built_model(net: RandomNetwork, roles) -> BuiltModel:
 # Circuit-model state tables need two usable states per block, so these
 # networks draw two or three states per variable.
 @given(cases(min_card=2), st.data())
-@settings(max_examples=40, deadline=None)
 def test_diagnose_batch_posteriors(case, data):
     net, rows = case
     roles = [data.draw(st.sampled_from([BlockType.CONTROL, BlockType.OBSERVE,
@@ -259,3 +285,44 @@ def test_diagnose_batch_posteriors(case, data):
             expected[name] = {label: float(label == state)
                               for label in net.labels(name)}
         assert_matches(result.posteriors, expected, evidence)
+
+
+def expected_diagnosis(net: RandomNetwork, joint: np.ndarray,
+                       evidence: dict[str, str]):
+    """Every variable's posterior, evidence one-hot; None when impossible."""
+    expected = enumerate_posteriors(net, joint, evidence)
+    if expected is not None:
+        for name, state in evidence.items():
+            expected[name] = {label: float(label == state)
+                              for label in net.labels(name)}
+    return expected
+
+
+@given(cases(min_card=2), st.data())
+def test_durable_cache_round_trip(case, data):
+    net, rows = case
+    roles = [data.draw(st.sampled_from([BlockType.CONTROL, BlockType.OBSERVE,
+                                        BlockType.INTERNAL]))
+             for _ in net.names]
+    joint = joint_table(net)
+    batch = rows + [dict(row) for row in rows]
+    expected = [expected_diagnosis(net, joint, evidence) for evidence in batch]
+    with tempfile.TemporaryDirectory() as directory, \
+            PosteriorCache(directory) as cache:
+        engine = RobustDiagnosisEngine(built_model(net, roles),
+                                       posterior_cache=cache)
+        for first_pass in (True, False):
+            results = engine.diagnose_batch(batch, on_error="collect")
+            assert len(results) == len(batch)
+            owned = []
+            for evidence, result, want in zip(batch, results, expected):
+                if want is None:
+                    assert not result.ok, evidence
+                    assert result.error_type == "ImpossibleEvidenceError"
+                    continue
+                assert_matches(result.posteriors, want, evidence)
+                if not first_pass:
+                    assert result.provenance.engine == "cache", evidence
+                owned += [id(distribution)
+                          for distribution in result.posteriors.values()]
+            assert len(owned) == len(set(owned))

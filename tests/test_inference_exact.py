@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.bayesnet import BayesianNetwork, JunctionTree, TabularCPD, VariableElimination
-from repro.bayesnet.inference import min_degree_order, min_fill_order, min_weight_order
+from repro.bayesnet.inference import (
+    GibbsSampling,
+    LikelihoodWeighting,
+    min_degree_order,
+    min_fill_order,
+    min_weight_order,
+)
 from repro.exceptions import InferenceError
 
 
@@ -65,6 +71,91 @@ class TestAgainstBruteForce:
         joint = sprinkler_network.joint_distribution().reduce(evidence)
         assert np.isclose(ve.probability_of_evidence(evidence), joint.values.sum())
         assert np.isclose(jt.probability_of_evidence(evidence), joint.values.sum())
+
+
+#: Every engine's all-marginals entry point, called as
+#: ``(network, query variable, evidence)``; the batch has no query.
+ENGINE_CALLS = {
+    "ve.posteriors": lambda network, query, evidence: VariableElimination(
+        network).posteriors([query], evidence),
+    "ve.posteriors_batch": lambda network, query, evidence:
+        VariableElimination(network).posteriors_batch([{}, evidence]),
+    "jt.posteriors": lambda network, query, evidence: JunctionTree(
+        network).posteriors([query], evidence),
+    "lw.posteriors": lambda network, query, evidence: LikelihoodWeighting(
+        network, num_samples=200, seed=0).posteriors([query], evidence),
+    "gibbs.posteriors": lambda network, query, evidence: GibbsSampling(
+        network, num_samples=40, burn_in=5, seed=0).posteriors(
+            [query], evidence),
+}
+QUERY_CALLS = {name: call for name, call in ENGINE_CALLS.items()
+               if name != "ve.posteriors_batch"}
+
+
+def numeric_network() -> BayesianNetwork:
+    """``a -> b`` whose state labels spell integers out of index order."""
+    names = {"a": ["1", "0"], "b": ["1", "2", "3"]}
+    network = BayesianNetwork([("a", "b")])
+    network.add_cpds(
+        TabularCPD("a", 2, [[0.3], [0.7]], state_names=names),
+        TabularCPD("b", 3, [[0.6, 0.1], [0.3, 0.2], [0.1, 0.7]], ["a"], [2],
+                   state_names=names))
+    return network
+
+
+BAD_EVIDENCE = {
+    "int-7": {"rain": 7},
+    "int-minus-1": {"rain": -1},
+    "np-int-7": {"rain": np.int64(7)},
+    "np-int-minus-1": {"rain": np.int64(-1)},
+    "bogus-label": {"rain": "bogus"},
+    "unknown-variable": {"drizzle": "1"},
+}
+
+
+class TestEvidenceChecksAgree:
+    """Every engine reads evidence through one codec and refuses the same
+    bad entries with the same error type."""
+
+    @pytest.mark.parametrize("evidence", list(BAD_EVIDENCE.values()),
+                             ids=list(BAD_EVIDENCE))
+    @pytest.mark.parametrize("call", list(ENGINE_CALLS.values()),
+                             ids=list(ENGINE_CALLS))
+    def test_bad_entry_raises_inference_error(self, sprinkler_network, call,
+                                              evidence):
+        with pytest.raises(InferenceError):
+            call(sprinkler_network, "wet", evidence)
+
+    @pytest.mark.parametrize("call", list(QUERY_CALLS.values()),
+                             ids=list(QUERY_CALLS))
+    def test_query_variable_given_as_evidence_raises(self, sprinkler_network,
+                                                     call):
+        with pytest.raises(InferenceError):
+            call(sprinkler_network, "wet", {"wet": "1"})
+
+    @pytest.mark.parametrize("call", list(ENGINE_CALLS.values()),
+                             ids=list(ENGINE_CALLS))
+    def test_integer_is_the_state_at_its_index(self, call):
+        """An integer is read as an index even where labels spell other
+        integers: ``0`` is the state labelled "1" and ``1`` the one
+        labelled "0"."""
+        network = numeric_network()
+        answers = [call(network, "b", {"a": label}) for label in ("1", "0")]
+        assert answers[0] != answers[1]
+        for index, expected in enumerate(answers):
+            assert call(network, "b", {"a": index}) == expected
+            assert call(network, "b", {"a": np.int64(index)}) == expected
+
+    def test_replaced_cpd_labels_are_read_at_once(self, sprinkler_network):
+        """The network's codec is rebuilt when a CPD is replaced."""
+        engine = VariableElimination(sprinkler_network)
+        before = engine.posteriors(["rain"], {"wet": "1"})
+        wet = sprinkler_network.get_cpd("wet").copy()
+        wet.state_names = {**wet.state_names, "wet": ["dry", "soaked"]}
+        sprinkler_network.add_cpd(wet)
+        with pytest.raises(InferenceError):
+            engine.posteriors(["rain"], {"wet": "1"})
+        assert engine.posteriors(["rain"], {"wet": "soaked"}) == before
 
 
 class TestQueryInterface:

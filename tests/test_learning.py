@@ -8,6 +8,7 @@ import pytest
 from repro.bayesnet import (
     BayesianEstimator,
     BayesianNetwork,
+    CaseMatrix,
     ExpectationMaximization,
     MaximumLikelihoodEstimator,
     TabularCPD,
@@ -51,6 +52,19 @@ class TestMaximumLikelihood:
         with pytest.raises(LearningError):
             MaximumLikelihoodEstimator(sprinkler_network).fit(
                 [{"cloudy": "maybe", "sprinkler": "0", "rain": "0", "wet": "0"}])
+
+    def test_integers_are_indices_under_numeric_labels(self):
+        """``0`` is the state at index 0 (labelled "1"), not the label "0",
+        in the dict-row counter and in ``CaseMatrix.from_cases`` alike."""
+        names = {"a": ["1", "0"]}
+        cases = [{"a": 0}, {"a": np.int64(0)}, {"a": "0"}]
+        assert CaseMatrix.from_cases(cases, names).codes[:, 0].tolist() \
+            == [0, 0, 1]
+        structure = BayesianNetwork(nodes=["a"])
+        estimator = MaximumLikelihoodEstimator(structure, {"a": 2}, names)
+        for form in (cases, CaseMatrix.from_cases(cases, names)):
+            assert np.allclose(estimator.fit(form).get_cpd("a").table[:, 0],
+                               [2 / 3, 1 / 3])
 
 
 class TestBayesianEstimator:
@@ -110,6 +124,25 @@ class TestExpectationMaximization:
     def test_empty_cases_raise(self, sprinkler_network):
         with pytest.raises(LearningError):
             ExpectationMaximization(sprinkler_network).fit([])
+
+    @pytest.mark.parametrize("as_matrix", [False, True],
+                             ids=["rows", "matrix"])
+    def test_e_step_conditions_on_numeric_labels(self, as_matrix):
+        """Where labels spell integers out of index order, the E step
+        conditions on the observed state, not on the label its code spells."""
+        network = BayesianNetwork([("h", "o")])
+        network.add_cpds(
+            TabularCPD("h", 2, [[0.5], [0.5]]),
+            TabularCPD("o", 2, [[0.9, 0.2], [0.1, 0.8]], ["h"], [2],
+                       state_names={"h": ["0", "1"], "o": ["1", "2"]}))
+        cases = [{"o": "2"}] * 4
+        if as_matrix:
+            cases = CaseMatrix.from_cases(cases, {"o": ["1", "2"]})
+        learner = ExpectationMaximization(network, max_iterations=1)
+        learned = learner.fit(cases)
+        # P(h | o="2") is (0.5 * 0.1, 0.5 * 0.8) / 0.45.
+        assert np.allclose(learned.get_cpd("h").table[:, 0], [1 / 9, 8 / 9])
+        assert np.isclose(learner.log_likelihood_trace[0], 4 * np.log(0.45))
 
 
 class TestStructureScores:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DiagnosisEngine
+from repro.core.evidence import validate_evidence
 from repro.core.paper_cases import (
     PAPER_DIAGNOSTIC_CASES,
     PAPER_EXPECTED_SUSPECTS,
@@ -51,7 +52,7 @@ class TestCaseDefinitions:
 
     def test_case_states_are_valid(self, regulator_circuit):
         for case in PAPER_DIAGNOSTIC_CASES:
-            regulator_circuit.model.validate_against(case.evidence())
+            validate_evidence(regulator_circuit.model, case)
 
     def test_published_probabilities_are_normalised(self):
         for column, variables in PAPER_INTERNAL_PROBABILITIES.items():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.bayesnet import BayesianNetwork, TabularCPD, VariableElimination
 from repro.bayesnet.factor import DiscreteFactor
@@ -45,31 +45,26 @@ def chain_networks(draw):
 # ---------------------------------------------------------------------- factors
 class TestFactorProperties:
     @given(factors())
-    @settings(max_examples=40, deadline=None)
     def test_normalize_sums_to_one(self, factor):
         assert np.isclose(factor.normalize().values.sum(), 1.0)
 
     @given(factors())
-    @settings(max_examples=40, deadline=None)
     def test_marginalizing_everything_equals_total(self, factor):
         total = factor.marginalize(list(factor.variables))
         assert np.isclose(float(total.values), factor.values.sum())
 
     @given(factors(), factors(prefix="w"))
-    @settings(max_examples=30, deadline=None)
     def test_product_is_commutative(self, left, right):
         # Distinct name prefixes avoid sharing a variable with conflicting
         # cardinalities, which the product correctly rejects.
         assert left.product(right).is_close_to(right.product(left))
 
     @given(factors())
-    @settings(max_examples=40, deadline=None)
     def test_product_with_identity_preserves_values(self, factor):
         identity = DiscreteFactor([], [], np.array(1.0))
         assert factor.product(identity).is_close_to(factor)
 
     @given(factors())
-    @settings(max_examples=40, deadline=None)
     def test_reduce_then_marginalize_consistency(self, factor):
         variable = factor.variables[0]
         # Summing the reduced slices over all states equals marginalising.
@@ -82,14 +77,12 @@ class TestFactorProperties:
 # --------------------------------------------------------------------- networks
 class TestInferenceProperties:
     @given(chain_networks(), st.sampled_from(["0", "1"]))
-    @settings(max_examples=25, deadline=None)
     def test_posterior_is_probability_vector(self, network, evidence_state):
         engine = VariableElimination(network)
         posterior = engine.posterior("a", {"c": evidence_state})
         check_probability_vector(list(posterior.values()))
 
     @given(chain_networks())
-    @settings(max_examples=25, deadline=None)
     def test_marginal_consistency_with_joint(self, network):
         engine = VariableElimination(network)
         joint = network.joint_distribution()
@@ -101,7 +94,6 @@ class TestInferenceProperties:
                 assert np.isclose(actual[state], probability, atol=1e-9)
 
     @given(chain_networks())
-    @settings(max_examples=25, deadline=None)
     def test_evidence_probabilities_sum_to_one(self, network):
         engine = VariableElimination(network)
         total = sum(engine.probability_of_evidence({"c": state})
@@ -114,7 +106,6 @@ class TestStateTableProperties:
     @given(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=3,
                     max_size=6, unique=True),
            st.floats(min_value=-5.0, max_value=25.0))
-    @settings(max_examples=60, deadline=None)
     def test_classify_always_returns_a_defined_label(self, boundaries, value):
         boundaries = sorted(boundaries)
         states = [StateDefinition(str(i), low, high)
@@ -124,7 +115,6 @@ class TestStateTableProperties:
 
     @given(st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.1, max_value=5.0))
-    @settings(max_examples=60, deadline=None)
     def test_values_inside_a_window_classify_to_it(self, lower, width):
         table = StateTable("x", [
             StateDefinition("inside", lower, lower + width),

@@ -12,7 +12,8 @@ from repro.core import (
     StateDefinition,
     StateTable,
 )
-from repro.exceptions import ModelBuildError, StateDefinitionError
+from repro.core.evidence import validate_evidence
+from repro.exceptions import EvidenceError, ModelBuildError, StateDefinitionError
 
 
 class TestBlockType:
@@ -132,9 +133,9 @@ class TestCircuitModelDescription:
             CircuitModelDescription("x", variables, tables, [("a", "ghost")])
 
     def test_validate_against(self, regulator_circuit):
-        regulator_circuit.model.validate_against({"reg1": "0", "vp1": "2"})
-        with pytest.raises(ModelBuildError):
-            regulator_circuit.model.validate_against({"reg1": "9"})
+        validate_evidence(regulator_circuit.model, {"reg1": "0", "vp1": "2"})
+        with pytest.raises(EvidenceError):
+            validate_evidence(regulator_circuit.model, {"reg1": "9"})
 
     def test_parents_children(self, regulator_circuit):
         assert "warnvpst" in regulator_circuit.model.parents_of("enb13")
