@@ -4,10 +4,10 @@ The robustness layer (evidence validation, provenance annotation, fallback
 bookkeeping) wraps every diagnosis on the service path, so its healthy-path
 cost is pure overhead on the Table VI kernel.  The timed kernel is the five
 diagnostic queries through :class:`RobustDiagnosisEngine` with the default
-policy (no deadline, so no threading); a paired measurement against the plain
-:class:`DiagnosisEngine` asserts the wrapper stays within the <5% budget
-(plus a millisecond of absolute tolerance — the kernel is ~6 ms, so the
-timer's noise floor matters).
+policy; a paired measurement against the plain :class:`DiagnosisEngine`
+asserts the wrapper stays within the <5% budget (plus a millisecond of
+absolute tolerance — the kernel is ~6 ms, so the timer's noise floor
+matters).
 """
 
 from __future__ import annotations

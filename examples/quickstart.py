@@ -102,12 +102,12 @@ def main() -> None:
 
     # 7. Robust serving: real returned-device logs are noisy.  The robust
     #    engine validates evidence up front, falls back from exact to
-    #    approximate inference under a deadline, and isolates per-case
-    #    failures so one poisoned record cannot kill a population sweep.
+    #    approximate inference, and isolates per-case failures so one
+    #    poisoned record cannot kill a population sweep.
     robust = RobustDiagnosisEngine(
         built,
-        FallbackPolicy(chain=("ve", "lw", "gibbs"), deadline=2.0,
-                       num_samples=2000, seed=0))
+        FallbackPolicy(chain=("ve", "lw", "gibbs"), num_samples=2000,
+                       seed=0))
     noisy_batch = [
         PAPER_DIAGNOSTIC_CASES[0].evidence(),      # clean record
         {"vp1": "99", "bogus_pin": "1"},           # corrupted datalog row
@@ -133,10 +133,10 @@ def main() -> None:
 
     # 8. Serving a population: the worker-pool service shards a batch
     #    across supervised worker processes (each hosting its own robust
-    #    engine).  Worker crashes are isolated and retried, per-request
-    #    deadlines propagate into every inference attempt, a bounded queue
-    #    applies backpressure, and `stats()` exposes a structured health
-    #    snapshot.  Use it whenever one process is not enough — or when it
+    #    engine).  Worker crashes are isolated and retried, a per-request
+    #    deadline is checked between each worker's pipeline stages (and a
+    #    worker that overruns it is reaped), a bounded queue applies
+    #    backpressure, and `stats()` exposes a structured health snapshot.  Use it whenever one process is not enough — or when it
     #    must not be trusted to stay alive.
     population_evidence = [case.observed() for case in big_cases[:200]]
     service_policy = FallbackPolicy(chain=("ve", "lw"), num_samples=2000,

@@ -13,6 +13,7 @@ five published case studies when fed the paper's own posterior numbers.
 from __future__ import annotations
 
 import dataclasses
+import time
 from collections.abc import Mapping, Sequence
 
 from repro.bayesnet.inference import (
@@ -28,9 +29,11 @@ from repro.core.evidence import (
 )
 from repro.core.model_builder import BuiltModel
 from repro.exceptions import (
+    DeadlineExceededError,
     DiagnosisError,
     EvidenceError,
     ImpossibleEvidenceError,
+    InferenceTimeoutError,
     ReproError,
 )
 
@@ -84,6 +87,47 @@ def _slot_failure(name: str, case, error: Exception,
         name, raw, error,
         attempts=tuple(getattr(error, "attempts", ()) or ()),
         wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))
+
+
+@dataclasses.dataclass(frozen=True)
+class Budget:
+    """A batch's wall-clock budget: ``seconds`` from ``start``.
+
+    Checked between pipeline stages; nothing running is interrupted.
+    """
+
+    seconds: float
+    start: float
+
+    def left(self) -> float:
+        return self.start + self.seconds - time.perf_counter()
+
+    def exceeded(self, name: str, attempts: tuple = (),
+                 cause: BaseException | None = None,
+                 late: tuple[str, float] | None = None
+                 ) -> DeadlineExceededError:
+        """One slot's budget-spent error, with its attempt trail.
+
+        ``late`` is the ``(engine, elapsed)`` of a sweep or attempt that
+        ended past the budget: it joins the trail as a ``"timeout"``
+        attempt, and its :class:`~repro.exceptions.InferenceTimeoutError`
+        becomes the cause.
+        """
+        if late is not None:
+            engine, elapsed = late
+            cause = InferenceTimeoutError(
+                f"engine {engine!r} ran past the {self.seconds:g}s budget",
+                engine=engine, deadline=self.seconds)
+            attempts = (*attempts, AttemptRecord(
+                engine, "timeout", elapsed, f"{type(cause).__name__}: {cause}"))
+        error = DeadlineExceededError(
+            f"deadline budget of {self.seconds:g}s exhausted for case "
+            f"{name!r} after {len(attempts)} attempt(s)",
+            remaining=self.left(), deadline=self.seconds)
+        error.attempts = attempts
+        error.wall_time = time.perf_counter() - self.start
+        error.__cause__ = cause
+        return error
 
 
 @dataclasses.dataclass(frozen=True)
@@ -429,14 +473,14 @@ class DiagnosisEngine:
     def update(self, evidence: Mapping[str, str]) -> dict[str, dict[str, float]]:
         """Return the posterior marginals of every variable given ``evidence``.
 
-        All free-variable marginals come from ONE inference sweep
-        (calibration / shared-bucket elimination) rather than one elimination
-        per variable; evidence variables collapse onto their observed state.
+        A batch of one through :meth:`diagnose_batch`: all free-variable
+        marginals come from ONE inference sweep; evidence variables
+        collapse onto their observed state.
         """
-        return self._update(validate_evidence(self.model, evidence))
+        return self.diagnose_batch([evidence])[0].posteriors
 
     def _update(self, evidence: dict[str, str]) -> dict[str, dict[str, float]]:
-        """:meth:`update` on evidence :func:`validate_evidence` returned."""
+        """One single-slot query on checked evidence (a fallback attempt)."""
         free = [variable for variable in self.model.variable_names
                 if variable not in evidence]
         computed = self._engine.posteriors(free, evidence)
@@ -569,19 +613,19 @@ class DiagnosisEngine:
         )
 
     # ---------------------------------------------------------------- diagnosis
-    def diagnose(self, case: DiagnosticCase) -> Diagnosis:
-        """Diagnose one case: update posteriors and deduce the suspect list."""
-        return self._diagnose(case.name, case)
+    def diagnose(self, case: DiagnosticCase,
+                 deadline: float | None = None) -> Diagnosis:
+        """Diagnose one case: update posteriors and deduce the suspect list.
 
-    def _diagnose(self, name: str, case) -> Diagnosis:
-        """Diagnose one slot: a :class:`DiagnosticCase` or a raw mapping."""
-        evidence = validate_evidence(self.model, case)
-        return self._diagnosis(name, evidence, self._update(evidence))
+        A batch of one through :meth:`diagnose_batch`, ``deadline``
+        included; a failure raises.
+        """
+        return self.diagnose_batch([case], deadline=deadline)[0]
 
     def diagnose_evidence(self, evidence: Mapping[str, str],
                           name: str = "adhoc") -> Diagnosis:
         """Diagnose from a raw evidence mapping (observable/controllable states)."""
-        return self._diagnose(name, evidence)
+        return self.diagnose_batch([evidence], names=[name])[0]
 
     def diagnose_batch(self, cases: Sequence[DiagnosticCase | Mapping[str, str]],
                        names: Sequence[str] | None = None,
@@ -590,12 +634,13 @@ class DiagnosisEngine:
                        ) -> list[Diagnosis | DiagnosisFailure]:
         """Diagnose a whole population of cases against one shared engine.
 
-        Engine construction (network validation, junction-tree compilation)
-        is paid once for the entire batch, and on variable elimination the
-        posterior updates of every valid case run as ONE batched sweep
-        that deduplicates repeated failing conditions — the intended entry
-        point for customer-return and fault-coverage population workflows.
-        Other engines, and deadline-bound batches, diagnose case by case.
+        The one diagnosis pipeline; :meth:`diagnose`,
+        :meth:`diagnose_evidence` and :meth:`update` are batches of one.
+        Each slot's evidence is checked once (admission); the posterior
+        updates of every admitted slot then run as ONE sweep of the engine
+        — on variable elimination a batched sweep that deduplicates
+        repeated failing conditions, on the other engines one query per
+        slot — and each slot's answer is settled into its result.
 
         Parameters
         ----------
@@ -615,10 +660,12 @@ class DiagnosisEngine:
             sweep.
         deadline:
             Optional total wall-clock budget in seconds shared by the whole
-            batch; cases reached after the budget expires fail with a
-            :class:`~repro.exceptions.DeadlineExceededError` (handled per
-            ``on_error``).  Requires a deadline-capable engine
-            (:class:`~repro.core.robust.RobustDiagnosisEngine`).
+            batch, checked between the pipeline's stages: before each
+            slot's admission and before and after the sweep (and, on a
+            robust engine, before and after each fallback attempt).  A slot
+            that meets a spent budget, or whose sweep ended past it, fails
+            with a :class:`~repro.exceptions.DeadlineExceededError`
+            (handled per ``on_error``).  Nothing running is interrupted.
         """
         if on_error not in ("raise", "skip", "collect"):
             raise DiagnosisError(
@@ -628,37 +675,30 @@ class DiagnosisEngine:
         if names is not None and len(names) != len(cases):
             raise DiagnosisError(
                 f"got {len(names)} names for {len(cases)} cases")
-        if deadline is None and self._batched():
-            results = self._diagnose_batch_swept(cases, names, on_error)
-        else:
-            diagnose = self._diagnose if deadline is None \
-                else self._deadline_diagnose(deadline)
-            results = [self._diagnose_one(case, index, names, on_error,
-                                          diagnose)
-                       for index, case in enumerate(cases)]
+        budget = None if deadline is None \
+            else Budget(deadline, time.perf_counter())
+        results = self._diagnose_batch_swept(cases, names, on_error, budget)
         if on_error == "skip":
             return [result for result in results if result.ok]
         return results
 
-    def _batched(self) -> bool:
-        """Whether :meth:`diagnose_batch` can run one batched sweep."""
-        return isinstance(self._engine, VariableElimination)
+    def _diagnose_batch_swept(self, cases, names, on_error, budget):
+        """The pipeline of :meth:`diagnose_batch`: admit, sweep, settle.
 
-    def _diagnose_batch_swept(self, cases, names, on_error):
-        """Batched path of :meth:`diagnose_batch`.
-
-        Case preparation and evidence admission (:meth:`_admit`) stay per
-        slot, with the same isolation as the per-case loop; the posterior
-        updates of every admitted slot then run as ONE batched sweep
-        (:meth:`_sweep`), and :meth:`_settle` turns each slot's answer into
-        its result.  Failed slots are handled per ``on_error``; ``"skip"``
-        filtering is left to the caller.
+        Evidence admission (:meth:`_admit`) is isolated per slot; the
+        posterior updates of every admitted slot then run as ONE sweep
+        (:meth:`_sweep`) — a sweep that raises fails every slot — and
+        :meth:`_settle` turns each slot's answer into its result.  Failed
+        slots are handled per ``on_error``; ``"skip"`` filtering is left to
+        the caller.
         """
         results: list[Diagnosis | DiagnosisFailure | None] = [None] * len(cases)
         admitted = []
         for index, item in enumerate(cases):
             name = _slot_name(item, index, names)
             try:
+                if budget is not None and budget.left() <= 0:
+                    raise budget.exceeded(name)
                 admission = self._admit(name, item)
             except Exception as error:
                 results[index] = _slot_failure(name, item, error, on_error)
@@ -667,13 +707,25 @@ class DiagnosisEngine:
                 results[index] = admission  # answered at admission
             else:
                 admitted.append((index, item, name, admission))
-        answers = self._sweep([evidence
-                               for *_, (evidence, _) in admitted])
+        started = time.perf_counter()
+        swept = budget is None or budget.left() > 0
+        answers = [None] * len(admitted)
+        if swept:
+            try:
+                answers = self._sweep([evidence
+                                       for *_, (evidence, _) in admitted])
+            except Exception as error:  # noqa: BLE001 - fails every slot
+                answers = [error] * len(admitted)
+        elapsed = (time.perf_counter() - started) / max(len(admitted), 1)
+        spent = budget is not None and budget.left() <= 0
         for (index, item, name, (evidence, context)), answer in zip(
                 admitted, answers):
             try:
+                if spent:  # before the sweep, or the sweep ended late
+                    raise budget.exceeded(name, late=(
+                        self.inference_name, elapsed) if swept else None)
                 results[index] = self._settle(name, evidence, context,
-                                              answer)
+                                              answer, elapsed, budget)
             except Exception as error:
                 results[index] = _slot_failure(name, item, error, on_error)
         return results
@@ -687,39 +739,41 @@ class DiagnosisEngine:
         return validate_evidence(self.model, case), None
 
     def _sweep(self, evidences: list[dict[str, str]]) -> list:
-        """Answer every admitted slot from batched sweeps.
+        """Answer every admitted slot in one sweep of the engine.
 
         Returns, per slot, the free-variable marginals in dicts of the
-        slot's own, or ``None`` for zero-probability evidence: variable
-        elimination encodes each slot once and runs one shared elimination
-        sweep per evidence pattern over the rows its evidence cache does
-        not hold
-        (:meth:`~repro.bayesnet.inference.variable_elimination.VariableElimination.posteriors_batch`).
+        slot's own, ``None`` for zero-probability evidence, or the slot's
+        own error.  Variable elimination encodes each slot once and runs
+        one shared elimination sweep per evidence pattern over the rows its
+        evidence cache does not hold
+        (:meth:`~repro.bayesnet.inference.variable_elimination.VariableElimination.posteriors_batch`);
+        the other engines answer each slot with one ``posteriors`` query.
         """
-        return self._engine.posteriors_batch(evidences)
+        if isinstance(self._engine, VariableElimination):
+            return self._engine.posteriors_batch(evidences)
+        return [self._answer(evidence) for evidence in evidences]
+
+    def _answer(self, evidence: dict[str, str]):
+        """One slot of a per-slot sweep: marginals, ``None`` or its error."""
+        free = [variable for variable in self.model.variable_names
+                if variable not in evidence]
+        try:
+            return self._engine.posteriors(free, evidence)
+        except ImpossibleEvidenceError:
+            return None
+        except Exception as error:  # noqa: BLE001 - fails this slot
+            return error
 
     def _settle(self, name: str, evidence: dict[str, str],
-                context, computed) -> Diagnosis:
-        """Turn one slot's sweep answer into its Diagnosis."""
+                context, computed, elapsed: float,
+                budget: Budget | None) -> Diagnosis:
+        """Turn one slot's sweep answer into its Diagnosis, or raise."""
+        if isinstance(computed, Exception):
+            raise computed
         if computed is None:
             raise impossible_evidence(evidence)
         return self._diagnosis(name, evidence,
                                self._full_posteriors(evidence, computed))
-
-    def _deadline_diagnose(self, deadline: float):
-        """Return a per-slot ``diagnose(name, case)`` sharing a batch deadline."""
-        raise DiagnosisError(
-            f"{type(self).__name__} does not enforce batch deadlines; use "
-            "repro.core.robust.RobustDiagnosisEngine for deadline-bounded "
-            "batches")
-
-    def _diagnose_one(self, case, index, names, on_error, diagnose):
-        """Run one batch slot through ``diagnose`` under the isolation mode."""
-        name = _slot_name(case, index, names)
-        try:
-            return diagnose(name, case)
-        except Exception as error:
-            return _slot_failure(name, case, error, on_error)
 
     def diagnose_measurements(self, conditions: Mapping[str, float],
                               measurements: Mapping[str, float],

@@ -8,71 +8,67 @@ motivates (Roos's efficient compiled diagnosis; Srinivas's hierarchical
 diagnosis — see PAPERS.md): keep answering, at reduced precision, scoped to
 what the evidence supports.
 
-The serving loop per case:
+:class:`RobustDiagnosisEngine` runs the one diagnosis pipeline of
+:meth:`~repro.core.diagnosis.DiagnosisEngine.diagnose_batch` (a single
+case is a batch of one), admit -> sweep -> settle, with three additions:
 
 1. **Evidence boundary** — strict :func:`~repro.core.evidence.validate_evidence`
    or repair-and-continue :func:`~repro.core.evidence.sanitize_evidence`,
    per :class:`FallbackPolicy.on_invalid_evidence`: one pass of the model's
    :class:`~repro.bayesnet.codec.EvidenceCodec` over the case as it
-   arrives, naming every bad entry once.  The codec's row key of the
-   checked evidence keys the batch's durable-cache lookups.
-2. **Fallback chain** — each engine in ``policy.chain`` (default
-   ``ve -> lw -> gibbs``) is attempted up to ``attempts_per_engine`` times
-   with exponential backoff, each attempt under an optional wall-clock
-   deadline.  Transient failures (timeouts, engine exceptions) degrade to
-   the next engine; *permanent* failures (malformed or zero-probability
-   evidence) abort the chain immediately — no sampler can fix evidence the
-   model assigns probability zero.
+   arrives, naming every bad entry once.  With a durable cache, each
+   distinct evidence is looked up once per batch (later copies are hits of
+   that entry), keyed by the codec's row key of the checked evidence.
+2. **Fallback chain** — the remaining slots share ONE sweep of the primary
+   engine.  A slot that sweep could not answer walks ``policy.chain``
+   (default ``ve -> lw -> gibbs``) with the sweep counted as its first
+   primary attempt; each engine is attempted up to
+   ``attempts_per_engine`` times with exponential backoff.  Transient
+   failures (engine exceptions) degrade to the next engine; *permanent*
+   failures (malformed or zero-probability evidence) fail the slot at once
+   — no sampler can fix evidence the model assigns probability zero.
 3. **Provenance** — every returned :class:`~repro.core.diagnosis.Diagnosis`
    carries a :class:`~repro.core.diagnosis.DiagnosisProvenance`: engine
-   used, every attempt record, wall time, ``degraded`` flag, effective
-   sample size for sampled posteriors, and the evidence issues that were
-   repaired.  Degraded results additionally emit a
+   used, every attempt record, wall time (each slot's equal share of the
+   batch time), ``degraded`` flag, effective sample size for sampled
+   posteriors, and the evidence issues that were repaired.  Degraded
+   results additionally emit a
    :class:`~repro.exceptions.DegradedResultWarning`.
 
-``diagnose_batch`` runs steps 1 and 3 per slot but answers step 2 for the
-whole batch at once: after the evidence boundary and the durable-cache
-lookup (once per distinct evidence; later copies in the batch are hits of
-that entry), the remaining slots share ONE batched sweep of the primary
-engine (variable elimination's ``posteriors_batch`` through the evidence
-cache).  Only a slot that sweep could not answer walks the chain, with the
-sweep counted as its first primary attempt; each slot's wall time is its
-equal share of the batch time.  Deadline-bound batches, policies with a per-attempt ``deadline``,
-and primaries without a batched sweep diagnose case by case.
-
-Deadlines are enforced by running the attempt in a daemon worker thread and
-abandoning it on expiry (CPython cannot interrupt a running numpy kernel);
-an abandoned attempt keeps a core busy until it finishes, which is the
-accepted trade-off for bounded serving latency.  With ``deadline=None``
-(the default) attempts run inline with zero threading overhead.
+A request deadline is a budget checked at the pipeline's stage boundaries:
+before each slot's admission, before and after the sweep, and before and
+after each chain attempt; backoff sleeps are clamped to what is left.  A
+slot that meets a spent budget fails with
+:class:`~repro.exceptions.DeadlineExceededError`, and a sweep or attempt
+that ended past it joins the trail as a ``"timeout"`` attempt.  Nothing
+running is interrupted: a served request's hard bound is the supervisor
+reaping its worker at budget + ``deadline_grace``
+(:mod:`repro.serving.service`), which stops the work with the process.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 import warnings
 from collections.abc import Mapping
 
 from repro.core.diagnosis import (
     AttemptRecord,
+    Budget,
     Diagnosis,
     DiagnosisEngine,
     DiagnosisProvenance,
-    DiagnosticCase,
     ENGINE_NAMES,
     impossible_evidence,
 )
 from repro.core.evidence import sanitize_evidence, validate_evidence
 from repro.core.model_builder import BuiltModel
 from repro.exceptions import (
-    DeadlineExceededError,
     DegradedResultWarning,
     DiagnosisError,
     EvidenceError,
     ImpossibleEvidenceError,
-    InferenceTimeoutError,
     ReproError,
 )
 
@@ -106,9 +102,6 @@ class FallbackPolicy:
         Engine names tried in order; the first is the primary.  Exact
         engines (``"jt"``, ``"ve"``) should precede the approximate ones
         (``"lw"``, ``"gibbs"``) so precision only ever degrades.
-    deadline:
-        Per-attempt wall-clock budget in seconds; ``None`` disables
-        deadline enforcement (and its worker-thread overhead) entirely.
     attempts_per_engine:
         How often each engine is retried before degrading to the next.
     backoff:
@@ -135,7 +128,6 @@ class FallbackPolicy:
     """
 
     chain: tuple[str, ...] = ("ve", "lw", "gibbs")
-    deadline: float | None = None
     attempts_per_engine: int = 1
     backoff: float = 0.0
     num_samples: int | None = None
@@ -154,8 +146,6 @@ class FallbackPolicy:
                 f"use names from {ENGINE_NAMES}")
         if len(set(self.chain)) != len(self.chain):
             raise DiagnosisError(f"fallback chain repeats engines: {self.chain}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise DiagnosisError(f"deadline must be positive, got {self.deadline}")
         if self.attempts_per_engine < 1:
             raise DiagnosisError("attempts_per_engine must be at least 1")
         if self.backoff < 0:
@@ -175,7 +165,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
     """A :class:`DiagnosisEngine` that degrades instead of dying.
 
     Drop-in replacement: every :class:`DiagnosisEngine` entry point works,
-    ``diagnose`` runs the fallback chain, and results carry provenance.
+    runs the fallback chain, and returns results with provenance.
 
     Parameters
     ----------
@@ -183,7 +173,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         The model produced by :class:`~repro.core.model_builder.Dlog2BBN`.
     policy:
         The :class:`FallbackPolicy`; the default runs ``ve -> lw -> gibbs``
-        with no deadline and strict evidence validation.
+        with strict evidence validation.
     abnormal_threshold / ambiguous_threshold:
         Candidate-deduction thresholds, as on :class:`DiagnosisEngine`.
     """
@@ -232,75 +222,6 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             self._fallback_engines[name] = engine
         return engine
 
-    # ---------------------------------------------------------------- deadline
-    def _attempt(self, engine_name: str, evidence: Mapping[str, str],
-                 remaining: float | None = None,
-                 ) -> dict[str, dict[str, float]]:
-        """Run one posterior update, under the effective attempt deadline.
-
-        The effective deadline is the tighter of the policy's per-attempt
-        ``deadline`` and the caller's ``remaining`` wall-clock budget — the
-        path by which a service-level request deadline clamps every attempt
-        below it.
-        """
-        engine = self._engine_for(engine_name)
-        deadline = self.policy.deadline
-        if remaining is not None:
-            deadline = remaining if deadline is None \
-                else min(deadline, remaining)
-        if deadline is None:
-            return engine._update(evidence)
-        deadline = max(deadline, 1e-6)
-
-        outcome: dict[str, object] = {}
-
-        def worker() -> None:
-            try:
-                outcome["value"] = engine._update(evidence)
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                outcome["error"] = error
-
-        thread = threading.Thread(target=worker, daemon=True,
-                                  name=f"diagnosis-{engine_name}")
-        thread.start()
-        thread.join(deadline)
-        if thread.is_alive():
-            raise InferenceTimeoutError(
-                f"engine {engine_name!r} exceeded the {deadline}s deadline",
-                engine=engine_name, deadline=deadline)
-        if "error" in outcome:
-            raise outcome["error"]  # type: ignore[misc]
-        return outcome["value"]  # type: ignore[return-value]
-
-    # --------------------------------------------------------------- diagnosis
-    def diagnose(self, case: DiagnosticCase,
-                 deadline: float | None = None) -> Diagnosis:
-        """Diagnose one case through the fallback chain, with provenance.
-
-        ``deadline`` is an optional *total* wall-clock budget in seconds for
-        this call (the per-request deadline a serving layer propagates
-        down).  It clamps every attempt's deadline, bounds backoff sleeps,
-        and — once spent — aborts the chain with a
-        :class:`~repro.exceptions.DeadlineExceededError` instead of trying
-        further engines.  ``None`` keeps the policy's per-attempt behaviour
-        only.
-        """
-        return self._diagnose(case.name, case, deadline)
-
-    def _diagnose(self, name: str, case,
-                  deadline: float | None = None) -> Diagnosis:
-        """:meth:`diagnose` for one slot: a case or a raw mapping."""
-        start = time.perf_counter()
-        if deadline is not None and deadline <= 0:
-            raise self._deadline_exceeded(name, deadline, deadline, (),
-                                          start, None)
-        admission = self._admit(name, case)
-        if isinstance(admission, Diagnosis):
-            return admission
-        evidence, (issues, notes, _) = admission
-        return self._run_chain(name, evidence, issues, notes, start,
-                               deadline)
-
     def _admit(self, name: str, case):
         """Evidence boundary plus durable-cache lookup for one slot.
 
@@ -323,16 +244,13 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         if self.posterior_cache is None:
             return evidence, (issues, notes, None)
         seen = self._batch_posteriors
-        key = None if seen is None \
-            else self.model.evidence_codec.key(evidence, EvidenceError)
-        if seen is not None and key in seen:
+        key = self.model.evidence_codec.key(evidence, EvidenceError)
+        if key in seen:
             if seen[key] is None:
                 return evidence, (issues, notes, key)
             return self._accept_batch_hit(name, evidence, seen[key], issues,
                                           notes, start)
-        cached = self._cached_posteriors(evidence)
-        if seen is not None:
-            seen[key] = cached
+        cached = seen[key] = self._cached_posteriors(evidence)
         if cached is not None:
             attempt = AttemptRecord("cache", "ok", time.perf_counter() - start)
             return self._accept_cached(name, evidence, cached, (attempt,),
@@ -341,20 +259,15 @@ class RobustDiagnosisEngine(DiagnosisEngine):
 
     def _run_chain(self, name: str, evidence: dict[str, str],
                    issues: tuple, notes: list[str], start: float,
-                   deadline: float | None = None,
-                   attempts: tuple[AttemptRecord, ...] = (),
-                   last_error: BaseException | None = None) -> Diagnosis:
-        """Walk the fallback chain for one admitted case.
+                   budget: Budget | None,
+                   attempts: tuple[AttemptRecord, ...],
+                   last_error: BaseException) -> Diagnosis:
+        """Walk the fallback chain for one slot the sweep could not answer.
 
         ``attempts`` already made count as the primary engine's first
-        attempts and are not repeated (a failed batched sweep is one).
+        attempts and are not repeated (the failed sweep is one).  The
+        budget is checked before and after each attempt.
         """
-        budget_end = None if deadline is None else start + deadline
-
-        def remaining() -> float | None:
-            return None if budget_end is None \
-                else budget_end - time.perf_counter()
-
         policy = self.policy
         made = len(attempts)
         attempts = list(attempts)
@@ -367,41 +280,35 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                     # the deadline into dead sleep: clamp, then let the
                     # budget check below fire.
                     sleep = policy.backoff * (2 ** (retry - 1))
-                    left = remaining()
-                    if left is not None:
-                        sleep = min(sleep, max(left, 0.0))
+                    if budget is not None:
+                        sleep = min(sleep, max(budget.left(), 0.0))
                     if sleep > 0:
                         time.sleep(sleep)
-                left = remaining()
-                if left is not None and left <= 0:
-                    raise self._deadline_exceeded(
-                        name, deadline, left, tuple(attempts), start,
-                        last_error)
+                if budget is not None and budget.left() <= 0:
+                    raise budget.exceeded(name, tuple(attempts), last_error)
                 attempt_start = time.perf_counter()
                 try:
-                    posteriors = self._attempt(engine_name, evidence, left)
-                except PERMANENT_FAILURES as error:
-                    attempts.append(AttemptRecord(
-                        engine_name, "error",
-                        time.perf_counter() - attempt_start,
-                        f"{type(error).__name__}: {error}"))
-                    error.attempts = tuple(attempts)
-                    error.wall_time = time.perf_counter() - start
-                    raise
-                except Exception as error:  # noqa: BLE001 - degrades below
-                    outcome = "timeout" if isinstance(
-                        error, InferenceTimeoutError) else "error"
-                    attempts.append(AttemptRecord(
-                        engine_name, outcome,
-                        time.perf_counter() - attempt_start,
-                        f"{type(error).__name__}: {error}"))
-                    last_error = error
-                    continue
+                    posteriors = self._engine_for(engine_name)._update(
+                        evidence)
+                except Exception as error:  # noqa: BLE001 - recorded below
+                    posteriors, last_error = None, error
+                elapsed = time.perf_counter() - attempt_start
+                if budget is not None and budget.left() <= 0:
+                    raise budget.exceeded(name, tuple(attempts),
+                                          late=(engine_name, elapsed))
+                if posteriors is not None:
+                    attempts.append(AttemptRecord(engine_name, "ok", elapsed))
+                    return self._accept(
+                        name, evidence, posteriors, engine_name, position,
+                        tuple(attempts), issues, notes, start,
+                        self._effective_sample_size(engine_name))
                 attempts.append(AttemptRecord(
-                    engine_name, "ok", time.perf_counter() - attempt_start))
-                return self._accept(name, evidence, posteriors, engine_name,
-                                    position, tuple(attempts), issues,
-                                    notes, start)
+                    engine_name, "error", elapsed,
+                    f"{type(last_error).__name__}: {last_error}"))
+                if isinstance(last_error, PERMANENT_FAILURES):
+                    last_error.attempts = tuple(attempts)
+                    last_error.wall_time = time.perf_counter() - start
+                    raise last_error
             notes.append(
                 f"engine {engine_name!r} exhausted "
                 f"{policy.attempts_per_engine} attempt(s)")
@@ -415,13 +322,8 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         raise error from last_error
 
     # ------------------------------------------------------------ batch sweep
-    def _batched(self) -> bool:
-        # A per-attempt deadline bounds one case's attempt, not a shared
-        # sweep: such policies keep the per-case loop.
-        return self.policy.deadline is None and super()._batched()
-
-    def _diagnose_batch_swept(self, cases, names, on_error):
-        """One batched primary sweep for every slot the cache did not answer.
+    def _diagnose_batch_swept(self, cases, names, on_error, budget):
+        """The pipeline, with durable-cache bookkeeping and wall-time shares.
 
         Per slot: evidence boundary and durable-cache lookup
         (:meth:`_admit`).  The remaining slots share one sweep of the
@@ -433,7 +335,8 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         if self.posterior_cache is not None:
             self._batch_posteriors = {}
         try:
-            results = super()._diagnose_batch_swept(cases, names, on_error)
+            results = super()._diagnose_batch_swept(cases, names, on_error,
+                                                    budget)
         finally:
             self._batch_posteriors = None
         share = (time.perf_counter() - started) / max(len(results), 1)
@@ -444,27 +347,24 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 result.wall_time = share
         return results
 
-    def _sweep(self, evidences: list[dict[str, str]]) -> list:
-        """The primary's batched sweep; per slot ``(answer, elapsed)``.
-
-        A sweep that raises answers every slot with its error.  The
-        interpreted sweep reads and fills the evidence cache, so rows a
-        previous batch answered (a serving worker's earlier chunks) are
-        not recomputed.
-        """
-        started = time.perf_counter()
-        try:
-            answers = super()._sweep(evidences)
-        except Exception as error:  # noqa: BLE001 - each slot degrades
-            answers = [error] * len(evidences)
-        share = (time.perf_counter() - started) / max(len(evidences), 1)
-        return [(answer, share) for answer in answers]
+    def _answer(self, evidence: dict[str, str]):
+        # A sampler's effective sample size belongs to one query: keep it
+        # with the slot's answer for the provenance built at settlement.
+        answer = super()._answer(evidence)
+        ess = self._effective_sample_size(self.inference_name)
+        if ess is None or not isinstance(answer, dict):
+            return answer
+        return _Sampled(answer, ess)
 
     def _settle(self, name: str, evidence: dict[str, str],
-                context, answer) -> Diagnosis:
-        """Accept a swept slot, fail it, or send it down the chain."""
+                context, computed, elapsed: float,
+                budget: Budget | None) -> Diagnosis:
+        """Accept a swept slot, fail it, or send it down the chain.
+
+        A permanent failure fails the slot with its trail at once; any
+        other error walks the chain.
+        """
         issues, notes, pending = context
-        computed, elapsed = answer
         primary = self.policy.chain[0]
         start = time.perf_counter()
         if pending is not None:
@@ -475,56 +375,23 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 return self._accept_batch_hit(name, evidence, stored, issues,
                                               notes, start)
             self.cache_misses += 1
+        if computed is None:
+            computed = impossible_evidence(evidence)
         if isinstance(computed, Exception):
             attempt = AttemptRecord(primary, "error", elapsed,
                                     f"{type(computed).__name__}: {computed}")
+            if isinstance(computed, PERMANENT_FAILURES):
+                computed.attempts = (attempt,)
+                computed.wall_time = elapsed
+                raise computed
             return self._run_chain(name, evidence, issues, notes, start,
-                                   attempts=(attempt,), last_error=computed)
-        if computed is None:
-            error = impossible_evidence(evidence)
-            error.attempts = (AttemptRecord(
-                primary, "error", elapsed,
-                f"{type(error).__name__}: {error}"),)
-            raise error
+                                   budget, (attempt,), computed)
         return self._accept(name, evidence,
                             self._full_posteriors(evidence, computed),
                             primary, 0,
                             (AttemptRecord(primary, "ok", elapsed),),
-                            issues, notes, start)
-
-    def _deadline_exceeded(self, name: str,
-                           deadline: float | None, left: float | None,
-                           attempts: tuple[AttemptRecord, ...], start: float,
-                           last_error: BaseException | None,
-                           ) -> DeadlineExceededError:
-        """Build the budget-exhausted error, with the attempt trail attached."""
-        error = DeadlineExceededError(
-            f"deadline budget of {deadline:g}s exhausted for case "
-            f"{name!r} after {len(attempts)} attempt(s)",
-            remaining=left, deadline=deadline)
-        error.attempts = attempts
-        error.wall_time = time.perf_counter() - start
-        if last_error is not None:
-            error.__cause__ = last_error
-        return error
-
-    def _deadline_diagnose(self, deadline: float):
-        """Per-case diagnose callable sharing one batch wall-clock budget.
-
-        Used by :meth:`DiagnosisEngine.diagnose_batch` (and by each serving
-        worker for its chunk): the budget drains monotonically, so cases
-        reached after expiry fail fast with
-        :class:`~repro.exceptions.DeadlineExceededError` rather than
-        starting doomed inference sweeps.
-        """
-        budget_end = time.perf_counter() + max(deadline, 0.0)
-
-        def diagnose(name: str, case) -> Diagnosis:
-            return self._diagnose(
-                name, case, deadline=budget_end - time.perf_counter())
-
-        return diagnose
-
+                            issues, notes, start,
+                            getattr(computed, "effective_sample_size", None))
 
     def _model_fingerprint(self) -> str:
         """Content fingerprint of the served model, the durable-cache key."""
@@ -555,9 +422,8 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 self._model_fingerprint(), evidence, posteriors)
         except (ReproError, OSError):
             return
-        if self._batch_posteriors is not None:
-            self._batch_posteriors[self.model.evidence_codec.key(
-                evidence, EvidenceError)] = posteriors
+        self._batch_posteriors[self.model.evidence_codec.key(
+            evidence, EvidenceError)] = posteriors
 
     def _accept_batch_hit(self, name: str,
                           evidence: dict[str, str],
@@ -598,14 +464,14 @@ class RobustDiagnosisEngine(DiagnosisEngine):
     def _accept(self, name: str, evidence: dict[str, str],
                 posteriors: dict[str, dict[str, float]], engine_name: str,
                 chain_position: int, attempts: tuple[AttemptRecord, ...],
-                issues: tuple, notes: list[str], start: float) -> Diagnosis:
+                issues: tuple, notes: list[str], start: float,
+                ess: float | None) -> Diagnosis:
         """Build the final Diagnosis + provenance from accepted posteriors."""
         if self.posterior_cache is not None and engine_name in ("ve", "jt"):
             # Only exact posteriors are durable: a sampled result is
             # seed- and sample-count-dependent, and committing it would
             # serve a degraded answer forever.
             self._store_posteriors(evidence, posteriors)
-        ess = self._effective_sample_size(engine_name)
         if ess is not None and ess < self.policy.min_effective_sample_size:
             notes.append(
                 f"low effective sample size ({ess:.1f} < "
@@ -635,3 +501,11 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         if engine_name == "gibbs":
             return float(engine.num_samples)
         return None
+
+
+class _Sampled(dict):
+    """A sampled slot's marginals, with its query's effective sample size."""
+
+    def __init__(self, marginals, effective_sample_size: float) -> None:
+        super().__init__(marginals)
+        self.effective_sample_size = effective_sample_size

@@ -51,11 +51,12 @@ class ImpossibleEvidenceError(InferenceError):
 
 
 class InferenceTimeoutError(InferenceError):
-    """An inference query exceeded its deadline.
+    """An inference sweep or attempt ended past its deadline.
 
-    Raised by the robust serving layer when an engine attempt does not finish
-    within the configured per-query deadline; carries enough context for the
-    fallback chain to log which engine stalled.
+    Recorded by the diagnosis pipeline as the cause of the
+    :class:`DeadlineExceededError` of a slot whose sweep or fallback attempt
+    finished after the budget ran out; carries enough context to log which
+    engine stalled.
     """
 
     def __init__(self, message: str, engine: str | None = None,
@@ -68,11 +69,11 @@ class InferenceTimeoutError(InferenceError):
 class DeadlineExceededError(InferenceTimeoutError):
     """A total wall-clock budget ran out before a diagnosis completed.
 
-    Distinct from a plain :class:`InferenceTimeoutError` (one *attempt*
-    overran its per-attempt deadline): here the whole per-case or
-    per-request budget is spent, so the fallback chain must stop rather
-    than degrade further.  ``remaining`` records the budget left when the
-    check fired (zero or negative).
+    Distinct from a plain :class:`InferenceTimeoutError` (one sweep or
+    *attempt* ran late): here the whole per-batch or per-request budget is
+    spent, so the fallback chain must stop rather than degrade further.
+    ``remaining`` records the budget left when the check fired (zero or
+    negative).
     """
 
     def __init__(self, message: str, remaining: float | None = None,

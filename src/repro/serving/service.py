@@ -16,12 +16,13 @@ owns every robustness guarantee the pool needs to survive real traffic:
   ``max_respawns_per_worker`` times; a slot that keeps dying goes dark
   instead of crash-looping, and if the whole pool dies every outstanding
   case is failed structurally — submitted work is never stranded.
-* **Deadline propagation** — a per-request ``deadline`` flows from
-  :meth:`DiagnosisService.submit` into each chunk's dispatch budget and
-  from there into :class:`~repro.core.robust.FallbackPolicy` attempt
-  budgets inside the worker; queued chunks whose request expired fail fast
-  without ever occupying a worker, and in-flight chunks are reaped shortly
-  after their budget (``deadline_grace``).
+* **Deadlines: stage checks plus reaping** — a per-request ``deadline``
+  flows from :meth:`DiagnosisService.submit` into each chunk's dispatch
+  budget, which the worker's diagnosis pipeline checks at its stage
+  boundaries; queued chunks whose request expired fail fast without ever
+  occupying a worker.  Nothing in a worker is interrupted: the hard bound
+  is reaping a worker still busy at its budget plus ``deadline_grace``,
+  which stops the work with the process.
 * **Backpressure** — the submission queue is bounded
   (``max_pending_cases``).  ``overload_policy="reject"`` sheds load
   immediately with :class:`~repro.exceptions.ServiceOverloadedError`;
@@ -347,7 +348,7 @@ class DiagnosisService:
         engine is built from (pickled to workers under ``spawn``).
     policy:
         The :class:`~repro.core.robust.FallbackPolicy` for the per-worker
-        robust engines; per-request deadlines clamp its attempt budgets.
+        robust engines.
     config:
         The :class:`ServiceConfig`.
     abnormal_threshold / ambiguous_threshold:

@@ -1,23 +1,29 @@
-"""Deadline-budget edge cases of the robust fallback chain.
+"""Deadline-budget edge cases of the robust diagnosis pipeline.
 
 The per-request wall-clock budget (``RobustDiagnosisEngine.diagnose(case,
-deadline=...)`` and the draining per-batch variant behind
-``diagnose_batch(..., deadline=...)``) interacts with three other clocks:
-the policy's per-attempt deadline, the retry backoff schedule, and the
-attempt itself.  These tests pin the edges: budgets that are already zero
-or negative, budgets that expire in the middle of an attempt, and budgets
-shorter than a single backoff interval must all fail fast with a
-structured :class:`~repro.exceptions.DeadlineExceededError` — never sleep
-past their budget, and never lose the attempt trail.
+deadline=...)``, a batch of one, and ``diagnose_batch(..., deadline=...)``)
+is checked at the pipeline's stage boundaries and interacts with two other
+clocks: the retry backoff schedule, and the sweep or attempt itself.  These
+tests pin the edges: budgets that are already zero or negative, budgets
+that expire in the middle of the sweep, and budgets shorter than a single
+backoff interval must all fail with a structured
+:class:`~repro.exceptions.DeadlineExceededError` — never sleep past their
+budget, and never lose the attempt trail.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
-from repro.core import Dlog2BBN, FallbackPolicy, RobustDiagnosisEngine
+from repro.core import (
+    DiagnosticCase,
+    Dlog2BBN,
+    FallbackPolicy,
+    RobustDiagnosisEngine,
+)
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import DeadlineExceededError, InferenceTimeoutError
 from repro.testing import FaultInjector
@@ -71,47 +77,19 @@ class TestExhaustedBeforeStart:
 
 class TestExpiresMidAttempt:
     def test_attempt_is_cut_at_the_remaining_budget(self, built_model):
-        # The attempt would take 1.5s; the request budget is 0.3s.  The
-        # attempt must be abandoned at ~0.3s and the chain aborted with the
-        # budget error, the timed-out attempt on its trail.
+        # The sweep takes 1.5s; the request budget is 0.3s.  The check
+        # after the sweep must fail the case with the budget error instead
+        # of walking the chain, the late sweep on its trail as a timeout.
         engine = make_engine(built_model)
         with FaultInjector() as chaos:
-            chaos.add_latency(engine._engine, "posteriors", 1.5)
-            started = time.perf_counter()
+            chaos.add_latency(engine._engine, "posteriors_batch", 1.5)
             with pytest.raises(DeadlineExceededError) as excinfo:
                 engine.diagnose(CASE, deadline=0.3)
-            elapsed = time.perf_counter() - started
-        assert elapsed < 1.2, "attempt was not cut at the budget"
         error = excinfo.value
         assert error.remaining <= 0
         assert [a.outcome for a in error.attempts] == ["timeout"]
         assert error.attempts[0].engine == "ve"
         assert isinstance(error.__cause__, InferenceTimeoutError)
-
-    def test_request_budget_clamps_a_looser_policy_deadline(self,
-                                                            built_model):
-        # Policy allows 60s per attempt; the request only has 0.25s left —
-        # the tighter clock must win.
-        engine = make_engine(built_model, deadline=60.0)
-        with FaultInjector() as chaos:
-            chaos.add_latency(engine._engine, "posteriors", 1.5)
-            started = time.perf_counter()
-            with pytest.raises(DeadlineExceededError):
-                engine.diagnose(CASE, deadline=0.25)
-            assert time.perf_counter() - started < 1.2
-
-    def test_policy_deadline_still_wins_when_tighter(self, built_model):
-        # The converse: a huge request budget must not loosen the policy's
-        # own 0.2s per-attempt deadline; the chain degrades to the sampler
-        # exactly as it would without a request deadline.
-        engine = make_engine(built_model, deadline=0.2)
-        with FaultInjector() as chaos:
-            chaos.add_latency(engine._engine, "posteriors", 1.5)
-            diagnosis = engine.diagnose(CASE, deadline=120.0)
-        assert diagnosis.ok
-        assert diagnosis.provenance.degraded
-        assert diagnosis.provenance.engine == "lw"
-        assert diagnosis.provenance.attempts[0].outcome == "timeout"
 
 
 class TestBackoffInteraction:
@@ -122,7 +100,7 @@ class TestBackoffInteraction:
         engine = make_engine(built_model, chain=("ve",),
                             attempts_per_engine=3, backoff=30.0)
         with FaultInjector() as chaos:
-            chaos.raise_on_call(engine._engine, "posteriors")
+            chaos.raise_on_call(engine._engine, "posteriors_batch")
             started = time.perf_counter()
             with pytest.raises(DeadlineExceededError) as excinfo:
                 engine.diagnose(CASE, deadline=0.3)
@@ -137,31 +115,30 @@ class TestBackoffInteraction:
         engine = make_engine(built_model, chain=("ve", "lw"),
                             attempts_per_engine=2, backoff=0.05)
         with FaultInjector() as chaos:
-            chaos.raise_on_call(engine._engine, "posteriors")
+            chaos.raise_on_call(engine._engine, "posteriors_batch")
             diagnosis = engine.diagnose(CASE)
         assert diagnosis.ok
         assert diagnosis.provenance.degraded
 
 
 class TestDrainingBatchBudget:
-    def test_batch_budget_drains_across_cases(self, built_model):
-        # Four slow cases against a budget that fits roughly one: every
-        # slot must come back (collect mode), the tail as fast structured
-        # deadline failures, and the batch must not overrun its budget by
-        # more than one attempt.
+    def test_budget_spent_during_the_one_sweep(self, built_model):
+        # Four cases share one sweep that outlasts the budget: every slot
+        # must come back (collect mode) as a structured deadline failure,
+        # and the batch must not overrun its budget by more than the sweep.
         engine = make_engine(built_model, chain=("ve",))
         cases = [CASE] * 4
+        sweeps = engine._engine.sweep_count
         with FaultInjector() as chaos:
-            chaos.add_latency(engine._engine, "posteriors", 0.2)
+            chaos.add_latency(engine._engine, "posteriors_batch", 0.5)
             started = time.perf_counter()
             results = engine.diagnose_batch(cases, on_error="collect",
                                             deadline=0.3)
             elapsed = time.perf_counter() - started
         assert len(results) == 4
-        kinds = [getattr(r, "error_type", "ok") for r in results]
-        assert set(kinds) <= {"ok", "FallbackExhaustedError",
-                              "DeadlineExceededError"}
-        assert kinds[-1] == "DeadlineExceededError"
+        assert [getattr(r, "error_type", "ok") for r in results] == \
+            ["DeadlineExceededError"] * 4
+        assert engine._engine.sweep_count == sweeps + 1
         assert elapsed < 2.0
 
     def test_expired_batch_budget_fails_every_case_fast(self, built_model):
@@ -176,10 +153,50 @@ class TestDrainingBatchBudget:
     def test_deadline_failures_keep_attempt_trails(self, built_model):
         engine = make_engine(built_model, chain=("ve", "lw"))
         with FaultInjector() as chaos:
-            chaos.add_latency(engine._engine, "posteriors", 1.5)
+            chaos.add_latency(engine._engine, "posteriors_batch", 1.5)
             results = engine.diagnose_batch([CASE], on_error="collect",
                                             deadline=0.3)
         failure = results[0]
         assert failure.error_type == "DeadlineExceededError"
         assert failure.wall_time > 0
         assert [a.outcome for a in failure.attempts] == ["timeout"]
+
+
+class TestStageBoundaries:
+    def test_spent_budget_is_checked_before_admission(self, built_model):
+        # The slot is never admitted, so its malformed evidence is not
+        # what fails it.
+        engine = make_engine(built_model)
+        malformed = DiagnosticCase(name="malformed",
+                                   controllable_states={"vp1": "99"},
+                                   observable_states={})
+        (failure,) = engine.diagnose_batch([malformed], on_error="collect",
+                                           deadline=1e-9)
+        assert failure.error_type == "DeadlineExceededError"
+        assert failure.attempts == ()
+
+    def test_deadline_batch_is_one_sweep_without_threads(self, built_model):
+        engine = make_engine(built_model)
+        cases = list(PAPER_DIAGNOSTIC_CASES)
+        assert len({frozenset(case.evidence().items())
+                    for case in cases}) == len(cases)
+        sweeps, threads = engine._engine.sweep_count, threading.active_count()
+        results = engine.diagnose_batch(cases, deadline=60.0)
+        assert all(result.ok for result in results)
+        assert engine._engine.sweep_count == sweeps + 1
+        assert threading.active_count() == threads
+
+    def test_chain_attempt_ending_late_is_a_timeout(self, built_model):
+        # The sweep fails fast, the fallback attempt outlasts the budget:
+        # the check after that attempt fails the case, the late attempt on
+        # its trail as a timeout.
+        engine = make_engine(built_model, chain=("ve", "lw"))
+        with FaultInjector() as chaos:
+            chaos.raise_on_call(engine._engine, "posteriors_batch")
+            chaos.add_latency(engine._engine_for("lw")._engine, "posteriors",
+                              0.5)
+            (failure,) = engine.diagnose_batch([CASE], on_error="collect",
+                                               deadline=0.3)
+        assert failure.error_type == "DeadlineExceededError"
+        assert [(a.engine, a.outcome) for a in failure.attempts] == \
+            [("ve", "error"), ("lw", "timeout")]

@@ -6,7 +6,9 @@ row, so some evidence is impossible).  The oracle shares no code with the
 engines: it multiplies the drawn CPT arrays over every joint assignment and
 reads ``P(evidence)`` and each free variable's marginal off the joint
 table.  Variable elimination (single queries and ``posteriors_batch``), the
-junction tree, ``DiagnosisEngine.diagnose_batch`` and a robust engine's
+junction tree, the one diagnosis pipeline on a VE or JT primary (whole
+batches, batches of one, a deadline-bound robust batch), a worker-pool
+service's results with and without a deadline, and a robust engine's
 durable-cache round trip must all agree with it to 1e-12, and every path
 must refuse zero-probability evidence.  Label, Python-int and numpy-int
 forms of the same evidence share one evidence-cache entry.
@@ -31,6 +33,7 @@ from repro.core.model_builder import BuiltModel
 from repro.core.states import StateDefinition, StateTable
 from repro.exceptions import ImpossibleEvidenceError
 from repro.persist import PosteriorCache
+from repro.serving import DiagnosisService, ServiceConfig
 
 TOL = 1e-12
 
@@ -326,3 +329,46 @@ def test_durable_cache_round_trip(case, data):
                 owned += [id(distribution)
                           for distribution in result.posteriors.values()]
             assert len(owned) == len(set(owned))
+
+
+def diagnose_alone(engine: DiagnosisEngine, evidence: dict[str, str]):
+    try:
+        return engine.diagnose_evidence(evidence)
+    except ImpossibleEvidenceError as error:
+        return error
+
+
+@given(cases(min_card=2), st.data())
+def test_every_pipeline_entry_and_served_results(case, data):
+    net, rows = case
+    roles = [data.draw(st.sampled_from([BlockType.CONTROL, BlockType.OBSERVE,
+                                        BlockType.INTERNAL]))
+             for _ in net.names]
+    joint = joint_table(net)
+    expected = [expected_diagnosis(net, joint, evidence) for evidence in rows]
+    built = built_model(net, roles)
+    single = DiagnosisEngine(built)
+    paths = {
+        "jt": DiagnosisEngine(built, inference="jt").diagnose_batch(
+            rows, on_error="collect"),
+        "diagnose_evidence": [diagnose_alone(single, row) for row in rows],
+        "robust-deadline": RobustDiagnosisEngine(built).diagnose_batch(
+            rows, on_error="collect", deadline=60),
+    }
+    with DiagnosisService(built,
+                          config=ServiceConfig(num_workers=1)) as service:
+        paths["served"] = service.diagnose_batch(rows, timeout=60)
+        paths["served-deadline"] = service.diagnose_batch(
+            rows, deadline=60, timeout=60)
+    for path, results in paths.items():
+        assert len(results) == len(rows), path
+        for evidence, result, want in zip(rows, results, expected):
+            if want is None:
+                impossible = type(result).__name__ if isinstance(
+                    result, Exception) else getattr(result, "error_type",
+                                                     None)
+                assert impossible == "ImpossibleEvidenceError", \
+                    (path, evidence)
+                continue
+            assert result.ok, (path, evidence, result)
+            assert_matches(result.posteriors, want, evidence)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import (
     Diagnosis,
+    DiagnosisEngine,
     DiagnosisFailure,
     Dlog2BBN,
     FallbackPolicy,
@@ -69,7 +70,7 @@ class TestTransientEngineFault:
                                         attempts_per_engine=2,
                                         num_samples=500, seed=3))
         with FaultInjector() as chaos:
-            chaos.raise_on_call(engine._engine, "posteriors",
+            chaos.raise_on_call(engine._engine, "posteriors_batch",
                                 nth=1, transient=True)
             with pytest.warns(DegradedResultWarning):
                 diagnosis = engine.diagnose(CASE)
@@ -81,7 +82,7 @@ class TestTransientEngineFault:
 
     def test_injection_restored_after_exit(self, engine):
         with FaultInjector() as chaos:
-            chaos.raise_on_call(engine._engine, "posteriors",
+            chaos.raise_on_call(engine._engine, "posteriors_batch",
                                 error=ChaosError("primary down"))
             with pytest.warns(DegradedResultWarning):
                 degraded = engine.diagnose(CASE)
@@ -95,7 +96,7 @@ class TestTransientEngineFault:
 class TestHardEngineFault:
     def test_degrades_to_likelihood_weighting(self, engine):
         with FaultInjector() as chaos:
-            chaos.raise_on_call(engine._engine, "posteriors")
+            chaos.raise_on_call(engine._engine, "posteriors_batch")
             with pytest.warns(DegradedResultWarning):
                 diagnosis = engine.diagnose(CASE)
         assert_valid_degraded(diagnosis)
@@ -109,7 +110,7 @@ class TestHardEngineFault:
 
     def test_whole_chain_down_is_structured(self, engine):
         with FaultInjector() as chaos:
-            chaos.raise_on_call(engine._engine, "posteriors")
+            chaos.raise_on_call(engine._engine, "posteriors_batch")
             chaos.raise_on_call(engine._engine_for("lw")._engine, "posteriors")
             with pytest.raises(FallbackExhaustedError) as info:
                 engine.diagnose(CASE)
@@ -123,7 +124,7 @@ class TestHardEngineFault:
             built_model, FallbackPolicy(chain=("ve", "lw", "gibbs"),
                                         num_samples=100, seed=3))
         with FaultInjector() as chaos:
-            chaos.raise_on_call(engine._engine, "posteriors")
+            chaos.raise_on_call(engine._engine, "posteriors_batch")
             chaos.raise_on_call(engine._engine_for("lw")._engine, "posteriors")
             with pytest.warns(DegradedResultWarning):
                 diagnosis = engine.diagnose(CASE)
@@ -131,41 +132,28 @@ class TestHardEngineFault:
         assert diagnosis.provenance.engine == "gibbs"
 
 
-class TestDeadline:
-    def test_latency_triggers_timeout_fallback(self, built_model):
-        engine = RobustDiagnosisEngine(
-            built_model, FallbackPolicy(chain=("ve", "lw"), deadline=0.15,
-                                        num_samples=500, seed=3))
-        with FaultInjector() as chaos:
-            chaos.add_latency(engine._engine, "posteriors", seconds=1.0)
-            with pytest.warns(DegradedResultWarning):
-                diagnosis = engine.diagnose(CASE)
-        assert_valid_degraded(diagnosis)
-        provenance = diagnosis.provenance
-        assert provenance.engine == "lw"
-        assert provenance.attempts[0].outcome == "timeout"
-        assert "InferenceTimeoutError" in provenance.attempts[0].error
-        # The stalled attempt was abandoned at ~the deadline, not awaited.
-        assert provenance.attempts[0].elapsed < 0.8
-
-    def test_fast_engine_unaffected_by_deadline(self, built_model):
-        engine = RobustDiagnosisEngine(
-            built_model, FallbackPolicy(chain=("ve", "lw"), deadline=5.0))
-        diagnosis = engine.diagnose(CASE)
-        assert diagnosis.provenance.engine == "ve"
-        assert not diagnosis.provenance.degraded
-
-
 class TestImpossibleEvidence:
     def test_permanent_failure_skips_fallback(self, engine):
         with FaultInjector() as chaos:
             chaos.raise_on_call(
-                engine._engine, "posteriors",
+                engine._engine, "posteriors_batch",
                 error=ImpossibleEvidenceError("injected impossible evidence"))
             with pytest.raises(ImpossibleEvidenceError):
                 engine.diagnose(CASE)
         # No sampler can fix zero-probability evidence: the fallback engine
         # must never have been constructed.
+        assert "lw" not in engine._fallback_engines
+
+    def test_swept_permanent_failure_skips_fallback(self, engine):
+        # The same rule for a collected batch slot the sweep answered.
+        with FaultInjector() as chaos:
+            chaos.raise_on_call(
+                engine._engine, "posteriors_batch",
+                error=ImpossibleEvidenceError("injected impossible evidence"))
+            (failure,) = engine.diagnose_batch([CASE], on_error="collect")
+        assert failure.error_type == "ImpossibleEvidenceError"
+        assert [(a.engine, a.outcome) for a in failure.attempts] == \
+            [("ve", "error")]
         assert "lw" not in engine._fallback_engines
 
     def test_zero_row_cpd_is_impossible_evidence(self, engine, built_model):
@@ -191,6 +179,25 @@ class TestCorruptedCPD:
         assert [a.engine for a in info.value.attempts] == ["ve", "jt"]
         assert all("InferenceError" in (a.error or "")
                    for a in info.value.attempts)
+
+    @pytest.mark.parametrize("inference", ["ve", "jt"])
+    def test_nan_fails_slots_per_on_error(self, built_model, inference):
+        cases = list(PAPER_DIAGNOSTIC_CASES)
+        with FaultInjector() as chaos:
+            chaos.corrupt_cpd(built_model.network, "reg1", mode="nan")
+            engine = DiagnosisEngine(built_model, inference=inference)
+            collected = engine.diagnose_batch(cases, on_error="collect")
+            skipped = engine.diagnose_batch(cases, on_error="skip")
+            with pytest.raises(InferenceError):
+                engine.diagnose_batch(cases, on_error="raise")
+        assert [result.case_name for result in collected] == \
+            [case.name for case in cases]
+        failures = [result for result in collected if not result.ok]
+        assert failures
+        assert {failure.error_type for failure in failures} == \
+            {"InferenceError"}
+        assert [result.case_name for result in skipped] == \
+            [result.case_name for result in collected if result.ok]
 
     def test_nan_never_leaks_from_sampler(self, built_model):
         from repro.bayesnet.inference import LikelihoodWeighting
@@ -285,9 +292,10 @@ class TestBatchUnderChaos:
 class TestInjectorMechanics:
     def test_call_counts_recorded(self, engine):
         with FaultInjector() as chaos:
-            chaos.raise_on_call(engine._engine, "posteriors", nth=3)
+            chaos.raise_on_call(engine._engine, "posteriors_batch", nth=3)
             engine.diagnose(CASE)
-            assert chaos.call_counts["VariableElimination.posteriors"] == 1
+            assert chaos.call_counts[
+                "VariableElimination.posteriors_batch"] == 1
 
     def test_cpd_restored_bit_for_bit(self, built_model):
         import numpy as np

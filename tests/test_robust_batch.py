@@ -148,6 +148,25 @@ def test_duplicate_slots_own_their_posteriors(built_model, engine_type):
     assert again.posteriors == expected
 
 
+def test_sampled_primary_slots_match_diagnose(built_model):
+    """A sampler primary answers its sweep with one query per slot, in slot
+    order: the same seed gives each slot the posteriors and the effective
+    sample size of its own query, as case by case."""
+    cases = [case for case in PAPER_DIAGNOSTIC_CASES
+             if case.evidence().get(ZEROED) != impossible_state(built_model)]
+    results = RobustDiagnosisEngine(
+        built_model, policy(chain=("lw",))).diagnose_batch(cases)
+    single = RobustDiagnosisEngine(built_model, policy(chain=("lw",)))
+    alone = [single.diagnose(case) for case in cases]
+    sizes = [result.provenance.effective_sample_size for result in results]
+    assert sizes == [result.provenance.effective_sample_size
+                     for result in alone]
+    assert len(set(sizes)) > 1
+    for result, expected in zip(results, alone):
+        assert result.provenance.engine == "lw"
+        assert result.posteriors == expected.posteriors
+
+
 def test_on_error_modes(built_model, chunk):
     engine = RobustDiagnosisEngine(built_model, policy())
     with pytest.raises(EvidenceError):
@@ -313,11 +332,28 @@ def test_worker_chunk_runs_chaos_hooks_then_one_sweep(built_model):
     assert all(result.ok for _, result in results)
 
 
-def test_budgeted_worker_chunk_keeps_the_per_case_loop(built_model):
+def test_budgeted_worker_chunk_is_one_batch_call(built_model):
     engine = RobustDiagnosisEngine(built_model, policy())
     recorder = _Recorder()
-    engine.diagnose_batch = None  # a budgeted chunk must not call it
+    original = engine.diagnose_batch
+    deadlines = []
+
+    def diagnose_batch(cases, **options):
+        recorder.events.append("sweep")
+        deadlines.append(options.get("deadline"))
+        return original(cases, **options)
+
+    engine.diagnose_batch = diagnose_batch
     pairs = list(enumerate(PAPER_DIAGNOSTIC_CASES))
-    results = _run_chunk(engine, pairs, 60.0, recorder)
-    assert recorder.events == [case.name for case in PAPER_DIAGNOSTIC_CASES]
-    assert all(result.ok for _, result in results)
+    budgeted = _run_chunk(engine, pairs, 60.0, recorder)
+    assert recorder.events == \
+        [case.name for case in PAPER_DIAGNOSTIC_CASES] + ["sweep"]
+    assert deadlines and 0 < deadlines[0] <= 60.0
+    free = _run_chunk(RobustDiagnosisEngine(built_model, policy()), pairs,
+                      None, None)
+    assert [slot for slot, _ in budgeted] == [slot for slot, _ in free]
+    for (_, result), (_, expected) in zip(budgeted, free):
+        assert result.ok and expected.ok
+        assert result.posteriors == expected.posteriors
+        assert result.suspects == expected.suspects
+        assert result.provenance.engine == expected.provenance.engine

@@ -48,7 +48,6 @@ class TestFallbackPolicy:
         {"chain": ()},
         {"chain": ("ve", "warp")},
         {"chain": ("ve", "ve")},
-        {"deadline": 0.0},
         {"attempts_per_engine": 0},
         {"backoff": -1.0},
         {"on_invalid_evidence": "explode"},
