@@ -5,9 +5,10 @@ population is bounded by ``np.bincount`` rather than per-case Python loops.
 This benchmark measures fit throughput at 1k/10k/100k devices (the 100k tier
 is the ATE-scale target of ROADMAP item on batched learning), asserts the
 columnar estimator beats the row-based one by at least 5x on identical
-cases, and smoke-tests the memory ceiling: learning from a memory-mapped
+cases, and smoke-tests two memory ceilings: learning from a memory-mapped
 100k-device store must stay under ~2x the raw array payload in resident
-memory — i.e. no hidden row materialisation.
+memory — i.e. no hidden row materialisation — and reading a 2,000-device
+datalog lot may add at most 16 MB.
 
 Populations above 1k devices are tiled from a real simulated 1k-device
 population: the estimator's cost depends only on the plane shapes, and
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.ate import DeviceResultStore, PopulationGenerator
+from repro.ate.datalog import write_datalog
 from repro.bayesnet import BayesianEstimator, CaseMatrix
 from repro.circuits import BehavioralSimulator
 from repro.core import CaseGenerator, Dlog2BBN
@@ -216,3 +218,69 @@ def test_cpt_learning_memory_ceiling(base_population, tmp_path):
         if delta < ceiling:
             break
     assert delta < ceiling
+
+
+_INGEST_PROBE = """
+import ctypes, json, sys
+
+try:  # PR_SET_THP_DISABLE, as in the fit probe above
+    ctypes.CDLL(None, use_errno=True).prctl(41, 1, 0, 0, 0)
+except Exception:
+    pass
+
+# The reader imports these on first use; keep them out of the reading.
+import repro.ate.store, repro.circuits.faults  # noqa: E401
+from repro.ate.datalog import read_columnar
+
+
+def status(field):
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) * 1024
+
+
+baseline = status("VmRSS")
+store = read_columnar(sys.argv[1])
+print(json.dumps({"peak_minus_baseline": status("VmHWM") - baseline,
+                  "records": store.device_count * store.test_count}))
+"""
+
+
+def test_datalog_ingest_memory_ceiling(base_population, tmp_path):
+    """Reading a 2,000-device datalog lot raises peak RSS by at most 16 MB.
+
+    ``read_columnar`` reads the file in fixed-size chunks of whole lines,
+    so its working set does not grow with the lot: the finished planes of
+    a 2,000-device lot are under 0.5 MB.  A reader that holds the whole
+    8.6 MB file, or per-line arrays over all of it, at once needs 50 MB
+    or more here.  The read runs in a subprocess, which reports the
+    peak of its own address space (``VmHWM``) over its resident set after
+    the imports.  Its ``ru_maxrss`` would not do: Linux carries that
+    across ``exec`` from the forking process, here the test runner.
+    """
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("requires /proc for baseline RSS sampling")
+    store = tiled_store(base_population.to_store(), 2_000)
+    lot = write_datalog(store.to_datalogs(), tmp_path / "lot.dlog")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+    env["MALLOC_ARENA_MAX"] = "2"
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
+
+    ceiling = 16e6
+    delta = None
+    for _ in range(3):  # retry: peak-RSS readings are noisy
+        probe = subprocess.run(
+            [sys.executable, "-c", _INGEST_PROBE, str(lot)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert probe.returncode == 0, probe.stderr
+        report = json.loads(probe.stdout)
+        assert report["records"] == 2_000 * store.test_count
+        delta = report["peak_minus_baseline"]
+        print(f"\ningest peak RSS delta {delta / 1e6:.1f} MB "
+              f"(ceiling {ceiling / 1e6:.0f} MB)")
+        if delta <= ceiling:
+            break
+    assert delta <= ceiling

@@ -82,10 +82,3 @@ class ProcessVariation:
             multipliers[:, varying] = np.clip(draws, 1.0 - self.clip,
                                               1.0 + self.clip)
         return multipliers
-
-    def sample_population(self, blocks: Sequence[str], count: int,
-                          rng: int | np.random.Generator | None = None
-                          ) -> list[dict[str, float]]:
-        """Draw multipliers for ``count`` devices as per-device mappings."""
-        generator = ensure_rng(rng)
-        return [self.sample(blocks, generator) for _ in range(count)]

@@ -34,11 +34,11 @@ from repro.bayesnet.learning.bayesian_estimator import BayesianEstimator
 from repro.bayesnet.learning.case_matrix import CaseMatrix
 from repro.bayesnet.network import BayesianNetwork
 from repro.circuits.behavioral import BehavioralSimulator
-from repro.circuits.components import HEALTHY, BlockHealth
-from repro.circuits.faults import BlockFault, FaultMode
+from repro.circuits.components import FAULT_MODE_CODES, HEALTHY, BlockHealth
+from repro.circuits.faults import FaultMode
 from repro.circuits.netlist import BlockNetlist
 from repro.core.circuit_model import CircuitModelDescription
-from repro.exceptions import ModelBuildError
+from repro.exceptions import CircuitError, ModelBuildError
 from repro.utils.rng import ensure_rng
 
 
@@ -209,6 +209,7 @@ class SimulationPriorBuilder:
     1. every block's health is drawn independently from the designer's
        per-block fault probability (and a random fault mode),
     2. the circuit is evaluated under each of the supplied test conditions,
+       with process variation and measurement noise,
     3. every net — internal nets included, since this is a simulation — is
        discretised into its model states, giving a fully observed case,
     4. the CPTs are fitted to those cases with Dirichlet smoothing.
@@ -216,6 +217,11 @@ class SimulationPriorBuilder:
     The result is the faithful formalisation of "the product designer
     provided a rough estimate of the conditional probability tables": the
     designer's estimate comes from simulating the design.
+
+    Every random quantity of step 1 and 2 is drawn for the whole population
+    at once, as ``(devices, blocks)`` arrays.  A fixed seed reproduces the
+    same prior; the draw order is array-major, so the prior is not the one
+    a device-by-device draw with the same seed would give.
 
     Parameters
     ----------
@@ -276,59 +282,54 @@ class SimulationPriorBuilder:
         """Return the prior probability that ``block`` itself is defective."""
         return self._fault_probabilities.get(block, self.default_fault_probability)
 
-    def _sample_faults(self) -> dict[str, BlockFault]:
-        faults: dict[str, BlockFault] = {}
-        for variable in self.model.variable_names:
-            if self.model.variable(variable).is_controllable:
-                continue
-            if self._rng.random() < self.fault_probability_of(variable):
-                mode = self.fault_modes[int(self._rng.integers(len(self.fault_modes)))]
-                faults[variable] = BlockFault(variable, mode)
-        return faults
+    def _draw_modes(self, count: int) -> np.ndarray:
+        """Draw every device's block faults as a ``(devices, blocks)`` plane.
 
-    def simulate_cases(self) -> list[dict[str, str]]:
-        """Return fully observed cases (every model variable discretised)."""
-        discretizer = self.model.discretizer()
-        cases: list[dict[str, str]] = []
-        for index in range(self.samples):
-            conditions = self.condition_sets[index % len(self.condition_sets)]
-            faults = self._sample_faults()
-            multipliers = self._simulator.sample_device()
-            result = self._simulator.run(conditions, faults, multipliers)
-            case = {variable: discretizer.classify(variable,
-                                                   result.voltage(variable))
-                    for variable in self.model.variable_names}
-            cases.append(case)
-        return cases
+        Each non-controllable model variable is defective with its designer
+        fault probability; a defective block gets one of :attr:`fault_modes`
+        uniformly.  Entries are :data:`FAULT_MODE_CODES` values in plan
+        column order (0 = healthy).
+        """
+        plan = self._simulator.plan
+        faultable = [variable for variable in self.model.variable_names
+                     if not self.model.variable(variable).is_controllable]
+        for variable in faultable:
+            if variable not in plan.column:
+                raise CircuitError(
+                    f"cannot inject a fault into unknown block {variable!r}")
+        codes = [FAULT_MODE_CODES.get(mode.value) for mode in self.fault_modes]
+        for mode, code in zip(self.fault_modes, codes):
+            if code is None:
+                raise CircuitError(f"unknown fault mode {mode.value!r}")
+        probabilities = np.array([self.fault_probability_of(variable)
+                                  for variable in faultable])
+        faulty = self._rng.random((count, len(faultable))) < probabilities
+        drawn = self._rng.integers(len(codes), size=(count, len(faultable)))
+        modes = np.zeros((count, plan.block_count), dtype=np.int8)
+        modes[:, [plan.column[variable] for variable in faultable]] = np.where(
+            faulty, np.array(codes, dtype=np.int8)[drawn], 0)
+        return modes
 
     def simulate_case_matrix(self) -> CaseMatrix:
         """Simulate the population and return the cases as a code matrix.
 
-        Consumes the random stream exactly like :meth:`simulate_cases` — the
-        per-sample fault, process-variation and noise draws stay scalar, in
-        the same order — but every circuit evaluation runs in one batched
-        pass over the blocks, so a fresh builder with the same seed yields
-        the same cases bit-for-bit (the equivalence suite pins this).
+        Faults, fault modes, process-variation multipliers and measurement
+        noise are drawn as whole ``(devices, blocks)`` arrays, and every
+        circuit evaluation runs in one batched pass over the blocks.  A
+        fresh builder with the same seed yields the same cases; the
+        distribution is that of drawing one device at a time, but the
+        random stream is not.
         """
         sim = self._simulator
         plan = sim.plan
         count = self.samples
         blocks = plan.block_count
-        noisy = sim.measurement_noise > 0
-        varying = sim.process_variation is not None
-        multipliers = np.ones((count, len(plan.multiplier_names)))
-        noise = np.empty((count, blocks)) if noisy else None
-        faults_list: list[dict[str, BlockFault]] = []
-        for index in range(count):
-            faults_list.append(self._sample_faults())
-            if varying:
-                sample = sim.sample_device()
-                multipliers[index] = [sample[name]
-                                      for name in plan.multiplier_names]
-            if noisy:
-                noise[index] = self._rng.normal(0.0, sim.measurement_noise,
-                                                size=blocks)
-        modes, severities = plan.encode_faults(faults_list, sim.netlist)
+        modes = self._draw_modes(count)
+        severities = np.ones((count, blocks))
+        multipliers = sim.sample_devices(count)
+        noise = (self._rng.normal(0.0, sim.measurement_noise,
+                                  size=(count, blocks))
+                 if sim.measurement_noise > 0 else None)
 
         sets = self.condition_sets
         forced = set(sets[0])
@@ -347,10 +348,8 @@ class SimulationPriorBuilder:
                 condition_arrays = {net: np.full(len(rows), float(value))
                                     for net, value in conditions.items()}
                 voltages[rows] = plan.evaluate(
-                    condition_arrays, len(rows),
-                    None if modes is None else modes[rows],
-                    None if severities is None else severities[rows],
-                    multipliers[rows],
+                    condition_arrays, len(rows), modes[rows],
+                    severities[rows], multipliers[rows],
                     None if noise is None else noise[rows])
 
         variables = list(self.model.variable_names)

@@ -192,13 +192,12 @@ class TestStoreRoundTrips:
         assert list(store.fault_blocks) == list(rebuilt.fault_blocks)
         assert list(store.fault_modes) == list(rebuilt.fault_modes)
 
-    @pytest.mark.parametrize("chunk_devices", [3, 1024])
     def test_read_columnar_matches_row_parser(self, regulator_population,
-                                              tmp_path, chunk_devices):
+                                              tmp_path):
         path = write_datalog(regulator_population.to_datalogs(),
                              tmp_path / "population.dlog")
         rowwise = store_from_datalogs(parse_datalog(path))
-        streamed = read_columnar(path, chunk_devices=chunk_devices)
+        streamed = read_columnar(path)
         # Both parse the same text, so the planes must be bit-identical.
         assert np.array_equal(rowwise.values, streamed.values)
         assert np.array_equal(rowwise.passed, streamed.passed)
@@ -292,3 +291,43 @@ class TestDatalogErrors:
         with pytest.raises(DatalogError) as excinfo:
             read_columnar(path)
         assert excinfo.value.line_number == 5
+
+    def test_unknown_fault_mode_names_its_comment_line(
+            self, regulator_population, tmp_path):
+        path = write_datalog(regulator_population.to_datalogs()[:3],
+                             tmp_path / "broken.dlog")
+        lines = path.read_text(encoding="ascii").splitlines()
+        comment = next(index for index, line in enumerate(lines)
+                       if line.startswith("# DEVICE")
+                       and index > 0)
+        device = lines[comment].split()[2]
+        lines[comment] = f"# DEVICE {device} injected_faults=reg4:deaf"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with pytest.raises(DatalogError) as excinfo:
+            read_columnar(path)
+        assert excinfo.value.line_number == comment + 1
+
+    @pytest.mark.parametrize("reader", [read_columnar, parse_datalog])
+    def test_non_ascii_byte_names_its_line(self, regulator_population,
+                                           tmp_path, reader):
+        path = write_datalog(regulator_population.to_datalogs()[:2],
+                             tmp_path / "broken.dlog")
+        lines = path.read_bytes().split(b"\n")
+        lines[6] = lines[6].replace(b"NAME=", b"NAME=\xb5", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DatalogError) as excinfo:
+            reader(path)
+        assert excinfo.value.line_number == 7
+
+    def test_first_device_program_row_is_checked_where_it_is_read(
+            self, regulator_population, tmp_path):
+        path = write_datalog(regulator_population.to_datalogs()[:2],
+                             tmp_path / "broken.dlog")
+        lines = path.read_text(encoding="ascii").splitlines()
+        assert lines[0].startswith("#") and lines[1].startswith("DEVICE=")
+        record, _, conditions = lines[1].partition("|COND=")
+        lines[1] = f"{record}|COND=vp1:;{conditions}"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with pytest.raises(DatalogError) as excinfo:
+            read_columnar(path)
+        assert excinfo.value.line_number == 2
