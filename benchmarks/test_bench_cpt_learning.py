@@ -141,11 +141,11 @@ def test_columnar_fit_at_least_5x_faster_than_rows(base_population,
 
 
 _MEMORY_PROBE = """
-import ctypes, json, resource, sys
+import ctypes, json, sys
 
 # Opt out of transparent huge pages (PR_SET_THP_DISABLE): khugepaged can
 # round every mapping up to 2 MB pages depending on prior system activity,
-# inflating ru_maxrss by ~30% run-to-run.  This probe measures the
+# inflating the peak by ~30% run-to-run.  This probe measures the
 # workload, not kernel page policy.
 try:
     ctypes.CDLL(None, use_errno=True).prctl(41, 1, 0, 0, 0)
@@ -157,19 +157,25 @@ from repro.bayesnet import BayesianEstimator
 from repro.circuits import build_voltage_regulator
 from repro.core import Dlog2BBN
 
+
+def status(field):
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) * 1024
+
+
 store = DeviceResultStore.load(sys.argv[1])
 circuit = build_voltage_regulator()
 builder = Dlog2BBN(circuit.model, circuit.healthy_states)
 structure = builder.build_structure().with_uniform_cpds(
     circuit.model.cardinalities(), circuit.model.state_names())
-with open("/proc/self/statm") as handle:
-    baseline = int(handle.read().split()[1]) * 4096
+baseline = status("VmRSS")
 matrix = builder.case_generator().case_matrix(store)
 estimator = BayesianEstimator(structure, equivalent_sample_size=200)
 estimator.fit(matrix)
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 payload = store.values.nbytes + store.passed.nbytes + matrix.codes.nbytes
-print(json.dumps({"peak_minus_baseline": peak - baseline,
+print(json.dumps({"peak_minus_baseline": status("VmHWM") - baseline,
                   "payload": payload}))
 """
 
@@ -177,10 +183,12 @@ print(json.dumps({"peak_minus_baseline": peak - baseline,
 def test_cpt_learning_memory_ceiling(base_population, tmp_path):
     """Peak RSS of a 100k-device fit stays under ~2x the raw array payload.
 
-    The fit runs in a subprocess so ``ru_maxrss`` reflects only this
-    workload; the baseline is sampled after imports and the (memory-mapped)
-    store open, so the measured delta is the cost of case encoding plus
-    estimation.  2x raw payload leaves room for the code planes and count
+    The fit runs in a subprocess, which reports the peak of its own
+    address space (``VmHWM``) over its resident set after the imports and
+    the (memory-mapped) store open, so the measured delta is the cost of
+    case encoding plus estimation.  Its ``ru_maxrss`` would not do: Linux
+    carries that across ``exec`` from the forking process, here the test
+    runner.  2x raw payload leaves room for the code planes and count
     buffers but rules out any per-case row materialisation — materialised
     ``DeviceResult`` rows at this scale would cost upwards of a gigabyte.
 
@@ -190,7 +198,7 @@ def test_cpt_learning_memory_ceiling(base_population, tmp_path):
     the whole test suite ran first); it is far below the failure mode this
     smoke is guarding against.
     """
-    if not os.path.exists("/proc/self/statm"):
+    if not os.path.exists("/proc/self/status"):
         pytest.skip("requires /proc for baseline RSS sampling")
     store = tiled_store(base_population.to_store(), SIZES["100k"])
     saved = store.save(tmp_path / "store")

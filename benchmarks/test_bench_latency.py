@@ -4,10 +4,11 @@ The batched data path optimises training and population-scale serving, but
 the debug-bench workflow stays interactive: one failing device on the
 bench, one posterior update, an engineer waiting for the suspect list.
 This benchmark pins the tail latency of that path for both exact engines
-(variable elimination and the junction tree, whose single-query path keeps
-a per-calibration marginal memo).  Engines run with ``cache_size=1`` and a
-rotating evidence set so every timed call is a cold inference sweep, not an
-evidence-cache hit.
+(variable elimination and the junction tree).  Every timed call runs on a
+fresh engine that was warmed outside the timer on a different evidence, so
+it is a cold inference sweep, not an evidence-cache hit: the engine's
+``sweep_count`` / ``calibration_count`` must rise by exactly one per timed
+call.
 """
 
 from __future__ import annotations
@@ -65,15 +66,26 @@ def percentile(sorted_values, fraction):
 @pytest.mark.parametrize("inference", ["ve", "jt"])
 def test_bench_single_device_latency(benchmark, built_model,
                                      latency_evidences, inference):
-    engine = DiagnosisEngine(built_model, inference=inference, cache_size=1)
-    # One warm-up call pays the one-time costs (model validation memos,
-    # elimination orders / tree compilation) that a resident bench-station
-    # service would have amortised long before the device arrives.
-    engine.diagnose_evidence(latency_evidences[0], name="warmup")
+    counter = "sweep_count" if inference == "ve" else "calibration_count"
+    # Every engine built for a timed call, with its counter before the call.
+    engines = []
+
+    def cold_engine(sample):
+        """A fresh engine for one timed call on ``evidences[sample]``."""
+        engine = DiagnosisEngine(built_model, inference=inference)
+        # The warm-up pays the one-time costs (model validation memos,
+        # elimination orders / tree compilation) that a resident
+        # bench-station service would have amortised long before the
+        # device arrives.  Its evidence differs from the timed one.
+        engine.diagnose_evidence(
+            latency_evidences[(sample + 1) % len(latency_evidences)],
+            name="warmup")
+        engines.append((engine, getattr(engine._engine, counter)))
+        return engine, latency_evidences[sample % len(latency_evidences)]
 
     timings = []
     for sample in range(SAMPLES):
-        evidence = latency_evidences[sample % len(latency_evidences)]
+        engine, evidence = cold_engine(sample)
         start = time.perf_counter()
         engine.diagnose_evidence(evidence, name=f"s{sample}")
         timings.append(time.perf_counter() - start)
@@ -81,15 +93,16 @@ def test_bench_single_device_latency(benchmark, built_model,
     p50 = percentile(timings, 0.50)
     p99 = percentile(timings, 0.99)
 
-    cursor = {"next": 0}
+    def setup():
+        return cold_engine(len(engines)), {}
 
-    def one_device():
-        index = cursor["next"]
-        cursor["next"] = (index + 1) % len(latency_evidences)
-        return engine.diagnose_evidence(latency_evidences[index],
-                                        name="bench")
-
-    diagnosis = benchmark(one_device)
+    diagnosis = benchmark.pedantic(
+        lambda engine, evidence: engine.diagnose_evidence(evidence,
+                                                          name="bench"),
+        setup=setup, rounds=len(latency_evidences))
+    # Every timed call, in the loop and the kernel, was one cold sweep.
+    assert all(getattr(engine._engine, counter) == before + 1
+               for engine, before in engines)
 
     print()
     print(format_table(
@@ -110,8 +123,8 @@ def test_bench_single_device_latency(benchmark, built_model,
 def test_exact_engines_agree_on_latency_workload(built_model,
                                                  latency_evidences):
     """Both timed engines produce identical suspect lists on the workload."""
-    ve = DiagnosisEngine(built_model, inference="ve", cache_size=1)
-    jt = DiagnosisEngine(built_model, inference="jt", cache_size=1)
+    ve = DiagnosisEngine(built_model, inference="ve")
+    jt = DiagnosisEngine(built_model, inference="jt")
     for number, evidence in enumerate(latency_evidences[:10]):
         ours = ve.diagnose_evidence(evidence, name=f"agree{number}")
         theirs = jt.diagnose_evidence(evidence, name=f"agree{number}")

@@ -47,7 +47,7 @@ def test_bench_persist_warm_restart(benchmark, request, built_model,
                                     regulator_circuit, failed_population,
                                     tmp_path_factory):
     evidence, names = _workload(regulator_circuit, failed_population)
-    policy = FallbackPolicy(evidence_cache_size=1)
+    policy = FallbackPolicy()
     config = ServiceConfig(num_workers=2, chunk_size=16)
     persist_dir = tmp_path_factory.mktemp("persist")
 

@@ -18,9 +18,10 @@ they are asserted only under ``--benchmark-only`` (the CI serving-soak and
 benchmark-smoke jobs); the plain test run keeps the slot-for-slot parity
 and nothing-lost checks.
 
-Every engine runs with ``evidence_cache_size=1``: the population's cases
-are distinct, and a deeper LRU would make repeat timing rounds
-cache-warm and the paired comparison unfair.
+Every timing round gets a fresh bare engine or a fresh service, warmed
+outside the timer on one case that no workload case repeats: the exact
+engines' evidence LRU would otherwise answer repeat rounds from memory
+and make the paired comparison unfair.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ OVERHEAD_BUDGET = 0.10
 ABSOLUTE_SLACK_S = 0.25
 #: Required speedup of 2 workers over 1 (asserted on multi-core hosts).
 MIN_SPEEDUP_2W = 1.8
+#: The warm-up case: the prior, a row no failing workload case has.
+WARMUP = {}
 
 
 def _available_cpus() -> int:
@@ -48,15 +51,6 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def _min_runtime(target) -> float:
-    best = float("inf")
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        target()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _workload(regulator_circuit, failed_population):
@@ -70,37 +64,71 @@ def _workload(regulator_circuit, failed_population):
     return evidence, names
 
 
-def _service_floor(built_model, policy, workers, evidence, names) -> float:
-    config = ServiceConfig(num_workers=workers, chunk_size=16)
-    with DiagnosisService(built_model, policy, config) as service:
-        floor = _min_runtime(
-            lambda: service.diagnose_batch(evidence, names=names,
-                                           timeout=600))
-        # correctness ride-along: nothing lost, nothing failed
-        results = service.diagnose_batch(evidence, names=names, timeout=600)
-        assert len(results) == len(evidence)
-        assert all(result.ok for result in results)
-        stats = service.stats()
-        assert stats.queue_depth == 0 and stats.in_flight == 0
-        assert stats.workers_alive == workers
-    return floor
+def _bare_floor(built_model, evidence, names) -> float:
+    """Min over ``ROUNDS`` passes, each on a fresh warmed engine."""
+    best = float("inf")
+    for _ in range(ROUNDS):
+        bare = DiagnosisEngine(built_model)
+        bare.diagnose_batch([WARMUP])
+        start = time.perf_counter()
+        bare.diagnose_batch(evidence, names=names, on_error="collect")
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _open_service(built_model, workers) -> DiagnosisService:
+    """A fresh service, warmed on one case outside any timer."""
+    service = DiagnosisService(
+        built_model, FallbackPolicy(),
+        ServiceConfig(num_workers=workers, chunk_size=16))
+    service.diagnose_batch([WARMUP], timeout=600)
+    return service
+
+
+def _service_floor(built_model, workers, evidence, names) -> float:
+    """Min over ``ROUNDS`` passes, each on a fresh warmed service."""
+    best = float("inf")
+    for _ in range(ROUNDS):
+        with _open_service(built_model, workers) as service:
+            start = time.perf_counter()
+            results = service.diagnose_batch(evidence, names=names,
+                                             timeout=600)
+            best = min(best, time.perf_counter() - start)
+            # correctness ride-along: nothing lost, nothing failed
+            assert len(results) == len(evidence)
+            assert all(result.ok for result in results)
+            stats = service.stats()
+            assert stats.queue_depth == 0 and stats.in_flight == 0
+            assert stats.workers_alive == workers
+    return best
 
 
 def test_bench_serving_throughput(benchmark, request, built_model,
                                   regulator_circuit, failed_population):
     evidence, names = _workload(regulator_circuit, failed_population)
-    policy = FallbackPolicy(evidence_cache_size=1)
-    bare = DiagnosisEngine(built_model, cache_size=1)
 
-    # The timed kernel: the full workload through a 2-worker service.
-    config = ServiceConfig(num_workers=2, chunk_size=16)
-    with DiagnosisService(built_model, policy, config) as service:
-        served = benchmark(service.diagnose_batch, evidence, names=names,
-                           timeout=600)
+    # The timed kernel: the full workload through a fresh 2-worker service
+    # per round.
+    services = []
+
+    def fresh_service():
+        while services:
+            services.pop().shutdown()
+        services.append(_open_service(built_model, 2))
+        return (services[-1],), {}
+
+    try:
+        served = benchmark.pedantic(
+            lambda service: service.diagnose_batch(evidence, names=names,
+                                                   timeout=600),
+            setup=fresh_service, rounds=ROUNDS)
+    finally:
+        for service in services:
+            service.shutdown()
 
     # Slot-for-slot parity with the bare engine on the same workload.
-    reference = bare.diagnose_batch(evidence, names=names,
-                                    on_error="collect")
+    reference = DiagnosisEngine(built_model).diagnose_batch(
+        evidence, names=names, on_error="collect")
     assert [r.case_name for r in served] == [r.case_name for r in reference]
     for ours, theirs in zip(served, reference):
         assert ours.ok == theirs.ok
@@ -110,14 +138,11 @@ def test_bench_serving_throughput(benchmark, request, built_model,
 
     # Paired floors: bare engine vs 1/2/N workers, all equally cold.
     cpus = _available_cpus()
-    bare_floor = _min_runtime(
-        lambda: bare.diagnose_batch(evidence, names=names,
-                                    on_error="collect"))
-    floors = {1: _service_floor(built_model, policy, 1, evidence, names),
-              2: _service_floor(built_model, policy, 2, evidence, names)}
+    bare_floor = _bare_floor(built_model, evidence, names)
+    floors = {1: _service_floor(built_model, 1, evidence, names),
+              2: _service_floor(built_model, 2, evidence, names)}
     if cpus > 2:
-        floors[cpus] = _service_floor(built_model, policy, cpus, evidence,
-                                      names)
+        floors[cpus] = _service_floor(built_model, cpus, evidence, names)
 
     n = len(evidence)
     print()

@@ -82,43 +82,22 @@ class DatalogRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "DatalogRecord":
-        """Parse one datalog line."""
-        fields: dict[str, str] = {}
-        for part in line.strip().split("|"):
-            if not part:
-                continue
-            if "=" not in part:
-                raise DatalogError(f"malformed datalog field {part!r} in line {line!r}")
-            key, _, value = part.partition("=")
-            fields[key] = value
-        required = ["DEVICE", "TEST", "NAME", "BLOCK", "VALUE", "LO", "HI", "RESULT"]
-        missing = [key for key in required if key not in fields]
-        if missing:
-            raise DatalogError(f"datalog line is missing fields {missing}: {line!r}")
-        conditions: dict[str, float] = {}
-        condition_text = fields.get("COND", "")
-        if condition_text:
-            for piece in condition_text.split(";"):
-                if not piece:
-                    continue
-                block, _, value = piece.partition(":")
-                if not block or not value:
-                    raise DatalogError(
-                        f"malformed condition {piece!r} in line {line!r}")
-                conditions[block] = float(value)
+        """Parse one datalog line, as :func:`read_columnar` reads it."""
         try:
-            return cls(device_id=fields["DEVICE"],
-                       test_number=int(fields["TEST"]),
-                       test_name=fields["NAME"],
-                       block=fields["BLOCK"],
-                       value=float(fields["VALUE"]),
-                       lower=float(fields["LO"]),
-                       upper=float(fields["HI"]),
-                       passed=fields["RESULT"].upper() == "P",
-                       conditions=conditions,
-                       units=fields.get("UNITS", "V"))
-        except ValueError as exc:
-            raise DatalogError(f"cannot parse numeric field in line {line!r}") from exc
+            fields = _record_fields(line.strip())
+            conditions = _conditions(fields.get("COND", ""))
+            try:
+                number, value = int(fields["TEST"]), float(fields["VALUE"])
+                lower, upper = float(fields["LO"]), float(fields["HI"])
+            except ValueError:
+                raise _LineError("cannot parse numeric field") from None
+        except _LineError as exc:
+            raise DatalogError(f"{exc} in line {line!r}") from None
+        return cls(device_id=fields["DEVICE"], test_number=number,
+                   test_name=fields["NAME"], block=fields["BLOCK"],
+                   value=value, lower=lower, upper=upper,
+                   passed=fields["RESULT"].upper() == "P",
+                   conditions=conditions, units=fields.get("UNITS", "V"))
 
 
 @dataclasses.dataclass
@@ -152,14 +131,6 @@ class DeviceDatalog:
     def failed(self) -> bool:
         """``True`` when at least one specification test failed."""
         return any(not record.passed for record in self.records)
-
-    def failing_tests(self) -> list[DatalogRecord]:
-        """Return the records of the failing tests."""
-        return [record for record in self.records if not record.passed]
-
-    def measurements_for(self, block: str) -> list[DatalogRecord]:
-        """Return every record measuring ``block``."""
-        return [record for record in self.records if record.block == block]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -269,6 +240,22 @@ def _record_fields(text: str) -> dict[str, str]:
     return fields
 
 
+def _conditions(text: str) -> dict[str, float]:
+    """Read a COND field: ``block:value`` pairs separated by ``;``."""
+    conditions: dict[str, float] = {}
+    for piece in text.split(";"):
+        if not piece:
+            continue
+        block, _, value = piece.partition(":")
+        try:
+            if not block or not value:
+                raise ValueError(piece)
+            conditions[block] = float(value)
+        except ValueError:
+            raise _LineError(f"malformed condition {piece!r}") from None
+    return conditions
+
+
 def _signature(fields: Mapping[str, str]) -> tuple[str, ...]:
     """The program text of a record: the fields every device repeats."""
     return (fields["TEST"], fields["NAME"], fields["BLOCK"], fields["LO"],
@@ -353,17 +340,7 @@ class _ColumnarReader:
             lower, upper = float(fields["LO"]), float(fields["HI"])
         except ValueError:
             raise _LineError("cannot parse numeric field") from None
-        conditions: dict[str, float] = {}
-        for piece in signature[5].split(";"):
-            if not piece:
-                continue
-            block, _, value = piece.partition(":")
-            try:
-                if not block or not value:
-                    raise ValueError(piece)
-                conditions[block] = float(value)
-            except ValueError:
-                raise _LineError(f"malformed condition {piece!r}") from None
+        conditions = _conditions(signature[5])
         self.program.append(signature)
         self.numbers.append(number)
         self.lowers.append(lower)

@@ -166,28 +166,11 @@ class PopulationGenerator:
         return f"{self.device_prefix}-{self._counter:05d}"
 
     # ------------------------------------------------------------- generation
-    def generate_failed_device(self, fault: BlockFault | None = None) -> DeviceResult:
-        """Test one device with an injected fault (sampled when not given)."""
-        if fault is None:
-            fault = self.fault_universe.sample(self._rng, self.block_weights)
-        device_id = self._next_device_id()
-        return self._tester.test_device(device_id, faults={fault.block: fault})
-
-    def generate_passing_device(self) -> DeviceResult:
-        """Test one defect-free device (process variation and noise only)."""
-        device_id = self._next_device_id()
-        return self._tester.test_device(device_id, faults={})
-
-    def _generate_failed_batch(self, count: int) -> list[DeviceResult]:
-        """Sample ``count`` faults up-front and test the devices in one batch."""
-        faults = self.fault_universe.sample_batch(count, self._rng,
-                                                  self.block_weights)
-        device_ids = [self._next_device_id() for _ in range(count)]
-        return self._tester.test_devices(
-            device_ids, [{fault.block: fault} for fault in faults])
-
     def _generate_failed_store(self, count: int):
-        """Columnar :meth:`_generate_failed_batch`: same RNG stream, no rows."""
+        """Sample ``count`` faults up-front and test the devices in one batch.
+
+        Returns the columnar store of the results and the sampled faults.
+        """
         faults = self.fault_universe.sample_batch(count, self._rng,
                                                   self.block_weights)
         device_ids = [self._next_device_id() for _ in range(count)]

@@ -136,15 +136,6 @@ class DeviceResultStore:
         """Boolean ``(devices,)`` mask of devices failing at least one test."""
         return ~self.passed.all(axis=0)
 
-    def faults_for(self, device: int) -> dict[str, BlockFault]:
-        """Return the injected fault map of device column ``device``."""
-        faults: dict[str, BlockFault] = {}
-        for k in np.flatnonzero(self.fault_index == device):
-            block = str(self.fault_blocks[k])
-            faults[block] = BlockFault(block, FaultMode(str(self.fault_modes[k])),
-                                       float(self.fault_severities[k]))
-        return faults
-
     def select(self, devices: np.ndarray | Sequence[int]) -> "DeviceResultStore":
         """Return a new store holding only the selected device columns.
 

@@ -9,7 +9,7 @@ controls and observes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.ate.test_spec import SpecificationTest
 from repro.exceptions import ATEError
@@ -42,11 +42,6 @@ class TestProgram:
             raise ATEError(f"duplicate test number {test.number} in program {self.name!r}")
         self._numbers.add(test.number)
         self._tests.append(test)
-
-    def add_tests(self, tests: Iterable[SpecificationTest]) -> None:
-        """Append several tests in order."""
-        for test in tests:
-            self.add_test(test)
 
     @property
     def tests(self) -> list[SpecificationTest]:

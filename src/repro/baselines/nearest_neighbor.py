@@ -70,14 +70,6 @@ class NearestNeighborDiagnoser:
         return self
 
     # --------------------------------------------------------------- diagnosis
-    @staticmethod
-    def _similarity(first: Mapping[str, str], second: Mapping[str, str]) -> float:
-        shared = set(first) & set(second)
-        if not shared:
-            return 0.0
-        agreements = sum(1 for variable in shared if first[variable] == second[variable])
-        return agreements / len(shared)
-
     def rank(self, evidence: Mapping[str, str]) -> list[tuple[str, float]]:
         """Return blocks ranked by the vote share of the k nearest neighbours."""
         if not self._training:

@@ -22,8 +22,9 @@ Anything else is an unknown state.  Every bad entry becomes one
 :class:`Defect` — an unknown variable, an unknown state, or a variable a
 case's two sections give different states — and each layer raises its own
 error type from them.  The codec also yields the row key of checked
-evidence, sorted ``(variable, code)`` pairs, that the in-memory evidence
-caches use.
+evidence, sorted ``(variable, code)`` pairs: the one identity of a row of
+evidence, which keys the engines' evidence caches and the durable
+posterior cache alike.
 """
 
 from __future__ import annotations

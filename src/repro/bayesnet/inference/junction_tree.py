@@ -12,9 +12,9 @@ Evidence is read once by the network's
 :class:`~repro.bayesnet.codec.EvidenceCodec` into state codes (a bad entry
 raises ``InferenceError``, as in every engine) and its row key.
 Calibrations are cached by that key (not just the most recent evidence
-set), and the per-variable marginals read from the calibrated cliques are
-memoised alongside each calibration, so population workflows that revisit
-the same failing condition pay for calibration exactly once.
+set), and the per-variable distributions read from the calibrated cliques
+are memoised alongside each calibration, so population workflows that
+revisit the same failing condition pay for calibration exactly once.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ import numpy as np
 
 from repro.bayesnet.codec import Evidence, EvidenceCodec
 from repro.bayesnet.factor import DiscreteFactor, contract_factors
-from repro.bayesnet.inference._evidence_cache import (
-    EvidenceCache,
-    resolve_cache_size,
-)
+from repro.bayesnet.inference._evidence_cache import EvidenceCache
 from repro.bayesnet.network import BayesianNetwork
 from repro.exceptions import ImpossibleEvidenceError, InferenceError
 
@@ -49,13 +46,12 @@ class _Clique:
 class _Calibration:
     """One calibrated state of the tree: potentials, P(e) and marginal memo."""
 
-    __slots__ = ("potentials", "probability", "marginals", "distributions")
+    __slots__ = ("potentials", "probability", "distributions")
 
     def __init__(self, potentials: list[DiscreteFactor],
                  probability: float) -> None:
         self.potentials = potentials
         self.probability = probability
-        self.marginals: dict[str, DiscreteFactor] = {}
         #: ``{state: probability}`` dicts memoised per variable, so repeated
         #: single-marginal queries on an unchanged calibration skip both the
         #: marginalisation and the dict construction.
@@ -78,8 +74,7 @@ class JunctionTree:
         query-many behaviour.
     """
 
-    def __init__(self, network: BayesianNetwork, *,
-                 cache_size: int | None = None) -> None:
+    def __init__(self, network: BayesianNetwork) -> None:
         network.check_model()
         self.network = network
         self._cardinalities = {node: network.cardinality(node)
@@ -94,7 +89,7 @@ class JunctionTree:
                       key=lambda i: len(self._cliques[i].variables))
             for node in network.nodes}
         self.calibration_count = 0
-        self._calibrations = EvidenceCache(network, resolve_cache_size(cache_size))
+        self._calibrations = EvidenceCache(network)
 
     # ------------------------------------------------------------ construction
     def _build_tree(self) -> None:
@@ -322,23 +317,18 @@ class JunctionTree:
         return contract_factors(incoming, keep=sepset)
 
     # ---------------------------------------------------------------- marginals
-    def _marginal(self, variable: str, calibration: _Calibration) -> DiscreteFactor:
-        """Return the normalised single-variable marginal, memoised."""
-        cached = calibration.marginals.get(variable)
-        if cached is not None:
-            return cached
-        potential = calibration.potentials[self._home_clique[variable]]
-        extra = [v for v in potential.variables if v != variable]
-        marginal = potential.marginalize(extra).normalize()
-        calibration.marginals[variable] = marginal
-        return marginal
-
     def _distribution(self, variable: str,
                       calibration: _Calibration) -> dict[str, float]:
-        """Return the memoised ``{state: probability}`` dict of a marginal."""
+        """Return the memoised ``{state: probability}`` dict of a marginal.
+
+        A miss reads the normalised marginal from the variable's home
+        clique.
+        """
         cached = calibration.distributions.get(variable)
         if cached is None:
-            cached = self._marginal(variable, calibration).to_distribution()
+            potential = calibration.potentials[self._home_clique[variable]]
+            extra = [v for v in potential.variables if v != variable]
+            cached = potential.marginalize(extra).normalize().to_distribution()
             calibration.distributions[variable] = cached
         # Hand out copies: callers may mutate the posterior dicts.
         return dict(cached)

@@ -29,10 +29,7 @@ import numpy as np
 
 from repro.bayesnet.codec import Evidence, EvidenceCodec
 from repro.bayesnet.factor import DiscreteFactor, contract_factors
-from repro.bayesnet.inference._evidence_cache import (
-    EvidenceCache,
-    resolve_cache_size,
-)
+from repro.bayesnet.inference._evidence_cache import EvidenceCache
 from repro.bayesnet.inference.elimination_order import (
     min_degree_order,
     min_fill_order,
@@ -78,15 +75,13 @@ class VariableElimination:
         behaviour.
     """
 
-    def __init__(self, network: BayesianNetwork, elimination_order=None, *,
-                 cache_size: int | None = None) -> None:
+    def __init__(self, network: BayesianNetwork,
+                 elimination_order=None) -> None:
         network.check_model()
         self.network = network
         self._order_heuristic = elimination_order or min_fill_order
         self.sweep_count = 0
-        capacity = resolve_cache_size(cache_size)
-        self._marginal_cache = EvidenceCache(network, capacity)
-        self._probability_cache = EvidenceCache(network, capacity)
+        self._marginal_cache = EvidenceCache(network)
         # Elimination orders depend only on the (immutable) structure, so one
         # entry per free-variable set never goes stale; the base factor list
         # tracks CPD replacement through the evidence-cache refresh.
@@ -95,12 +90,8 @@ class VariableElimination:
 
     # ---------------------------------------------------------------- caching
     def _refresh_caches(self) -> None:
-        # Both caches invalidate on the same trigger (CPD replacement), so
-        # the probability cache only needs a refresh when the marginal cache
-        # just detected one — no second signature scan on the hot path.
         if self._marginal_cache.refresh():
             self._base_factors = None
-            self._probability_cache.refresh()
 
     def _factors(self) -> list[DiscreteFactor]:
         if self._base_factors is None:
@@ -207,10 +198,10 @@ class VariableElimination:
     def probability_of_evidence(self, evidence: Evidence) -> float:
         """Return ``P(evidence)`` (the data likelihood of the observation).
 
-        Uses a forward-only bucket pass — evidence probability needs no
-        backward message pass, which roughly halves the sweep cost of
-        likelihood scoring workloads.  Full-sweep results cached for the same
-        evidence are reused instead of running a new pass.
+        A full sweep cached for the same evidence answers it; otherwise one
+        forward-only bucket pass does, uncached — evidence probability needs
+        no backward message pass, which roughly halves the sweep cost of
+        likelihood scoring workloads.
         """
         key = self._key((), evidence)
         if not key:
@@ -219,17 +210,12 @@ class VariableElimination:
         cached_sweep = self._marginal_cache.get(key)
         if cached_sweep is not None:
             return cached_sweep[1]
-        cached_probability = self._probability_cache.get(key)
-        if cached_probability is not None:
-            return cached_probability
         # Only the forward bucket pass, routed through the batched kernel
         # with a single case row so the scalar and batched likelihood paths
         # can never diverge numerically.
         self.sweep_count += 1
         ((_, variables, codes),) = _code_groups([key])
-        probability = float(self._forward_pass_batch(variables, codes)[-1][0])
-        self._probability_cache.put(key, probability)
-        return probability
+        return float(self._forward_pass_batch(variables, codes)[-1][0])
 
     # ------------------------------------------------------------ batched sweeps
     def posteriors_batch(self, evidence_list: Sequence[Evidence]

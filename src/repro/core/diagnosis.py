@@ -404,11 +404,6 @@ class DiagnosisEngine:
         omitted); ignored by the exact engines.
     seed:
         Seed for the approximate engines' samplers.
-    cache_size:
-        Evidence-cache capacity for the exact engines (entries per cache);
-        defaults to the ``REPRO_EVIDENCE_CACHE_SIZE`` environment variable
-        or 128.  The per-engine (and therefore per-serving-worker) memory
-        knob; ignored by the samplers.
     abnormal_threshold:
         Fail probability above which an internal block counts as *abnormal*
         (clearly not in its healthy state).
@@ -421,8 +416,7 @@ class DiagnosisEngine:
                  abnormal_threshold: float = 0.5,
                  ambiguous_threshold: float = 0.4, *,
                  num_samples: int | None = None,
-                 seed: int | None = None,
-                 cache_size: int | None = None) -> None:
+                 seed: int | None = None) -> None:
         if not 0.0 < ambiguous_threshold <= abnormal_threshold <= 1.0:
             raise DiagnosisError(
                 "thresholds must satisfy 0 < ambiguous <= abnormal <= 1, got "
@@ -437,10 +431,9 @@ class DiagnosisEngine:
         sampler_options = {} if num_samples is None \
             else {"num_samples": int(num_samples)}
         if inference == "ve":
-            self._engine = VariableElimination(self.network,
-                                               cache_size=cache_size)
+            self._engine = VariableElimination(self.network)
         elif inference == "jt":
-            self._engine = JunctionTree(self.network, cache_size=cache_size)
+            self._engine = JunctionTree(self.network)
         elif inference == "lw":
             self._engine = LikelihoodWeighting(self.network, seed=seed,
                                                **sampler_options)

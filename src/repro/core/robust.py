@@ -120,11 +120,6 @@ class FallbackPolicy:
         ``"raise"`` (strict: malformed evidence is a permanent structured
         failure) or ``"sanitize"`` (repair what is repairable, drop the
         rest, and record every issue in the provenance).
-    evidence_cache_size:
-        Capacity of the exact engines' evidence caches (entries per cache);
-        the per-worker memory knob for serving fleets.  ``None`` defers to
-        the ``REPRO_EVIDENCE_CACHE_SIZE`` environment variable / the
-        library default (128).
     """
 
     chain: tuple[str, ...] = ("ve", "lw", "gibbs")
@@ -134,7 +129,6 @@ class FallbackPolicy:
     seed: int | None = 0
     min_effective_sample_size: float = 50.0
     on_invalid_evidence: str = "raise"
-    evidence_cache_size: int | None = None
 
     def __post_init__(self) -> None:
         if not self.chain:
@@ -154,11 +148,6 @@ class FallbackPolicy:
             raise DiagnosisError(
                 f"unknown on_invalid_evidence mode {self.on_invalid_evidence!r}; "
                 "use 'raise' or 'sanitize'")
-        if self.evidence_cache_size is not None \
-                and self.evidence_cache_size < 1:
-            raise DiagnosisError(
-                "evidence_cache_size must be >= 1, got "
-                f"{self.evidence_cache_size}")
 
 
 class RobustDiagnosisEngine(DiagnosisEngine):
@@ -188,11 +177,10 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                          abnormal_threshold=abnormal_threshold,
                          ambiguous_threshold=ambiguous_threshold,
                          num_samples=self.policy.num_samples,
-                         seed=self.policy.seed,
-                         cache_size=self.policy.evidence_cache_size)
+                         seed=self.policy.seed)
         # Optional durable shared cache (`repro.persist.PosteriorCache`):
         # exact posteriors are served from / written to it keyed by the
-        # model's content fingerprint + the sanitised evidence signature.
+        # model's content fingerprint + the checked evidence's row key.
         self.posterior_cache = posterior_cache
         self._fingerprints = None
         self.cache_hits = 0
@@ -217,8 +205,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 abnormal_threshold=self.abnormal_threshold,
                 ambiguous_threshold=self.ambiguous_threshold,
                 num_samples=self.policy.num_samples,
-                seed=self.policy.seed,
-                cache_size=self.policy.evidence_cache_size)
+                seed=self.policy.seed)
             self._fallback_engines[name] = engine
         return engine
 
@@ -250,7 +237,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 return evidence, (issues, notes, key)
             return self._accept_batch_hit(name, evidence, seen[key], issues,
                                           notes, start)
-        cached = seen[key] = self._cached_posteriors(evidence)
+        cached = seen[key] = self._cached_posteriors(key)
         if cached is not None:
             attempt = AttemptRecord("cache", "ok", time.perf_counter() - start)
             return self._accept_cached(name, evidence, cached, (attempt,),
@@ -400,12 +387,12 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             self._fingerprints = FingerprintTracker(self.network)
         return self._fingerprints.current()
 
-    def _cached_posteriors(self, evidence: Mapping[str, str]
+    def _cached_posteriors(self, key: tuple
                            ) -> dict[str, dict[str, float]] | None:
-        """Durable-cache lookup; any I/O trouble degrades to a miss."""
+        """Durable-cache lookup of one row key; I/O trouble is a miss."""
         try:
             value = self.posterior_cache.get_posteriors(
-                self._model_fingerprint(), evidence)
+                self._model_fingerprint(), key)
         except (ReproError, OSError):
             value = None
         if value is None:
@@ -417,13 +404,13 @@ class RobustDiagnosisEngine(DiagnosisEngine):
     def _store_posteriors(self, evidence: Mapping[str, str],
                           posteriors: dict[str, dict[str, float]]) -> None:
         """Durably share an exact posterior set; failures never propagate."""
+        key = self.model.evidence_codec.key(evidence, EvidenceError)
         try:
             self.posterior_cache.put_posteriors(
-                self._model_fingerprint(), evidence, posteriors)
+                self._model_fingerprint(), key, posteriors)
         except (ReproError, OSError):
             return
-        self._batch_posteriors[self.model.evidence_codec.key(
-            evidence, EvidenceError)] = posteriors
+        self._batch_posteriors[key] = posteriors
 
     def _accept_batch_hit(self, name: str,
                           evidence: dict[str, str],

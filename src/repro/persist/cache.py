@@ -2,7 +2,7 @@
 
 The diagnosis workflow is train-once / query-many: one fitted block-level
 network answers posterior queries for whole device populations, so every
-repeated evidence signature is redundant work — and before this module that
+repeated row of evidence is redundant work — and before this module that
 work was redone per worker process and re-done again after every restart.
 :class:`PosteriorCache` makes the warm state durable and shared:
 
@@ -30,8 +30,9 @@ work was redone per worker process and re-done again after every restart.
   processes their offsets are stale so they rescan instead of misreading.
 
 Keys are ``(kind, model_fingerprint, ...)`` tuples built by the typed
-wrappers (:meth:`PosteriorCache.put_posteriors`).  Because the model
-component is a content fingerprint
+wrappers (:meth:`PosteriorCache.put_posteriors`); a posterior's evidence
+is its codec row key, the key of the engines' in-memory caches.  Because
+the model component is a content fingerprint
 (:func:`~repro.persist.fingerprint.model_fingerprint`), CPD replacement
 re-keys the cache automatically: entries of a superseded model become
 unreachable rather than wrong.
@@ -588,29 +589,22 @@ class PosteriorCache:
                     "evicted": self.evicted}
 
     # --------------------------------------------------------- typed wrappers
-    @staticmethod
-    def evidence_signature(evidence: Mapping[str, str]
-                           ) -> tuple[tuple[str, str], ...]:
-        """Canonical hashable signature of one evidence mapping."""
-        return tuple(sorted((str(variable), str(state))
-                            for variable, state in evidence.items()))
-
-    def get_posteriors(self, model_version: str,
-                       evidence: Mapping[str, str]
+    def get_posteriors(self, model_version: str, row_key: tuple
                        ) -> dict[str, dict[str, float]] | None:
-        """Look up the posterior set of one ``(model, evidence)`` pair."""
-        value = self.get(("posterior", model_version,
-                          self.evidence_signature(evidence)))
+        """Look up the posterior set of one ``(model, evidence row)`` pair.
+
+        ``row_key`` is the evidence's row key as the model's
+        :class:`~repro.bayesnet.codec.EvidenceCodec` reads it.
+        """
+        value = self.get(("posterior", model_version, row_key))
         if value is None or not isinstance(value, dict):
             return None
         return value
 
-    def put_posteriors(self, model_version: str,
-                       evidence: Mapping[str, str],
+    def put_posteriors(self, model_version: str, row_key: tuple,
                        posteriors: Mapping[str, Mapping[str, float]]) -> None:
         """Durably commit one posterior set (floats round-trip bit-exact)."""
-        self.put(("posterior", model_version,
-                  self.evidence_signature(evidence)),
+        self.put(("posterior", model_version, row_key),
                  {variable: {state: float(p)
                              for state, p in distribution.items()}
                   for variable, distribution in posteriors.items()})

@@ -7,12 +7,7 @@ circuit breaking), its :class:`ServiceConfig`, and the
 """
 
 from repro.serving.breaker import CircuitBreaker
-from repro.serving.service import (
-    DiagnosisService,
-    ServiceConfig,
-    ServiceFuture,
-    adapt_chunk_size,
-)
+from repro.serving.service import DiagnosisService, ServiceConfig, ServiceFuture
 from repro.serving.stats import LatencyWindow, ServiceStats
 from repro.serving.worker import WorkerPayload, worker_main
 
@@ -24,6 +19,5 @@ __all__ = [
     "ServiceFuture",
     "ServiceStats",
     "WorkerPayload",
-    "adapt_chunk_size",
     "worker_main",
 ]

@@ -85,28 +85,6 @@ def _default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def adapt_chunk_size(current: int, per_case_p99: float | None,
-                     budget: float | None, minimum: int,
-                     maximum: int) -> int:
-    """One adaptive-chunking step: the next dispatch chunk size.
-
-    Sizes towards half the chunk latency ``budget`` at the observed
-    per-case p99 — half, so a p99-ish chunk still clears the budget with
-    room for dispatch jitter.  Each step at most halves or doubles the
-    current size (no oscillation on a noisy window) and the result is
-    clamped to ``[minimum, maximum]``.  With no samples or no budget the
-    size is only re-clamped.
-
-    Pure function of its inputs, so the policy is testable without a
-    service: feeding a latency spike shrinks the next chunk, a fast quiet
-    window grows it back.
-    """
-    if per_case_p99 is not None and per_case_p99 > 0 and budget is not None:
-        ideal = max(int(budget * 0.5 / per_case_p99), 1)
-        current = max(max(current // 2, 1), min(ideal, current * 2))
-    return max(minimum, min(current, maximum))
-
-
 @dataclasses.dataclass(frozen=True)
 class ServiceConfig:
     """Tuning knobs of the diagnosis service.
@@ -154,20 +132,6 @@ class ServiceConfig:
     chaos:
         Testing-only: a :class:`~repro.testing.chaos.WorkerChaos` applied
         to every worker, or a mapping ``{worker_index: WorkerChaos}``.
-    adaptive_chunking:
-        When true, the dispatch chunk size tracks observed per-case
-        latency: chunks shrink when the per-case p99 puts a chunk near its
-        latency budget (so hang reaping and deadline expiry fire on less
-        work) and grow back when cases run fast (amortising IPC).
-        ``chunk_size`` is the starting point; each adjustment at most
-        halves or doubles, clamped to ``[min_chunk_size, max_chunk_size]``.
-    min_chunk_size / max_chunk_size:
-        Clamp bounds of adaptive chunking.
-    chunk_latency_target:
-        Wall-clock seconds a chunk should aim to stay under.  ``None``
-        derives a quarter of ``chunk_timeout`` (a chunk then has 4x
-        headroom before hang reaping) and disables adaptation when
-        ``chunk_timeout`` is also ``None``.
     """
 
     num_workers: int | None = None
@@ -185,10 +149,6 @@ class ServiceConfig:
     probe_timeout: float = 10.0
     start_method: str | None = None
     chaos: object | None = None
-    adaptive_chunking: bool = False
-    min_chunk_size: int = 1
-    max_chunk_size: int = 256
-    chunk_latency_target: float | None = None
 
     def __post_init__(self) -> None:
         if self.num_workers is not None and self.num_workers < 1:
@@ -219,33 +179,6 @@ class ServiceConfig:
             raise ServingError(
                 "max_respawns_per_worker must be >= 0, got "
                 f"{self.max_respawns_per_worker}")
-        if self.min_chunk_size < 1:
-            raise ServingError(
-                f"min_chunk_size must be >= 1, got {self.min_chunk_size}")
-        if self.max_chunk_size < self.min_chunk_size:
-            raise ServingError(
-                f"max_chunk_size ({self.max_chunk_size}) must be >= "
-                f"min_chunk_size ({self.min_chunk_size})")
-        if not (self.min_chunk_size <= self.chunk_size
-                <= self.max_chunk_size) and self.adaptive_chunking:
-            raise ServingError(
-                f"chunk_size ({self.chunk_size}) must lie within "
-                f"[min_chunk_size, max_chunk_size] = "
-                f"[{self.min_chunk_size}, {self.max_chunk_size}] under "
-                f"adaptive chunking")
-        if self.chunk_latency_target is not None \
-                and self.chunk_latency_target <= 0:
-            raise ServingError(
-                "chunk_latency_target must be positive, got "
-                f"{self.chunk_latency_target}")
-
-    def resolved_latency_target(self) -> float | None:
-        """The chunk wall-clock budget adaptation steers towards."""
-        if self.chunk_latency_target is not None:
-            return self.chunk_latency_target
-        if self.chunk_timeout is not None:
-            return self.chunk_timeout / 4.0
-        return None
 
     def resolved_workers(self) -> int:
         return self.num_workers or _default_workers()
@@ -420,8 +353,6 @@ class DiagnosisService:
         self._respawns = 0
         self._probes = 0
         self._latency = LatencyWindow()
-        self._case_latency = LatencyWindow(512)
-        self._chunk_size = self.config.chunk_size
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_quarantined = 0
@@ -517,7 +448,8 @@ class DiagnosisService:
                 return request.future
             if deadline_end is not None:
                 self._deadline_requests += 1
-            for piece in chunk_slices(len(normalized), self._chunk_size):
+            for piece in chunk_slices(len(normalized),
+                                      self.config.chunk_size):
                 pairs = [(slot, normalized[slot])
                          for slot in range(piece.start, piece.stop)]
                 self._queue.append(_Chunk(next(self._chunk_ids), request,
@@ -607,8 +539,7 @@ class DiagnosisService:
                 cache_hits=self._cache_hits,
                 cache_misses=self._cache_misses,
                 cache_quarantined=self._cache_quarantined,
-                model_reloads=self._model_reloads,
-                chunk_size=self._chunk_size)
+                model_reloads=self._model_reloads)
 
     def publish_model(self, built_model: BuiltModel, *,
                       validate: bool = True) -> int:
@@ -776,19 +707,12 @@ class DiagnosisService:
         worker.state = "idle"
         worker.breaker.record_success()
         self._latency.record(elapsed)
-        if chunk.pairs:
-            self._case_latency.record(elapsed / len(chunk.pairs))
         if deltas:
             self._cache_hits += int(deltas.get("cache_hits", 0))
             self._cache_misses += int(deltas.get("cache_misses", 0))
             self._cache_quarantined += int(
                 deltas.get("cache_quarantined", 0))
             self._model_reloads += int(deltas.get("model_reloads", 0))
-        if self.config.adaptive_chunking:
-            self._chunk_size = adapt_chunk_size(
-                self._chunk_size, self._case_latency.percentile(99.0),
-                self.config.resolved_latency_target(),
-                self.config.min_chunk_size, self.config.max_chunk_size)
         self._in_flight_cases -= len(chunk.pairs)
         for slot, result in results:
             self._write_slot(chunk.request, slot, result)

@@ -88,10 +88,6 @@ class ServiceStats:
         served.
     model_reloads:
         Hot model swaps workers performed after a registry publish.
-    chunk_size:
-        The service's current dispatch chunk size (moves between
-        ``min_chunk_size`` and ``max_chunk_size`` under adaptive
-        chunking; otherwise the configured constant).
     """
 
     workers: int
@@ -113,7 +109,6 @@ class ServiceStats:
     cache_misses: int = 0
     cache_quarantined: int = 0
     model_reloads: int = 0
-    chunk_size: int = 0
 
     def to_dict(self) -> dict:
         """Return a JSON-safe dict of the snapshot."""

@@ -21,7 +21,13 @@ from repro.bayesnet import (
     LikelihoodWeighting,
     VariableElimination,
 )
+from repro.bayesnet.codec import EvidenceCodec
+from repro.bayesnet.inference._evidence_cache import (
+    DEFAULT_CACHE_SIZE,
+    EvidenceCache,
+)
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
+from repro.exceptions import InferenceError
 
 ATOL = 1e-10
 
@@ -51,6 +57,32 @@ def random_evidence_sets(network, count, seed):
         size = int(rng.integers(1, min(8, len(nodes))))
         chosen = rng.choice(len(nodes), size=size, replace=False)
         yield {nodes[i]: sample[nodes[i]] for i in chosen}
+
+
+def distinct_rows(network, count, seed=5):
+    """``count`` consistent evidence sets whose row keys are all distinct."""
+    codec = EvidenceCodec.of(network)
+    rows = {}
+    for evidence in random_evidence_sets(network, 4 * count, seed):
+        rows.setdefault(codec.key(evidence, InferenceError), evidence)
+        if len(rows) == count:
+            return list(rows.values())
+    raise AssertionError(f"fewer than {count} distinct evidence rows")
+
+
+#: The exact engines and the counter each bumps once per sweep.
+EXACT_ENGINES = {VariableElimination: "sweep_count",
+                 JunctionTree: "calibration_count"}
+
+
+def sweeps(engine):
+    return getattr(engine, EXACT_ENGINES[type(engine)])
+
+
+def free_posteriors(engine, evidence):
+    """Every non-evidence marginal: one cached sweep per evidence row."""
+    return engine.posteriors([node for node in engine.network.nodes
+                              if node not in evidence], evidence)
 
 
 class TestCrossEngineEquivalence:
@@ -187,6 +219,119 @@ class TestCacheInvalidation:
         sprinkler_network.add_cpd(TabularCPD("cloudy", 2, [[0.01], [0.99]]))
         states = sampler.sample_states(2000)
         assert states["cloudy"].mean() > 0.9
+
+
+class TestEvidenceCachePrimitive:
+    def test_lru_eviction_order(self, sprinkler_network):
+        cache = EvidenceCache(sprinkler_network, max_entries=2)
+        cache.put(("a",), 1)
+        cache.put(("b",), 2)
+        assert cache.get(("a",)) == 1     # touch "a": "b" is now oldest
+        cache.put(("c",), 3)
+        assert cache.get(("b",)) is None
+        assert cache.get(("a",)) == 1
+        assert cache.get(("c",)) == 3
+
+    def test_each_exact_engine_holds_one_lru_of_fixed_capacity(
+            self, sprinkler_network):
+        for engine in (VariableElimination(sprinkler_network),
+                       JunctionTree(sprinkler_network)):
+            caches = [value for value in vars(engine).values()
+                      if isinstance(value, EvidenceCache)]
+            assert [cache._max_entries for cache in caches] == \
+                [DEFAULT_CACHE_SIZE]
+
+
+class TestEngineCapacity:
+    @pytest.mark.parametrize("engine_class", list(EXACT_ENGINES))
+    def test_capacity_bounds_the_lru(self, regulator_built_model,
+                                     engine_class):
+        network = regulator_built_model.network
+        engine = engine_class(network)
+        rows = distinct_rows(network, DEFAULT_CACHE_SIZE + 2)
+        for evidence in rows:
+            free_posteriors(engine, evidence)
+        assert sweeps(engine) == len(rows)
+        (cache,) = [value for value in vars(engine).values()
+                    if isinstance(value, EvidenceCache)]
+        assert len(cache._entries) == DEFAULT_CACHE_SIZE
+        # The newest row is still cached; the oldest was evicted.
+        free_posteriors(engine, rows[-1])
+        assert sweeps(engine) == len(rows)
+        free_posteriors(engine, rows[0])
+        assert sweeps(engine) == len(rows) + 1
+
+    @pytest.mark.parametrize("engine_class", list(EXACT_ENGINES))
+    def test_recently_read_row_outlives_older_rows(self, regulator_built_model,
+                                                   engine_class):
+        network = regulator_built_model.network
+        engine = engine_class(network)
+        rows = distinct_rows(network, DEFAULT_CACHE_SIZE + 1)
+        for evidence in rows[:-1]:
+            free_posteriors(engine, evidence)
+        free_posteriors(engine, rows[0])    # a hit: rows[1] is now the oldest
+        free_posteriors(engine, rows[-1])   # one row over capacity
+        count = sweeps(engine)
+        assert count == len(rows)
+        free_posteriors(engine, rows[0])
+        assert sweeps(engine) == count
+        free_posteriors(engine, rows[1])
+        assert sweeps(engine) == count + 1
+
+    @pytest.mark.parametrize("engine_class", list(EXACT_ENGINES))
+    def test_cached_answers_match_uncached(self, regulator_built_model,
+                                           engine_class):
+        network = regulator_built_model.network
+        internal = regulator_built_model.description.internal_variables
+        engine = engine_class(network)
+        for case in PAPER_DIAGNOSTIC_CASES:
+            evidence = case.evidence()
+            cold = engine.posteriors(internal, evidence)
+            # Callers own their answers: mutating one leaves the cache intact.
+            cold[internal[0]].clear()
+            warm = engine.posteriors(internal, evidence)
+            assert warm == engine_class(network).posteriors(internal, evidence)
+        assert sweeps(engine) == len(PAPER_DIAGNOSTIC_CASES)
+
+
+class TestProbabilityOfEvidence:
+    def test_ve_reads_a_cached_sweep(self, regulator_built_model):
+        network = regulator_built_model.network
+        internal = regulator_built_model.description.internal_variables
+        evidence = PAPER_DIAGNOSTIC_CASES[0].evidence()
+        engine = VariableElimination(network)
+        engine.posteriors(internal, evidence)
+        probability = engine.probability_of_evidence(evidence)
+        assert engine.sweep_count == 1
+        assert probability == pytest.approx(
+            VariableElimination(network).probability_of_evidence(evidence),
+            rel=1e-12)
+
+    def test_ve_cold_probability_is_one_uncached_forward_pass(
+            self, regulator_built_model):
+        network = regulator_built_model.network
+        internal = regulator_built_model.description.internal_variables
+        evidence = PAPER_DIAGNOSTIC_CASES[0].evidence()
+        engine = VariableElimination(network)
+        first = engine.probability_of_evidence(evidence)
+        assert engine.probability_of_evidence(evidence) == first
+        # No cache layer of its own: each call is one forward pass, and
+        # none fills the evidence cache.
+        assert engine.sweep_count == 2
+        assert not engine._marginal_cache._entries
+        engine.posteriors(internal, evidence)
+        assert engine.sweep_count == 3
+
+    def test_jt_probability_shares_the_calibration_cache(
+            self, regulator_built_model):
+        network = regulator_built_model.network
+        internal = regulator_built_model.description.internal_variables
+        evidence = PAPER_DIAGNOSTIC_CASES[0].evidence()
+        tree = JunctionTree(network)
+        probability = tree.probability_of_evidence(evidence)
+        tree.posteriors(internal, evidence)
+        assert tree.probability_of_evidence(evidence) == probability
+        assert tree.calibration_count == 1
 
 
 class TestVectorizedSamplerDeterminism:

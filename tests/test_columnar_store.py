@@ -10,6 +10,8 @@ devices whose case rows never observe a failure.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,29 @@ from repro.ate import (
 from repro.bayesnet import BayesianEstimator, CaseMatrix, MaximumLikelihoodEstimator
 from repro.core import CaseGenerator, Dlog2BBN
 from repro.exceptions import DatalogError
+
+#: Record defects that both datalog readers find with their one field
+#: splitter and one COND parser: the edit to a record line and the message
+#: each reader gives for it.
+FIELD_DEFECTS = [
+    pytest.param(r"\|RESULT=[^|]*", "", "missing fields ['RESULT']",
+                 id="missing-field"),
+    pytest.param(r"\|UNITS=", "|UNITS", "malformed datalog field 'UNITSV'",
+                 id="field-without-equals"),
+]
+RECORD_DEFECTS = [
+    *FIELD_DEFECTS,
+    pytest.param(r"\|LO=[^|]*", "|LO=low", "cannot parse numeric field",
+                 id="non-numeric-bound"),
+    pytest.param(r"\|COND=.*", "|COND=vp1:abc",
+                 "malformed condition 'vp1:abc'", id="non-numeric-condition"),
+    pytest.param(r"\|COND=.*", "|COND=vp1", "malformed condition 'vp1'",
+                 id="condition-without-colon"),
+    pytest.param(r"\|COND=.*", "|COND=:1.5", "malformed condition ':1.5'",
+                 id="condition-without-block"),
+    pytest.param(r"\|COND=.*", "|COND=vp1:", "malformed condition 'vp1:'",
+                 id="condition-without-value"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -331,3 +356,40 @@ class TestDatalogErrors:
         with pytest.raises(DatalogError) as excinfo:
             read_columnar(path)
         assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize("reader", [read_columnar, parse_datalog])
+    @pytest.mark.parametrize("pattern, replacement, message", RECORD_DEFECTS)
+    def test_program_row_defect_reads_alike(self, regulator_population,
+                                            tmp_path, pattern, replacement,
+                                            message, reader):
+        path = write_datalog(regulator_population.to_datalogs()[:3],
+                             tmp_path / "broken.dlog")
+        lines = path.read_text(encoding="ascii").splitlines()
+        lines[1], edits = re.subn(pattern, replacement, lines[1])
+        assert edits == 1
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with pytest.raises(DatalogError) as excinfo:
+            reader(path)
+        assert excinfo.value.line_number == 2
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("reader", [read_columnar, parse_datalog])
+    @pytest.mark.parametrize("pattern, replacement, message", FIELD_DEFECTS)
+    def test_later_device_field_defect_reads_alike(self, regulator_population,
+                                                   tmp_path, pattern,
+                                                   replacement, message,
+                                                   reader):
+        path = write_datalog(regulator_population.to_datalogs()[:3],
+                             tmp_path / "broken.dlog")
+        lines = path.read_text(encoding="ascii").splitlines()
+        first_device = lines[1].partition("|")[0]
+        index = next(index for index, line in enumerate(lines)
+                     if line.startswith("DEVICE=")
+                     and not line.startswith(first_device + "|"))
+        lines[index], edits = re.subn(pattern, replacement, lines[index])
+        assert edits == 1
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with pytest.raises(DatalogError) as excinfo:
+            reader(path)
+        assert excinfo.value.line_number == index + 1
+        assert message in str(excinfo.value)

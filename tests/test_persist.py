@@ -74,15 +74,14 @@ class TestCacheRoundTrip:
     def test_posteriors_round_trip_bit_exact(self, cache):
         posteriors = {"amp1": {"ok": 1.0 - 2**-37, "fail": 2**-37},
                       "out": {"low": 1 / 3, "high": 2 / 3}}
-        cache.put_posteriors("fp", {"t_out": "fail", "t_in": "pass"},
-                             posteriors)
-        loaded = cache.get_posteriors("fp", {"t_in": "pass", "t_out": "fail"})
-        # Key order in the evidence mapping must not matter, values must.
-        assert loaded == posteriors
+        row = (("t_in", 0), ("t_out", 1))
+        cache.put_posteriors("fp", row, posteriors)
+        assert cache.get_posteriors("fp", row) == posteriors
+        assert cache.get_posteriors("fp", (("t_in", 0), ("t_out", 0))) is None
 
     def test_wrong_model_version_misses(self, cache):
-        cache.put_posteriors("fp-a", {"t": "fail"}, {"x": {"ok": 1.0}})
-        assert cache.get_posteriors("fp-b", {"t": "fail"}) is None
+        cache.put_posteriors("fp-a", (("t", 1),), {"x": {"ok": 1.0}})
+        assert cache.get_posteriors("fp-b", (("t", 1),)) is None
 
     def test_survives_reopen(self, tmp_path):
         with PosteriorCache(tmp_path / "c") as first:

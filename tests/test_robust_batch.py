@@ -24,7 +24,7 @@ from repro.core import (
 )
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import DegradedResultWarning, EvidenceError
-from repro.persist import PosteriorCache
+from repro.persist import PosteriorCache, model_fingerprint
 from repro.serving import DiagnosisService, ServiceConfig
 from repro.serving.worker import _run_chunk
 from repro.testing import FaultInjector
@@ -271,6 +271,42 @@ def test_duplicate_slots_share_one_durable_entry(built_model, tmp_path):
         assert result.suspects == twin.suspects
         assert all(result.posteriors[variable] is not distribution
                    for variable, distribution in twin.posteriors.items())
+
+
+def test_durable_records_are_keyed_by_the_codec_row_key(built_model,
+                                                        tmp_path):
+    """A cold batch stores each posterior set under the model fingerprint
+    and the evidence's codec row key, the key of the in-memory caches."""
+    cases = list(PAPER_DIAGNOSTIC_CASES)
+    with PosteriorCache(tmp_path / "cache") as cache:
+        engine = RobustDiagnosisEngine(built_model, policy(),
+                                       posterior_cache=cache)
+        engine.diagnose_batch(cases)
+        keys = set(cache.keys())
+    fingerprint = model_fingerprint(built_model.network)
+    codec = built_model.description.evidence_codec
+    assert keys == {("posterior", fingerprint,
+                     codec.key(case.evidence(), EvidenceError))
+                    for case in cases}
+
+
+def test_durable_hit_ignores_evidence_key_order(built_model, tmp_path):
+    """The row key sorts the evidence, so an engine that never saw a case
+    reads the record another engine stored for it in another key order."""
+    evidence = PAPER_DIAGNOSTIC_CASES[0].evidence()
+    reordered = dict(reversed(evidence.items()))
+    assert list(reordered) != list(evidence)
+    with PosteriorCache(tmp_path / "cache") as cache:
+        writer = RobustDiagnosisEngine(built_model, policy(),
+                                       posterior_cache=cache)
+        (cold,) = writer.diagnose_batch([evidence])
+        reader = RobustDiagnosisEngine(built_model, policy(),
+                                       posterior_cache=cache)
+        (warm,) = reader.diagnose_batch([reordered])
+    assert cold.provenance.engine == "ve"
+    assert warm.provenance.engine == "cache"
+    assert (reader.cache_hits, reader.cache_misses) == (1, 0)
+    assert warm.posteriors == cold.posteriors
 
 
 def test_duplicate_of_an_unstored_slot_is_its_own_miss(built_model,

@@ -30,7 +30,6 @@ from repro.serving import (
     LatencyWindow,
     ServiceConfig,
     ServiceStats,
-    adapt_chunk_size,
 )
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.testing import WorkerChaos
@@ -369,77 +368,3 @@ class TestChunkSlices:
             chunk_slices(-1, 4)
         with pytest.raises(DiagnosisError):
             chunk_slices(4, 0)
-
-
-# ---------------------------------------------------------------------------
-# Adaptive chunk sizing
-# ---------------------------------------------------------------------------
-
-class TestAdaptChunkSize:
-    def test_no_signal_leaves_the_size_alone(self):
-        assert adapt_chunk_size(8, None, 1.0, 1, 256) == 8
-        assert adapt_chunk_size(8, 0.0, 1.0, 1, 256) == 8
-        assert adapt_chunk_size(8, 0.01, None, 1, 256) == 8
-
-    def test_slow_cases_shrink_by_at_most_half(self):
-        # p99 of 1s against a 0.1s budget wants chunk size 1; the halving
-        # floor steps it down gradually instead.
-        assert adapt_chunk_size(8, 1.0, 0.1, 1, 256) == 4
-        assert adapt_chunk_size(4, 1.0, 0.1, 1, 256) == 2
-
-    def test_fast_cases_grow_by_at_most_double(self):
-        assert adapt_chunk_size(8, 0.0001, 1.0, 1, 256) == 16
-        assert adapt_chunk_size(16, 0.0001, 1.0, 1, 256) == 32
-
-    def test_in_range_ideal_is_taken_directly(self):
-        # ideal = 0.5 * 1.0 / 0.05 = 10, already within [4, 16].
-        assert adapt_chunk_size(8, 0.05, 1.0, 1, 256) == 10
-
-    def test_bounds_always_win(self):
-        assert adapt_chunk_size(2, 1.0, 0.01, 4, 256) == 4
-        assert adapt_chunk_size(200, 0.0001, 1.0, 1, 256) == 256
-
-    def test_config_validation(self):
-        with pytest.raises(ServingError):
-            ServiceConfig(min_chunk_size=0)
-        with pytest.raises(ServingError):
-            ServiceConfig(min_chunk_size=8, max_chunk_size=4)
-        with pytest.raises(ServingError):
-            ServiceConfig(adaptive_chunking=True, chunk_size=300,
-                          max_chunk_size=256)
-        with pytest.raises(ServingError):
-            ServiceConfig(chunk_latency_target=0.0)
-
-    def test_resolved_latency_target_derives_from_chunk_timeout(self):
-        assert ServiceConfig(chunk_latency_target=0.25) \
-            .resolved_latency_target() == 0.25
-        assert ServiceConfig(chunk_timeout=8.0).resolved_latency_target() \
-            == 2.0
-        assert ServiceConfig(chunk_timeout=None) \
-            .resolved_latency_target() is None
-
-
-class TestAdaptiveService:
-    def test_chunk_size_grows_under_a_loose_budget(self, built_model, cases):
-        with make_service(built_model, num_workers=1, chunk_size=2,
-                          adaptive_chunking=True, min_chunk_size=1,
-                          max_chunk_size=16,
-                          chunk_latency_target=30.0) as service:
-            service.diagnose_batch(cases * 4, timeout=120)
-            stats = service.stats()
-        assert stats.chunk_size > 2
-
-    def test_chunk_size_shrinks_under_a_tight_budget(self, built_model,
-                                                     cases):
-        with make_service(built_model, num_workers=1, chunk_size=8,
-                          adaptive_chunking=True, min_chunk_size=1,
-                          max_chunk_size=16,
-                          chunk_latency_target=1e-6) as service:
-            service.diagnose_batch(cases * 4, timeout=120)
-            stats = service.stats()
-        assert stats.chunk_size == 1
-
-    def test_static_by_default(self, built_model, cases):
-        with make_service(built_model, chunk_size=2) as service:
-            service.diagnose_batch(cases, timeout=120)
-            assert service.stats().chunk_size == 2
