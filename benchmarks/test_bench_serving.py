@@ -4,8 +4,9 @@ The worker-pool service exists to push customer-return populations through
 ``diagnose_batch`` faster than one process can, without giving back its
 robustness guarantees on the healthy path.  This benchmark measures
 devices/second at 1, 2 and (when the machine has them) N workers against
-the bare single-process engine on the same distinct-evidence workload, and
-asserts the two service promises:
+the bare single-process engine on the same 200 cases, one per failing
+device and condition (their evidence rows repeat; the count of distinct
+rows is printed), and asserts the two service promises:
 
 * healthy-path overhead: a 1-worker service stays within 10% of the bare
   engine (plus absolute slack for IPC/scheduler jitter), and
@@ -54,7 +55,7 @@ def _available_cpus() -> int:
 
 
 def _workload(regulator_circuit, failed_population):
-    """Distinct-evidence cases: one per device/condition, capped."""
+    """The first ``WORKLOAD`` cases, one per failing device/condition."""
     builder = Dlog2BBN(regulator_circuit.model,
                        regulator_circuit.healthy_states)
     labeled = builder.case_generator().cases_from_results(
@@ -145,9 +146,10 @@ def test_bench_serving_throughput(benchmark, request, built_model,
         floors[cpus] = _service_floor(built_model, cpus, evidence, names)
 
     n = len(evidence)
+    distinct = len({tuple(sorted(row.items())) for row in evidence})
     print()
-    print(f"Diagnosis-service throughput ({n} distinct cases, "
-          f"{cpus} CPU(s) available):")
+    print(f"Diagnosis-service throughput ({n} cases, {distinct} distinct "
+          f"evidence rows, {cpus} CPU(s) available):")
     print(f"  bare DiagnosisEngine   min of {ROUNDS}: {bare_floor:.3f}s "
           f"({n / bare_floor:7.1f} devices/s)")
     for workers, floor in sorted(floors.items()):

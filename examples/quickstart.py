@@ -8,8 +8,7 @@ the production path: the batched population pipeline (thousands of devices
 simulated, tested and converted to learning cases per second), the robust
 engine on noisy records, the supervised worker-pool service that shards a
 population across processes with crash isolation, deadlines and
-backpressure, and the durable cross-process state: a crash-safe shared
-posterior cache and a versioned model registry that hot-swaps re-trained
+backpressure, and the versioned model registry that hot-swaps re-trained
 models into running workers.
 
 Run with::
@@ -196,41 +195,26 @@ def main() -> None:
     print(f"  paper-case suspects after the scaled fit: {agreeing}/"
           f"{len(scaled)} match the 70-device model.")
 
-    # 10. Durable caching & hot reload.  `persist_dir` gives the service a
-    #     crash-safe on-disk state shared by every worker: exact posteriors
-    #     land in an append-only, CRC-checksummed `PosteriorCache` keyed by
-    #     the model's content fingerprint, so a restarted service answers
-    #     repeated evidence from disk, bit-identically, without
-    #     recomputing.  The same directory holds a versioned
+    # 10. Hot reload.  `persist_dir` is the home of a versioned
     #     `ModelRegistry`: `publish_model` validates a re-trained model
     #     (structure, CPT sums, and the prior marginals of variable
     #     elimination against the junction tree), commits it atomically,
     #     and every running worker hot-swaps to it between chunks — no
     #     restart, and a bad candidate is rejected before anything is
-    #     renamed.
+    #     renamed.  A service started later on the same directory serves
+    #     the registry's model.
     print()
     config = ServiceConfig(num_workers=2, chunk_size=2)
     with tempfile.TemporaryDirectory() as state:
         with DiagnosisService(built, FallbackPolicy(), config,
                               persist_dir=state,
                               reload_poll_interval=0.0) as service:
-            start = time.perf_counter()
             service.diagnose_batch(PAPER_DIAGNOSTIC_CASES, timeout=120)
-            cold_s = time.perf_counter() - start
             version = service.publish_model(tuned)   # hot-swap, validated
             service.diagnose_batch(PAPER_DIAGNOSTIC_CASES, timeout=120)
             reloads = service.stats().model_reloads
-        with DiagnosisService(built, FallbackPolicy(), config,
-                              persist_dir=state) as service:   # restarted
-            start = time.perf_counter()
-            service.diagnose_batch(PAPER_DIAGNOSTIC_CASES, timeout=120)
-            warm_s = time.perf_counter() - start
-            stats = service.stats()
-        hit_rate = stats.cache_hits / (stats.cache_hits + stats.cache_misses)
-        print(f"Durable state: published model v{version} hot-swapped into "
-              f"{reloads} worker(s); after a restart the cache answered "
-              f"{hit_rate:.0%} of lookups ({warm_s * 1e3:.0f} ms warm vs "
-              f"{cold_s * 1e3:.0f} ms cold).")
+    print(f"Model registry: published model v{version} hot-swapped into "
+          f"{reloads} worker(s) between chunks, without a restart.")
 
 
 if __name__ == "__main__":

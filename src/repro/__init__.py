@@ -86,7 +86,7 @@ from repro.core import (
     StateTable,
 )
 from repro.bayesnet import BayesianNetwork, TabularCPD
-from repro.persist import ModelRegistry, PosteriorCache, model_fingerprint
+from repro.persist import ModelRegistry, model_fingerprint
 from repro.serving import DiagnosisService, ServiceConfig, ServiceStats
 
 __version__ = "1.1.0"
@@ -112,7 +112,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "ModelRegistry",
-    "PosteriorCache",
     "model_fingerprint",
     "__version__",
 ]

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ate.datalog import DatalogRecord, DeviceDatalog
+from repro.ate.datalog import DeviceDatalog
 from repro.ate.tester import DeviceResult, Measurement
 from repro.circuits.faults import BlockFault, FaultMode
 from repro.exceptions import ATEError, StoreCorruptionError

@@ -23,8 +23,7 @@ Anything else is an unknown state.  Every bad entry becomes one
 case's two sections give different states — and each layer raises its own
 error type from them.  The codec also yields the row key of checked
 evidence, sorted ``(variable, code)`` pairs: the one identity of a row of
-evidence, which keys the engines' evidence caches and the durable
-posterior cache alike.
+evidence, which keys the engines' evidence caches.
 """
 
 from __future__ import annotations

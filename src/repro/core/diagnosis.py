@@ -451,12 +451,15 @@ class DiagnosisEngine:
                                for label in labels}
                        for state in labels}
             for variable, labels in self.model.state_names().items()}
-        internal = set(self.model.internal_variables)
+        # Model order of the internal variables, the tie-break of suspects.
+        self._internal_order = {
+            variable: index
+            for index, variable in enumerate(self.model.internal_variables)}
         self._internal_parents = {
             variable: tuple(parent
                             for parent in self.model.parents_of(variable)
-                            if parent in internal)
-            for variable in internal}
+                            if parent in self._internal_order)
+            for variable in self._internal_order}
 
     # --------------------------------------------------------------- posteriors
     def initial_probabilities(self) -> dict[str, dict[str, float]]:
@@ -570,7 +573,11 @@ class DiagnosisEngine:
             # Nothing crossed the thresholds: fall back to the single most
             # suspicious internal block so the diagnosis is never empty.
             suspects = {max(fail, key=fail.get)}
-        return sorted(suspects, key=lambda variable: fail[variable], reverse=True)
+        # Equal fail probabilities keep model order, not the set's
+        # string-hash order.
+        order = self._internal_order
+        return sorted(suspects, key=lambda variable: (-fail[variable],
+                                                      order[variable]))
 
     def rank_by_fail_probability(self, posteriors: Mapping[str, Mapping[str, float]]
                                  ) -> list[tuple[str, float]]:
@@ -696,10 +703,7 @@ class DiagnosisEngine:
             except Exception as error:
                 results[index] = _slot_failure(name, item, error, on_error)
                 continue
-            if isinstance(admission, Diagnosis):
-                results[index] = admission  # answered at admission
-            else:
-                admitted.append((index, item, name, admission))
+            admitted.append((index, item, name, admission))
         started = time.perf_counter()
         swept = budget is None or budget.left() > 0
         answers = [None] * len(admitted)

@@ -16,9 +16,7 @@ case is a batch of one), admit -> sweep -> settle, with three additions:
    or repair-and-continue :func:`~repro.core.evidence.sanitize_evidence`,
    per :class:`FallbackPolicy.on_invalid_evidence`: one pass of the model's
    :class:`~repro.bayesnet.codec.EvidenceCodec` over the case as it
-   arrives, naming every bad entry once.  With a durable cache, each
-   distinct evidence is looked up once per batch (later copies are hits of
-   that entry), keyed by the codec's row key of the checked evidence.
+   arrives, naming every bad entry once.
 2. **Fallback chain** — the remaining slots share ONE sweep of the primary
    engine.  A slot that sweep could not answer walks ``policy.chain``
    (default ``ve -> lw -> gibbs``) with the sweep counted as its first
@@ -51,7 +49,6 @@ from __future__ import annotations
 import dataclasses
 import time
 import warnings
-from collections.abc import Mapping
 
 from repro.core.diagnosis import (
     AttemptRecord,
@@ -69,7 +66,6 @@ from repro.exceptions import (
     DiagnosisError,
     EvidenceError,
     ImpossibleEvidenceError,
-    ReproError,
 )
 
 #: Failure classes no retry or engine change can repair: the input itself is
@@ -170,26 +166,13 @@ class RobustDiagnosisEngine(DiagnosisEngine):
     def __init__(self, built_model: BuiltModel,
                  policy: FallbackPolicy | None = None,
                  abnormal_threshold: float = 0.5,
-                 ambiguous_threshold: float = 0.4, *,
-                 posterior_cache=None) -> None:
+                 ambiguous_threshold: float = 0.4) -> None:
         self.policy = policy or FallbackPolicy()
         super().__init__(built_model, inference=self.policy.chain[0],
                          abnormal_threshold=abnormal_threshold,
                          ambiguous_threshold=ambiguous_threshold,
                          num_samples=self.policy.num_samples,
                          seed=self.policy.seed)
-        # Optional durable shared cache (`repro.persist.PosteriorCache`):
-        # exact posteriors are served from / written to it keyed by the
-        # model's content fingerprint + the checked evidence's row key.
-        self.posterior_cache = posterior_cache
-        self._fingerprints = None
-        self.cache_hits = 0
-        self.cache_misses = 0
-        # While a batch runs with a durable cache: the codec row key of the
-        # evidence -> the posteriors an earlier slot found in or stored to
-        # the cache (None while that slot waits for the sweep), so the batch
-        # looks up and stores each distinct evidence once.
-        self._batch_posteriors: dict[tuple, dict | None] | None = None
         # The primary engine is the one the superclass already built; the
         # fallback engines are constructed lazily on first degradation so a
         # healthy serving path never pays for them.
@@ -210,14 +193,11 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         return engine
 
     def _admit(self, name: str, case):
-        """Evidence boundary plus durable-cache lookup for one slot.
+        """Evidence boundary for one slot: ``(evidence, (issues, notes))``.
 
-        Returns the cached :class:`Diagnosis` on a hit, else
-        ``(evidence, (issues, notes, pending))`` for inference, where
-        ``pending`` is the row key when an earlier slot of the same batch
-        missed on the same evidence (``None`` otherwise).
+        Strict validation or repair-and-continue sanitising, per
+        ``policy.on_invalid_evidence``; the notes record what was repaired.
         """
-        start = time.perf_counter()
         if self.policy.on_invalid_evidence == "raise":
             evidence, issues = validate_evidence(self.model, case), ()
         else:
@@ -228,21 +208,7 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             notes.append(
                 f"evidence sanitised: {len(issues)} issue(s), "
                 f"{len(dropped)} entry(ies) dropped")
-        if self.posterior_cache is None:
-            return evidence, (issues, notes, None)
-        seen = self._batch_posteriors
-        key = self.model.evidence_codec.key(evidence, EvidenceError)
-        if key in seen:
-            if seen[key] is None:
-                return evidence, (issues, notes, key)
-            return self._accept_batch_hit(name, evidence, seen[key], issues,
-                                          notes, start)
-        cached = seen[key] = self._cached_posteriors(key)
-        if cached is not None:
-            attempt = AttemptRecord("cache", "ok", time.perf_counter() - start)
-            return self._accept_cached(name, evidence, cached, (attempt,),
-                                       issues, notes, start)
-        return evidence, (issues, notes, None)
+        return evidence, (issues, notes)
 
     def _run_chain(self, name: str, evidence: dict[str, str],
                    issues: tuple, notes: list[str], start: float,
@@ -310,22 +276,16 @@ class RobustDiagnosisEngine(DiagnosisEngine):
 
     # ------------------------------------------------------------ batch sweep
     def _diagnose_batch_swept(self, cases, names, on_error, budget):
-        """The pipeline, with durable-cache bookkeeping and wall-time shares.
+        """The pipeline, with each slot's wall time its equal share.
 
-        Per slot: evidence boundary and durable-cache lookup
-        (:meth:`_admit`).  The remaining slots share one sweep of the
-        primary engine; a slot the sweep could not answer walks the
-        fallback chain with the sweep as its first primary attempt.  Each
-        slot's wall time is its equal share of the batch time.
+        Per slot: the evidence boundary (:meth:`_admit`).  The admitted
+        slots share one sweep of the primary engine; a slot the sweep could
+        not answer walks the fallback chain with the sweep as its first
+        primary attempt.
         """
         started = time.perf_counter()
-        if self.posterior_cache is not None:
-            self._batch_posteriors = {}
-        try:
-            results = super()._diagnose_batch_swept(cases, names, on_error,
-                                                    budget)
-        finally:
-            self._batch_posteriors = None
+        results = super()._diagnose_batch_swept(cases, names, on_error,
+                                                budget)
         share = (time.perf_counter() - started) / max(len(results), 1)
         for result in results:
             if result.ok:
@@ -351,17 +311,9 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         A permanent failure fails the slot with its trail at once; any
         other error walks the chain.
         """
-        issues, notes, pending = context
+        issues, notes = context
         primary = self.policy.chain[0]
         start = time.perf_counter()
-        if pending is not None:
-            # An earlier slot settled the same evidence first: a durable hit
-            # if it stored its posteriors, else this slot's own miss.
-            stored = self._batch_posteriors[pending]
-            if stored is not None:
-                return self._accept_batch_hit(name, evidence, stored, issues,
-                                              notes, start)
-            self.cache_misses += 1
         if computed is None:
             computed = impossible_evidence(evidence)
         if isinstance(computed, Exception):
@@ -380,85 +332,12 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                             issues, notes, start,
                             getattr(computed, "effective_sample_size", None))
 
-    def _model_fingerprint(self) -> str:
-        """Content fingerprint of the served model, the durable-cache key."""
-        if self._fingerprints is None:
-            from repro.persist.fingerprint import FingerprintTracker
-            self._fingerprints = FingerprintTracker(self.network)
-        return self._fingerprints.current()
-
-    def _cached_posteriors(self, key: tuple
-                           ) -> dict[str, dict[str, float]] | None:
-        """Durable-cache lookup of one row key; I/O trouble is a miss."""
-        try:
-            value = self.posterior_cache.get_posteriors(
-                self._model_fingerprint(), key)
-        except (ReproError, OSError):
-            value = None
-        if value is None:
-            self.cache_misses += 1
-            return None
-        self.cache_hits += 1
-        return value
-
-    def _store_posteriors(self, evidence: Mapping[str, str],
-                          posteriors: dict[str, dict[str, float]]) -> None:
-        """Durably share an exact posterior set; failures never propagate."""
-        key = self.model.evidence_codec.key(evidence, EvidenceError)
-        try:
-            self.posterior_cache.put_posteriors(
-                self._model_fingerprint(), key, posteriors)
-        except (ReproError, OSError):
-            return
-        self._batch_posteriors[key] = posteriors
-
-    def _accept_batch_hit(self, name: str,
-                          evidence: dict[str, str],
-                          stored: dict[str, dict[str, float]], issues: tuple,
-                          notes: list[str], start: float) -> Diagnosis:
-        """A durable hit on posteriors an earlier slot of this batch read."""
-        self.cache_hits += 1
-        posteriors = {variable: dict(states)
-                      for variable, states in stored.items()}
-        attempt = AttemptRecord("cache", "ok", time.perf_counter() - start)
-        return self._accept_cached(name, evidence, posteriors, (attempt,),
-                                   issues, notes, start)
-
-    def _accept_cached(self, name: str, evidence: dict[str, str],
-                       posteriors: dict[str, dict[str, float]],
-                       attempts: tuple[AttemptRecord, ...], issues: tuple,
-                       notes: list[str], start: float) -> Diagnosis:
-        """Build a Diagnosis from durably cached exact posteriors.
-
-        Only exact-engine results are ever written to the cache, so a hit
-        carries no effective-sample-size caveat; the provenance engine is
-        ``"cache"`` and the result is degraded only if the evidence
-        boundary had complaints.
-        """
-        degraded = bool(notes)
-        provenance = DiagnosisProvenance(
-            engine="cache", attempts=attempts,
-            wall_time=time.perf_counter() - start, degraded=degraded,
-            effective_sample_size=None, evidence_issues=issues,
-            notes=tuple(notes))
-        if degraded:
-            warnings.warn(
-                f"case {name!r} served degraded from the durable "
-                f"cache: " + "; ".join(notes), DegradedResultWarning,
-                stacklevel=3)
-        return self._diagnosis(name, evidence, posteriors, provenance)
-
     def _accept(self, name: str, evidence: dict[str, str],
                 posteriors: dict[str, dict[str, float]], engine_name: str,
                 chain_position: int, attempts: tuple[AttemptRecord, ...],
                 issues: tuple, notes: list[str], start: float,
                 ess: float | None) -> Diagnosis:
         """Build the final Diagnosis + provenance from accepted posteriors."""
-        if self.posterior_cache is not None and engine_name in ("ve", "jt"):
-            # Only exact posteriors are durable: a sampled result is
-            # seed- and sample-count-dependent, and committing it would
-            # serve a degraded answer forever.
-            self._store_posteriors(evidence, posteriors)
         if ess is not None and ess < self.policy.min_effective_sample_size:
             notes.append(
                 f"low effective sample size ({ess:.1f} < "

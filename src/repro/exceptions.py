@@ -124,40 +124,6 @@ class PersistError(ReproError):
     """Base class for durable-state (cross-process persistence) failures."""
 
 
-class CacheCorruptionError(PersistError):
-    """A persistent cache record (or region) failed an integrity check.
-
-    The durable cache never serves bytes it cannot prove intact: every
-    record is length-prefixed and CRC32-checksummed, and any mismatch is
-    surfaced as one of these — either *raised* (structural problems a
-    caller must handle) or *quarantined* (recorded on the cache and skipped,
-    so a flipped bit degrades to a cache miss instead of a garbage
-    posterior).  ``kind`` names the defect:
-
-    ``"torn-tail"``
-        The file ends mid-record — the classic crash-during-append shape.
-        Recovery truncates the tail back to the last committed record.
-    ``"bad-magic"``
-        A record boundary does not carry the record magic; the remainder of
-        the segment cannot be re-synchronised and is quarantined.
-    ``"bad-length"``
-        A record's length prefix points outside the file mid-segment.
-    ``"bad-crc"``
-        A record's payload does not match its stored CRC32 (bit rot, torn
-        overwrite); the entry is quarantined, its neighbours survive.
-    ``"bad-payload"``
-        The payload checksummed correctly but does not decode (version skew,
-        truncated pickle).
-    """
-
-    def __init__(self, message: str, *, kind: str = "bad-crc",
-                 path: str | None = None, offset: int | None = None) -> None:
-        super().__init__(message)
-        self.kind = kind
-        self.path = path
-        self.offset = offset
-
-
 class ModelRegistryError(PersistError):
     """The versioned model registry is unusable (missing/corrupt artifacts)."""
 

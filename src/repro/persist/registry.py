@@ -20,12 +20,12 @@ construction:
    last, also via rename.  A crash at any instant leaves either the old
    stamp or the new one — never a half-written model behind a live stamp.
 3. **Cheap polling.**  Workers call :meth:`current_version` between chunks
-   (one small file read); a bump tells them to reload, drop their evidence
-   caches, and re-key their durable cache entries via the new model
-   fingerprint.
+   (one small file read); a bump tells them to reload, which builds a
+   fresh engine and so drops their evidence caches.
 
-Loads verify the artifact's magic and CRC32 and raise a structured
-:class:`~repro.exceptions.ModelRegistryError` on any mismatch — a corrupt
+Loads verify the stamp (UTF-8 JSON with a non-negative integer version)
+and the artifact's magic and CRC32, and raise a structured
+:class:`~repro.exceptions.ModelRegistryError` on any defect — a corrupt
 registry refuses to serve rather than serving garbage.
 """
 
@@ -44,7 +44,6 @@ import numpy as np
 from repro.core.model_builder import BuiltModel, validate_built_network
 from repro.exceptions import (ModelPublishError, ModelRegistryError,
                               ReproError)
-from repro.persist.cache import atomic_write_bytes
 from repro.persist.fingerprint import model_fingerprint
 
 try:  # pragma: no cover - always present on supported platforms
@@ -61,6 +60,17 @@ _LOCK_FILE = "LOCK.registry"
 
 #: Absolute tolerance of the publish-time VE-vs-junction-tree smoke.
 _PARITY_ATOL = 1e-9
+
+
+def atomic_write_bytes(path: Path, data: bytes, *, sync: bool = False) -> None:
+    """Write ``data`` to ``path`` atomically (tmp file + ``os.rename``)."""
+    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        if sync:
+            os.fsync(handle.fileno())
+    os.replace(tmp, path)
 
 
 def _smoke_parity(model: BuiltModel) -> None:
@@ -119,20 +129,32 @@ class ModelRegistry:
 
     # ------------------------------------------------------------------ state
     def _read_stamp(self) -> dict | None:
+        """The ``CURRENT`` stamp, ``None`` when nothing was published.
+
+        Any defect of the stamp — bytes that are not UTF-8 JSON, a missing
+        field, a version that is not a non-negative integer — raises
+        :class:`~repro.exceptions.ModelRegistryError`, the one error a
+        registry reader has to handle.
+        """
+        path = self.path / _CURRENT_FILE
         try:
-            raw = (self.path / _CURRENT_FILE).read_text()
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         try:
-            stamp = json.loads(raw)
-        except json.JSONDecodeError as error:
+            stamp = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ModelRegistryError(
-                f"registry stamp {self.path / _CURRENT_FILE} is not valid "
-                f"JSON: {error}") from error
+                f"registry stamp {path} is not valid UTF-8 JSON: {error}"
+                ) from error
         if not isinstance(stamp, dict) or "version" not in stamp:
             raise ModelRegistryError(
-                f"registry stamp {self.path / _CURRENT_FILE} is missing its "
-                f"version field")
+                f"registry stamp {path} is missing its version field")
+        version = stamp["version"]
+        if type(version) is not int or version < 0:
+            raise ModelRegistryError(
+                f"registry stamp {path} carries version {version!r}, not a "
+                f"non-negative integer")
         return stamp
 
     def current_version(self) -> int:
@@ -142,7 +164,7 @@ class ModelRegistry:
         read, no locking, no deserialisation.
         """
         stamp = self._read_stamp()
-        return int(stamp["version"]) if stamp else 0
+        return stamp["version"] if stamp else 0
 
     def current_fingerprint(self) -> str | None:
         """Content fingerprint of the live model (None when empty)."""
@@ -230,7 +252,7 @@ class ModelRegistry:
         stamp = self._read_stamp()
         if stamp is None:
             return 0, None
-        version = int(stamp["version"])
+        version = stamp["version"]
         return version, self.load_version(version)
 
     def load_version(self, version: int) -> BuiltModel:

@@ -288,15 +288,11 @@ class DiagnosisService:
         Candidate-deduction thresholds, as on
         :class:`~repro.core.diagnosis.DiagnosisEngine`.
     persist_dir:
-        Optional directory of durable cross-process state.  When set,
-        every worker shares one crash-safe
-        :class:`~repro.persist.PosteriorCache` (posteriors, under
-        ``<persist_dir>/cache``) that survives worker crashes *and*
-        service restarts, and watches the
-        :class:`~repro.persist.ModelRegistry` under
-        ``<persist_dir>/models`` — a :meth:`publish_model` call hot-swaps
-        every worker's engine between chunks, no restart.  A published
-        registry model takes precedence over ``built_model``.
+        Optional home of the :class:`~repro.persist.ModelRegistry`, under
+        ``<persist_dir>/models``.  When set, every worker watches the
+        registry — a :meth:`publish_model` call hot-swaps every worker's
+        engine between chunks, no restart — and a published registry
+        model takes precedence over ``built_model``.
     reload_poll_interval:
         Seconds between a worker's registry version-stamp polls.
 
@@ -353,9 +349,6 @@ class DiagnosisService:
         self._respawns = 0
         self._probes = 0
         self._latency = LatencyWindow()
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_quarantined = 0
         self._model_reloads = 0
         self._start_time = time.monotonic()
 
@@ -536,9 +529,6 @@ class DiagnosisService:
                 chunk_latency_p50=self._latency.percentile(50.0),
                 chunk_latency_p99=self._latency.percentile(99.0),
                 uptime=time.monotonic() - self._start_time,
-                cache_hits=self._cache_hits,
-                cache_misses=self._cache_misses,
-                cache_quarantined=self._cache_quarantined,
                 model_reloads=self._model_reloads)
 
     def publish_model(self, built_model: BuiltModel, *,
@@ -672,9 +662,12 @@ class DiagnosisService:
 
     # ---------------------------------------------------------- worker events
     def _drain_conn(self, worker: _Worker, now: float) -> None:
+        # A message can retire or respawn the worker (a "fatal" one does),
+        # which closes or replaces this connection: stop draining then.
+        conn = worker.conn
         try:
-            while worker.conn.poll():
-                self._handle_message(worker, worker.conn.recv(), now)
+            while worker.conn is conn and conn.poll():
+                self._handle_message(worker, conn.recv(), now)
         except (EOFError, OSError):
             self._on_worker_death(worker, "pipe closed", now)
 
@@ -698,7 +691,7 @@ class DiagnosisService:
                                   now)
 
     def _complete_chunk(self, worker: _Worker, message, now: float) -> None:
-        _, chunk_id, results, elapsed, deltas = message
+        _, chunk_id, results, elapsed, reloads = message
         chunk = worker.chunk
         if chunk is None or chunk.chunk_id != chunk_id:
             return  # stale (should not happen: one pipe per process)
@@ -707,12 +700,7 @@ class DiagnosisService:
         worker.state = "idle"
         worker.breaker.record_success()
         self._latency.record(elapsed)
-        if deltas:
-            self._cache_hits += int(deltas.get("cache_hits", 0))
-            self._cache_misses += int(deltas.get("cache_misses", 0))
-            self._cache_quarantined += int(
-                deltas.get("cache_quarantined", 0))
-            self._model_reloads += int(deltas.get("model_reloads", 0))
+        self._model_reloads += reloads
         self._in_flight_cases -= len(chunk.pairs)
         for slot, result in results:
             self._write_slot(chunk.request, slot, result)

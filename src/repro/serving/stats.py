@@ -78,14 +78,6 @@ class ServiceStats:
         before any chunk completed).
     uptime:
         Seconds since the service started.
-    cache_hits / cache_misses:
-        Durable-cache lookups across all workers (0 without
-        ``persist_dir``): hits were answered from the shared on-disk
-        posterior cache without any inference.
-    cache_quarantined:
-        Corrupt durable-cache records detected, counted and skipped by
-        workers — every one of these was a wrong answer that *wasn't*
-        served.
     model_reloads:
         Hot model swaps workers performed after a registry publish.
     """
@@ -105,9 +97,6 @@ class ServiceStats:
     chunk_latency_p50: float | None
     chunk_latency_p99: float | None
     uptime: float
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_quarantined: int = 0
     model_reloads: int = 0
 
     def to_dict(self) -> dict:

@@ -15,18 +15,16 @@ parent -> worker
 worker -> parent
     ``("ready", pid)`` once the engine is built,
     ``("done", chunk_id, [(slot, Diagnosis | DiagnosisFailure), ...],
-    elapsed, persist_deltas)`` per chunk
-    (``persist_deltas`` is a counter-delta dict — cache hits/misses,
-    quarantined records, model reloads — or ``None`` without
-    ``persist_dir``), ``("probe-ok", probe_id)`` per probe, and
+    elapsed, reloads)`` per chunk (``reloads`` counts the hot model swaps
+    since the last ``done``), ``("probe-ok", probe_id)`` per probe, and
     ``("fatal", message)`` if the engine cannot even be constructed.
 
-With a ``persist_dir``, each worker opens the *shared* durable cache
-(posteriors survive crashes and restarts) and the model registry.  The
-registry is authoritative: when it holds a published model, the worker
+With a ``persist_dir``, each worker opens the model registry under it.
+The registry is authoritative: when it holds a published model, the worker
 serves that instead of the payload's, and between chunks it polls the
 version stamp (throttled) — a bump hot-swaps a freshly built engine without
-dropping the chunk stream.
+dropping the chunk stream.  An unreadable registry is logged and the
+worker keeps serving the model it has.
 
 Each chunk is one ``diagnose_batch(on_error="collect", deadline=...)``
 call on the engine: one primary sweep for the chunk, the fallback chain
@@ -76,28 +74,20 @@ class WorkerPayload:
 
 
 class _PersistRuntime:
-    """Worker-side handle on the shared durable state.
+    """Worker-side handle on the model registry.
 
-    Owns the worker's :class:`~repro.persist.PosteriorCache` and
-    :class:`~repro.persist.ModelRegistry` instances, throttles the
-    between-chunk version poll, and accumulates counter totals across hot
-    engine swaps so the supervisor receives clean per-chunk deltas.
+    Owns the worker's :class:`~repro.persist.ModelRegistry` and throttles
+    the between-chunk version poll.
     """
 
     def __init__(self, persist_dir: str, poll_interval: float) -> None:
         from pathlib import Path
 
-        from repro.persist import ModelRegistry, PosteriorCache
-        base = Path(persist_dir)
-        self.cache = PosteriorCache(base / "cache")
-        self.registry = ModelRegistry(base / "models")
+        from repro.persist import ModelRegistry
+        self.registry = ModelRegistry(Path(persist_dir) / "models")
         self.poll_interval = max(float(poll_interval), 0.0)
         self.model_version = 0
-        self.reloads = 0
         self._last_poll = float("-inf")
-        self._base_hits = 0
-        self._base_misses = 0
-        self._reported: dict[str, int] = {}
 
     def resolve_model(self, fallback: BuiltModel) -> BuiltModel:
         """The registry's published model wins over the shipped payload."""
@@ -138,35 +128,15 @@ class _PersistRuntime:
                 self.model_version, exc_info=True)
             return None
         self.model_version = version
-        self.reloads += 1
         return model
 
-    def note_engine_swap(self, old_engine: RobustDiagnosisEngine) -> None:
-        """Fold a retired engine's counters into the running totals."""
-        self._base_hits += old_engine.cache_hits
-        self._base_misses += old_engine.cache_misses
 
-    def deltas(self, engine: RobustDiagnosisEngine) -> dict[str, int]:
-        """Counter movement since the last report (sent per chunk)."""
-        totals = {
-            "cache_hits": self._base_hits + engine.cache_hits,
-            "cache_misses": self._base_misses + engine.cache_misses,
-            "cache_quarantined": self.cache.quarantined,
-            "model_reloads": self.reloads,
-        }
-        deltas = {key: value - self._reported.get(key, 0)
-                  for key, value in totals.items()}
-        self._reported = totals
-        return deltas
-
-
-def _build_engine(payload: WorkerPayload, model: BuiltModel,
-                  persist: _PersistRuntime | None) -> RobustDiagnosisEngine:
+def _build_engine(payload: WorkerPayload,
+                  model: BuiltModel) -> RobustDiagnosisEngine:
     return RobustDiagnosisEngine(
         model, payload.policy,
         abnormal_threshold=payload.abnormal_threshold,
-        ambiguous_threshold=payload.ambiguous_threshold,
-        posterior_cache=None if persist is None else persist.cache)
+        ambiguous_threshold=payload.ambiguous_threshold)
 
 
 def worker_main(conn, payload: WorkerPayload) -> None:
@@ -180,7 +150,7 @@ def worker_main(conn, payload: WorkerPayload) -> None:
                                       payload.reload_poll_interval)
         model = payload.built_model if persist is None \
             else persist.resolve_model(payload.built_model)
-        engine = _build_engine(payload, model, persist)
+        engine = _build_engine(payload, model)
     except Exception:  # noqa: BLE001 - reported to the supervisor
         try:
             conn.send(("fatal", traceback.format_exc()))
@@ -207,19 +177,18 @@ def worker_main(conn, payload: WorkerPayload) -> None:
             chunk_number += 1
             if chaos is not None:
                 chaos.on_chunk(chunk_number, payload.generation)
+            reloads = 0
             if persist is not None:
                 fresh = persist.poll_reload()
                 if fresh is not None:
                     # Hot swap: a fresh engine drops every stale evidence
-                    # cache with it, and the new model's content
-                    # fingerprint re-keys the durable cache.
-                    persist.note_engine_swap(engine)
-                    engine = _build_engine(payload, fresh, persist)
+                    # cache with it.
+                    engine = _build_engine(payload, fresh)
+                    reloads = 1
             started = time.perf_counter()
             results = _run_chunk(engine, pairs, budget, chaos)
             conn.send(("done", chunk_id, results,
-                       time.perf_counter() - started,
-                       None if persist is None else persist.deltas(engine)))
+                       time.perf_counter() - started, reloads))
     except (EOFError, OSError, BrokenPipeError):
         pass
     finally:

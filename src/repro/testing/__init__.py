@@ -9,7 +9,6 @@ from repro.testing.chaos import (
     ChaosError,
     FaultInjector,
     WorkerChaos,
-    cache_segments,
     corrupt_cpd_table,
     flip_byte,
     is_poison_case,
@@ -22,7 +21,6 @@ __all__ = [
     "ChaosError",
     "FaultInjector",
     "WorkerChaos",
-    "cache_segments",
     "corrupt_cpd_table",
     "flip_byte",
     "is_poison_case",

@@ -323,11 +323,10 @@ class WorkerChaos:
 def truncate_tail(path: str | os.PathLike, nbytes: int = 1) -> int:
     """Chop the last ``nbytes`` off a file — the crash-mid-write shape.
 
-    Returns the file's new size.  Applied to a cache segment this
-    manufactures a torn append (the recovery scan must truncate back to
-    the last committed record); applied to a store plane it manufactures a
-    truncated mmap file (the load must raise a structured
-    ``StoreCorruptionError``).
+    Returns the file's new size.  Applied to a store plane this
+    manufactures a truncated mmap file (the load must raise a structured
+    ``StoreCorruptionError``); applied to a registry artifact or stamp, a
+    half-written publish (the load must raise ``ModelRegistryError``).
     """
     path = os.fspath(path)
     size = os.path.getsize(path)
@@ -362,14 +361,3 @@ def flip_byte(path: str | os.PathLike, offset: int | None = None, *,
         handle.write(bytes([byte[0] ^ 0xFF]))
     return offset
 
-
-def cache_segments(cache_dir: str | os.PathLike) -> list[str]:
-    """Paths of a :class:`~repro.persist.PosteriorCache`'s segment files.
-
-    Sorted by segment index, so ``cache_segments(d)[-1]`` is the active
-    (appended-to) segment — the natural target for torn-tail injection.
-    """
-    directory = os.fspath(cache_dir)
-    names = sorted(name for name in os.listdir(directory)
-                   if name.startswith("seg-") and name.endswith(".log"))
-    return [os.path.join(directory, name) for name in names]

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,20 @@ from repro.core import DiagnosisEngine, DiagnosisMetrics, DiagnosticCase, Diagno
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.core.report import case_summary_table
 from repro.exceptions import DiagnosisError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Prints the regulator's suspects with every internal block at fail
+#: probability 0.6, where the two internal roots, lcbg and vx, tie.
+TIED_DEDUCTION = """
+from repro.circuits import build_voltage_regulator
+from repro.core import DiagnosisEngine, Dlog2BBN
+circuit = build_voltage_regulator()
+engine = DiagnosisEngine(Dlog2BBN(circuit.model, circuit.healthy_states).build())
+print(" ".join(engine.deduce_candidates(
+    {block: {engine.healthy_states[block]: 0.4}
+     for block in circuit.model.internal_variables})))
+"""
 
 
 class TestPosteriorUpdate:
@@ -81,6 +100,19 @@ class TestDiagnosisInterfaces:
         diagnosis = regulator_engine.diagnose(PAPER_DIAGNOSTIC_CASES[0])
         probabilities = [p for _, p in diagnosis.ranked_candidates]
         assert probabilities == sorted(probabilities, reverse=True)
+
+    def test_tied_suspects_keep_model_order_under_any_hash_seed(self):
+        """Equal fail probabilities list in ``internal_variables`` order,
+        whatever order string hashing gives a set."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        runs = [subprocess.Popen([sys.executable, "-c", TIED_DEDUCTION],
+                                 stdout=subprocess.PIPE, text=True,
+                                 env={**env, "PYTHONHASHSEED": seed})
+                for seed in ("0", "1", "4", "5")]
+        outputs = [run.communicate(timeout=120)[0].split() for run in runs]
+        assert [run.returncode for run in runs] == [0] * len(runs)
+        assert outputs == [["lcbg", "vx"]] * len(runs)
 
 
 class TestReports:

@@ -9,8 +9,8 @@ table.  Variable elimination (single queries and ``posteriors_batch``), the
 junction tree, the one diagnosis pipeline on a VE or JT primary (whole
 batches, batches of one, a deadline-bound robust batch), a worker-pool
 service's results with and without a deadline, and a robust engine's
-durable-cache round trip must all agree with it to 1e-12, and every path
-must refuse zero-probability evidence.  Label, Python-int and numpy-int
+second pass over a batch, answered from its evidence cache, must all agree
+with it to 1e-12, and every path must refuse zero-probability evidence.  Label, Python-int and numpy-int
 forms of the same evidence share one evidence-cache entry.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import tempfile
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from repro.core.circuit_model import CircuitModelDescription
 from repro.core.model_builder import BuiltModel
 from repro.core.states import StateDefinition, StateTable
 from repro.exceptions import ImpossibleEvidenceError
-from repro.persist import PosteriorCache
 from repro.serving import DiagnosisService, ServiceConfig
 
 TOL = 1e-12
@@ -302,7 +300,10 @@ def expected_diagnosis(net: RandomNetwork, joint: np.ndarray,
 
 
 @given(cases(min_card=2), st.data())
-def test_durable_cache_round_trip(case, data):
+def test_evidence_cache_round_trip(case, data):
+    """A batch with every row twice, diagnosed twice by one robust engine:
+    the second pass answers from the evidence cache, and no two results
+    share a posterior dict."""
     net, rows = case
     roles = [data.draw(st.sampled_from([BlockType.CONTROL, BlockType.OBSERVE,
                                         BlockType.INTERNAL]))
@@ -310,25 +311,23 @@ def test_durable_cache_round_trip(case, data):
     joint = joint_table(net)
     batch = rows + [dict(row) for row in rows]
     expected = [expected_diagnosis(net, joint, evidence) for evidence in batch]
-    with tempfile.TemporaryDirectory() as directory, \
-            PosteriorCache(directory) as cache:
-        engine = RobustDiagnosisEngine(built_model(net, roles),
-                                       posterior_cache=cache)
-        for first_pass in (True, False):
-            results = engine.diagnose_batch(batch, on_error="collect")
-            assert len(results) == len(batch)
-            owned = []
-            for evidence, result, want in zip(batch, results, expected):
-                if want is None:
-                    assert not result.ok, evidence
-                    assert result.error_type == "ImpossibleEvidenceError"
-                    continue
-                assert_matches(result.posteriors, want, evidence)
-                if not first_pass:
-                    assert result.provenance.engine == "cache", evidence
-                owned += [id(distribution)
-                          for distribution in result.posteriors.values()]
-            assert len(owned) == len(set(owned))
+    engine = RobustDiagnosisEngine(built_model(net, roles))
+    swept = []
+    for _ in range(2):
+        results = engine.diagnose_batch(batch, on_error="collect")
+        swept.append(engine._engine.sweep_count)
+        assert len(results) == len(batch)
+        owned = []
+        for evidence, result, want in zip(batch, results, expected):
+            if want is None:
+                assert not result.ok, evidence
+                assert result.error_type == "ImpossibleEvidenceError"
+                continue
+            assert_matches(result.posteriors, want, evidence)
+            owned += [id(distribution)
+                      for distribution in result.posteriors.values()]
+        assert len(owned) == len(set(owned))
+    assert swept[1] == swept[0]  # the second pass swept nothing
 
 
 def diagnose_alone(engine: DiagnosisEngine, evidence: dict[str, str]):

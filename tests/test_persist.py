@@ -1,208 +1,47 @@
-"""Durable cross-process state: cache, registry, fingerprints.
+"""Durable model state: fingerprints and the model registry.
 
-Covers the crash-safe :class:`~repro.persist.PosteriorCache` (round trips,
-torn-tail recovery, bit-flip quarantine, LRU compaction, cross-instance
-visibility), content fingerprinting, the validation-gated
-:class:`~repro.persist.ModelRegistry` and its publish-time engine-parity
-smoke, and the robust engine's durable-cache fast path.  Everything here runs in-process;
-the ``kill -9`` crash-recovery scenarios live in ``test_persist_chaos.py``.
+Covers content fingerprinting, the atomic tmp-file-and-rename write, the
+validation-gated :class:`~repro.persist.ModelRegistry` and its publish-time
+engine-parity smoke, the registry shared across instances and reopens, and
+the registry loader under damage: every bit flip and truncation of the
+``CURRENT`` stamp, and a seeded sample of them on a model artifact, must
+raise :class:`~repro.exceptions.ModelRegistryError` or read back the
+published model, and each artifact defect names the file it found.  The
+worker's registry handle (payload fallback, throttled version poll) is
+driven here in-process too; the ``kill -9`` crash-recovery scenarios and
+served ``persist_dir`` behaviour live in ``test_persist_chaos.py``.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import logging
+import os
+import pickle
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.bayesnet.inference import JunctionTree
-from repro.core import FallbackPolicy, RobustDiagnosisEngine
-from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import ModelPublishError, ModelRegistryError
-from repro.persist import (
-    FingerprintTracker,
-    ModelRegistry,
-    PosteriorCache,
-    model_fingerprint,
-)
-from repro.testing import (
-    FaultInjector,
-    cache_segments,
-    flip_byte,
-    truncate_tail,
-)
+from repro.persist import ModelRegistry, model_fingerprint
+from repro.persist.registry import MODEL_MAGIC, atomic_write_bytes
+from repro.serving.worker import _PersistRuntime
+from repro.testing import FaultInjector, flip_byte, truncate_tail
 
 
-@pytest.fixture
-def cache(tmp_path):
-    with PosteriorCache(tmp_path / "cache") as cache:
-        yield cache
-
-
-def fill(cache: PosteriorCache, count: int, *, size: int = 64,
-         prefix: str = "k") -> list[tuple]:
-    """Write ``count`` distinct entries and return their keys."""
-    keys = []
-    for i in range(count):
-        key = ("test", prefix, i)
-        cache.put(key, {"payload": "x" * size, "i": i})
-        keys.append(key)
-    return keys
-
-
-# ---------------------------------------------------------------------------
-# PosteriorCache: round trips
-# ---------------------------------------------------------------------------
-
-class TestCacheRoundTrip:
-    def test_put_get_and_miss(self, cache):
-        cache.put(("a", 1), {"p": 0.25})
-        assert cache.get(("a", 1)) == {"p": 0.25}
-        assert cache.get(("absent",)) is None
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["puts"] == 1
-
-    def test_last_writer_wins(self, cache):
-        cache.put(("k",), "first")
-        cache.put(("k",), "second")
-        assert cache.get(("k",)) == "second"
-        assert len(cache) == 1
-
-    def test_posteriors_round_trip_bit_exact(self, cache):
-        posteriors = {"amp1": {"ok": 1.0 - 2**-37, "fail": 2**-37},
-                      "out": {"low": 1 / 3, "high": 2 / 3}}
-        row = (("t_in", 0), ("t_out", 1))
-        cache.put_posteriors("fp", row, posteriors)
-        assert cache.get_posteriors("fp", row) == posteriors
-        assert cache.get_posteriors("fp", (("t_in", 0), ("t_out", 0))) is None
-
-    def test_wrong_model_version_misses(self, cache):
-        cache.put_posteriors("fp-a", (("t", 1),), {"x": {"ok": 1.0}})
-        assert cache.get_posteriors("fp-b", (("t", 1),)) is None
-
-    def test_survives_reopen(self, tmp_path):
-        with PosteriorCache(tmp_path / "c") as first:
-            fill(first, 5)
-        with PosteriorCache(tmp_path / "c") as second:
-            assert len(second) == 5
-            assert second.get(("test", "k", 3)) == {"payload": "x" * 64,
-                                                    "i": 3}
-
-    def test_cross_instance_visibility(self, tmp_path):
-        with PosteriorCache(tmp_path / "c") as writer, \
-                PosteriorCache(tmp_path / "c") as reader:
-            assert reader.get(("shared",)) is None
-            writer.put(("shared",), 42)
-            # A miss triggers a refresh, so the reader sees the append.
-            assert reader.get(("shared",)) == 42
-
-    def test_stats_snapshot_is_json_safe(self, cache):
-        fill(cache, 3)
-        cache.get(("test", "k", 0))
-        cache.get(("nope",))
-        snapshot = json.loads(json.dumps(cache.stats()))
-        assert snapshot["entries"] == 3
-        assert snapshot["quarantined"] == 0
-
-
-# ---------------------------------------------------------------------------
-# PosteriorCache: corruption containment
-# ---------------------------------------------------------------------------
-
-class TestCacheCorruption:
-    def test_torn_tail_is_truncated_on_reopen(self, tmp_path):
-        with PosteriorCache(tmp_path / "c") as cache:
-            keys = fill(cache, 3)
-        segment = cache_segments(tmp_path / "c")[-1]
-        truncate_tail(segment, 7)  # rip the last record's tail off
-        with PosteriorCache(tmp_path / "c") as cache:
-            assert len(cache) == 2
-            assert cache.torn_tail_bytes > 0
-            assert cache.get(keys[0]) is not None
-            assert cache.get(keys[1]) is not None
-            assert cache.get(keys[2]) is None  # lost, not garbled
-
-    def test_flipped_payload_bit_is_quarantined(self, tmp_path):
-        with PosteriorCache(tmp_path / "c") as cache:
-            keys = fill(cache, 3)
-        segment = cache_segments(tmp_path / "c")[-1]
-        flip_byte(segment, 16)  # inside the first record's payload
-        with PosteriorCache(tmp_path / "c") as cache:
-            assert cache.quarantined >= 1
-            assert any(record.kind == "bad-crc"
-                       for record in cache.corruption_records)
-            assert cache.get(keys[0]) is None  # a miss, never garbage
-            # Records beyond the quarantined frame still load.
-            assert cache.get(keys[2]) is not None
-
-    def test_bad_magic_quarantines_the_remainder(self, tmp_path):
-        with PosteriorCache(tmp_path / "c") as cache:
-            fill(cache, 3)
-        flip_byte(cache_segments(tmp_path / "c")[-1], 0)
-        with PosteriorCache(tmp_path / "c") as cache:
-            assert len(cache) == 0
-            assert cache.quarantined >= 1
-            assert any(record.kind == "bad-magic"
-                       for record in cache.corruption_records)
-
-    def test_rot_under_a_live_instance_is_caught_at_read(self, tmp_path):
-        with PosteriorCache(tmp_path / "c") as cache:
-            [key] = fill(cache, 1)
-            flip_byte(cache_segments(tmp_path / "c")[-1], 16)
-            # The index still points at the record; the per-read CRC check
-            # must catch the rot and quarantine instead of serving it.
-            assert cache.get(key) is None
-            assert cache.quarantined >= 1
-
-    def test_corruption_records_carry_location(self, tmp_path):
-        with PosteriorCache(tmp_path / "c") as cache:
-            fill(cache, 1)
-        segment = cache_segments(tmp_path / "c")[-1]
-        flip_byte(segment, 16)
-        with PosteriorCache(tmp_path / "c") as cache:
-            [record] = cache.corruption_records
-            assert record.path == str(segment)
-            assert record.offset == 0
-
-
-# ---------------------------------------------------------------------------
-# PosteriorCache: LRU compaction
-# ---------------------------------------------------------------------------
-
-class TestCacheCompaction:
-    def test_lru_compaction_keeps_the_hot_key(self, tmp_path):
-        with PosteriorCache(tmp_path / "c", max_bytes=16_384,
-                            segment_bytes=4_096) as cache:
-            hot = ("test", "hot", 0)
-            cache.put(hot, "keep me")
-            for i in range(200):
-                cache.put(("test", "cold", i), "x" * 128)
-                cache.get(hot)  # touch: most recently used every round
-            assert cache.compactions >= 1
-            assert cache.evicted > 0
-            assert cache.get(hot) == "keep me"
-            assert len(cache) < 201
-            # Compaction rewrote the survivors; disk usage is bounded.
-            assert cache.total_bytes <= 16_384
-
-    def test_reader_survives_a_sibling_compaction(self, tmp_path):
-        with PosteriorCache(tmp_path / "c", max_bytes=16_384,
-                            segment_bytes=4_096) as writer, \
-                PosteriorCache(tmp_path / "c") as reader:
-            writer.put(("early",), "value")
-            assert reader.get(("early",)) == "value"  # index the old segment
-            for i in range(200):
-                writer.put(("test", "cold", i), "x" * 128)
-            assert writer.compactions >= 1
-            # The reader's offsets are stale; the generation stamp forces a
-            # rescan instead of a misread. Whatever survived must read clean.
-            for key in list(reader.keys()):
-                assert reader.get(key) in (None, "value", "x" * 128)
-            writer.put(("fresh",), "post-compaction")
-            assert reader.get(("fresh",)) == "post-compaction"
+def rolled_model(model):
+    """A copy of ``model`` whose first CPT is rolled: another fingerprint."""
+    candidate = copy.deepcopy(model)
+    cpd = candidate.network.get_cpd(candidate.network.nodes[0]).copy()
+    cpd.table[...] = np.roll(cpd.table, 1, axis=0)
+    candidate.network.add_cpd(cpd)
+    assert model_fingerprint(candidate.network) \
+        != model_fingerprint(model.network)
+    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +62,37 @@ class TestFingerprint:
         assert model_fingerprint(perturbed) \
             != model_fingerprint(sprinkler_network)
 
-    def test_tracker_matches_the_pure_function(self, sprinkler_network):
-        tracker = FingerprintTracker(sprinkler_network)
-        assert tracker.current() == model_fingerprint(sprinkler_network)
-        assert tracker.current() == tracker.current()
+
+# ---------------------------------------------------------------------------
+# Atomic writes
+# ---------------------------------------------------------------------------
+
+class TestAtomicWrite:
+    def test_writes_the_bytes_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "blob"
+        atomic_write_bytes(target, b"payload")
+        assert target.read_bytes() == b"payload"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_last_writer_wins(self, tmp_path):
+        target = tmp_path / "blob"
+        atomic_write_bytes(target, b"first, longer payload")
+        atomic_write_bytes(target, b"second")
+        assert target.read_bytes() == b"second"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_rename_leaves_the_old_contents(self, tmp_path,
+                                                   monkeypatch):
+        target = tmp_path / "blob"
+        atomic_write_bytes(target, b"old")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_bytes(target, b"new")
+        assert target.read_bytes() == b"old"
 
 
 # ---------------------------------------------------------------------------
@@ -323,61 +189,341 @@ class TestModelRegistry:
 
 
 # ---------------------------------------------------------------------------
-# RobustDiagnosisEngine + durable cache
+# ModelRegistry: one directory, many instances, reopens and failed writes
 # ---------------------------------------------------------------------------
 
-class TestRobustEngineCaching:
-    def test_hit_serves_bit_identical_posteriors(self, regulator_built_model,
-                                                 tmp_path):
-        case = PAPER_DIAGNOSTIC_CASES[1]
-        with PosteriorCache(tmp_path / "c") as cache:
-            engine = RobustDiagnosisEngine(regulator_built_model,
-                                           FallbackPolicy(),
-                                           posterior_cache=cache)
-            cold = engine.diagnose(case)
-            assert cold.provenance.engine == "ve"
-            assert engine.cache_misses == 1
+class TestRegistrySharing:
+    def test_published_model_survives_a_reopen(self, regulator_built_model,
+                                               tmp_path):
+        fingerprint = model_fingerprint(regulator_built_model.network)
+        with ModelRegistry(tmp_path / "models") as registry:
+            registry.publish(regulator_built_model, validate=False)
+        with ModelRegistry(tmp_path / "models") as reopened:
+            assert reopened.current_version() == 1
+            assert reopened.current_fingerprint() == fingerprint
+            version, model = reopened.load()
+            assert version == 1
+            assert model_fingerprint(model.network) == fingerprint
+            assert reopened.publish(regulator_built_model,
+                                    validate=False) == 2
 
-            warm = engine.diagnose(case)
-            assert warm.provenance.engine == "cache"
-            assert engine.cache_hits == 1
-            assert warm.posteriors == cold.posteriors  # bit-identical
-            assert warm.suspects == cold.suspects
-            assert warm.fail_probabilities == cold.fail_probabilities
+    def test_sibling_instances_share_one_version_sequence(
+            self, regulator_built_model, tmp_path):
+        candidate = rolled_model(regulator_built_model)
+        with ModelRegistry(tmp_path / "models") as first, \
+                ModelRegistry(tmp_path / "models") as second:
+            assert first.publish(regulator_built_model, validate=False) == 1
+            assert second.current_version() == 1
+            assert second.publish(candidate, validate=False) == 2
+            assert first.current_version() == 2
+            version, model = first.load()
+            assert version == 2
+            assert model_fingerprint(model.network) \
+                == model_fingerprint(candidate.network)
 
-    def test_cache_survives_an_engine_restart(self, regulator_built_model,
-                                              tmp_path):
-        case = PAPER_DIAGNOSTIC_CASES[1]
-        with PosteriorCache(tmp_path / "c") as cache:
-            cold = RobustDiagnosisEngine(regulator_built_model,
-                                         FallbackPolicy(),
-                                         posterior_cache=cache).diagnose(case)
-        with PosteriorCache(tmp_path / "c") as cache:
-            restarted = RobustDiagnosisEngine(regulator_built_model,
-                                              FallbackPolicy(),
-                                              posterior_cache=cache)
-            warm = restarted.diagnose(case)
-            assert warm.provenance.engine == "cache"
-            assert warm.posteriors == cold.posteriors
+    def test_last_publish_wins_and_older_versions_stay_loadable(
+            self, regulator_built_model, tmp_path):
+        candidate = rolled_model(regulator_built_model)
+        with ModelRegistry(tmp_path / "models") as registry:
+            registry.publish(regulator_built_model, validate=False)
+            registry.publish(candidate, validate=False)
+            assert registry.current_fingerprint() \
+                == model_fingerprint(candidate.network)
+            assert model_fingerprint(registry.load()[1].network) \
+                == model_fingerprint(candidate.network)
+            assert model_fingerprint(registry.load_version(1).network) \
+                == model_fingerprint(regulator_built_model.network)
 
-    @pytest.mark.filterwarnings("ignore::repro.exceptions.DegradedResultWarning")
-    def test_sampled_posteriors_are_never_cached(self, regulator_built_model,
-                                                 tmp_path):
-        case = PAPER_DIAGNOSTIC_CASES[1]
-        policy = FallbackPolicy(chain=("lw",), seed=11, num_samples=500)
-        with PosteriorCache(tmp_path / "c") as cache:
-            engine = RobustDiagnosisEngine(regulator_built_model, policy,
-                                           posterior_cache=cache)
-            result = engine.diagnose(case)
-            assert result.provenance.engine == "lw"
-            assert not any(key[0] == "posterior" for key in cache.keys())
-            # And the next call re-samples instead of hitting the cache.
-            again = engine.diagnose(case)
-            assert again.provenance.engine == "lw"
+    def test_stamp_names_the_live_artifact_and_fingerprint(
+            self, regulator_built_model, tmp_path):
+        with ModelRegistry(tmp_path / "models") as registry:
+            registry.publish(regulator_built_model, validate=False)
+            stamp = json.loads((registry.path / "CURRENT").read_text())
+        assert stamp["version"] == 1
+        assert stamp["file"] == "model-000001.pkl"
+        assert (tmp_path / "models" / stamp["file"]).is_file()
+        assert stamp["fingerprint"] \
+            == model_fingerprint(regulator_built_model.network)
+        assert isinstance(stamp["published_at"], float)
 
-    def test_without_a_cache_nothing_changes(self, regulator_built_model):
-        case = PAPER_DIAGNOSTIC_CASES[1]
-        engine = RobustDiagnosisEngine(regulator_built_model, FallbackPolicy())
-        result = engine.diagnose(case)
-        assert result.provenance.engine == "ve"
-        assert engine.cache_hits == engine.cache_misses == 0
+    def test_keep_zero_retains_only_the_current_artifact(
+            self, regulator_built_model, tmp_path):
+        with ModelRegistry(tmp_path / "models", keep=0) as registry:
+            for _ in range(3):
+                registry.publish(regulator_built_model, validate=False)
+            assert registry.versions() == [3]
+            assert registry.load()[0] == 3
+
+    def test_versions_ignore_foreign_files(self, regulator_built_model,
+                                           tmp_path):
+        with ModelRegistry(tmp_path / "models") as registry:
+            registry.publish(regulator_built_model, validate=False)
+            for name in ("model-abc.pkl", "model-.pkl", "notes.txt",
+                         "model-000002.pkl.tmp.123"):
+                (registry.path / name).write_bytes(b"x")
+            assert registry.versions() == [1]
+            assert registry.publish(regulator_built_model,
+                                    validate=False) == 2
+
+    def test_a_file_in_place_of_the_directory_is_refused(self, tmp_path):
+        occupied = tmp_path / "models"
+        occupied.write_text("not a registry")
+        with pytest.raises(ModelRegistryError, match="not a directory"):
+            ModelRegistry(occupied)
+
+    @pytest.mark.parametrize("sync", [False, True])
+    def test_sync_fsyncs_each_write_before_its_rename(
+            self, regulator_built_model, tmp_path, monkeypatch, sync):
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append("fsync")
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(f"rename {os.path.basename(dst)}")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        with ModelRegistry(tmp_path / "models", sync=sync) as registry:
+            registry.publish(regulator_built_model, validate=False)
+        renames = ["rename model-000001.pkl", "rename CURRENT"]
+        if sync:
+            assert events == ["fsync", renames[0], "fsync", renames[1]]
+        else:
+            assert events == renames
+
+    def test_failed_stamp_write_keeps_the_previous_version(
+            self, regulator_built_model, tmp_path, monkeypatch):
+        """The stamp flips last: a publish that dies before it leaves the
+        old version live, and the next publish takes the next version."""
+        candidate = rolled_model(regulator_built_model)
+        replace = os.replace
+
+        def refuse_the_stamp(src, dst):
+            if os.path.basename(dst) == "CURRENT":
+                raise OSError("stamp rename refused")
+            replace(src, dst)
+
+        with ModelRegistry(tmp_path / "models") as registry:
+            registry.publish(regulator_built_model, validate=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", refuse_the_stamp)
+                with pytest.raises(OSError, match="stamp rename refused"):
+                    registry.publish(candidate, validate=False)
+            version, model = registry.load()
+            assert version == 1
+            assert model_fingerprint(model.network) \
+                == model_fingerprint(regulator_built_model.network)
+            assert registry.publish(candidate, validate=False) == 2
+            assert registry.current_fingerprint() \
+                == model_fingerprint(candidate.network)
+
+
+# ---------------------------------------------------------------------------
+# ModelRegistry: damaged stamps and artifacts
+# ---------------------------------------------------------------------------
+
+def assert_published_or_refused(registry: ModelRegistry, version: int,
+                                fingerprint: str) -> None:
+    """Each read refuses with ``ModelRegistryError`` or reads ``version``."""
+    try:
+        assert registry.current_version() == version
+    except ModelRegistryError:
+        pass
+    try:
+        loaded_version, model = registry.load()
+    except ModelRegistryError:
+        return
+    assert loaded_version == version
+    assert model_fingerprint(model.network) == fingerprint
+
+
+class TestRegistryDamage:
+    @pytest.fixture
+    def published(self, regulator_built_model, tmp_path):
+        with ModelRegistry(tmp_path / "models") as registry:
+            version = registry.publish(regulator_built_model)
+            yield (registry, version,
+                   model_fingerprint(regulator_built_model.network))
+
+    @staticmethod
+    def damaged_copies(path, offsets, lengths):
+        """Yield once per damage: each offset flipped, then each truncation
+        length, restoring the intact bytes in between."""
+        intact = path.read_bytes()
+        for offset in offsets:
+            path.write_bytes(intact)
+            flip_byte(path, offset)
+            yield
+        for length in lengths:
+            path.write_bytes(intact)
+            truncate_tail(path, len(intact) - length)
+            yield
+        path.write_bytes(intact)
+
+    def test_every_stamp_flip_and_truncation_is_refused(self, published):
+        registry, version, fingerprint = published
+        stamp = registry.path / "CURRENT"
+        size = stamp.stat().st_size
+        for _ in self.damaged_copies(stamp, range(size), range(size)):
+            assert_published_or_refused(registry, version, fingerprint)
+        assert registry.current_version() == version
+
+    def test_sampled_artifact_flips_and_truncations_are_refused(
+            self, published):
+        registry, version, fingerprint = published
+        artifact = registry.path / f"model-{version:06d}.pkl"
+        size = artifact.stat().st_size
+        rng = np.random.default_rng(20)
+        # The 8-byte header (magic, CRC32) and the last byte every time,
+        # plus a seeded sample of the payload.
+        offsets = [*range(8), *rng.integers(8, size, 48).tolist(), size - 1]
+        lengths = [*range(9), *rng.integers(9, size, 48).tolist(), size - 1]
+        for _ in self.damaged_copies(artifact, offsets, lengths):
+            assert_published_or_refused(registry, version, fingerprint)
+        assert registry.load()[0] == version
+
+    @pytest.mark.parametrize("version", ['"1"', "-1", "1.5", "true", "null"])
+    def test_stamp_version_must_be_a_non_negative_integer(self, tmp_path,
+                                                          version):
+        with ModelRegistry(tmp_path / "models") as registry:
+            (registry.path / "CURRENT").write_text(
+                f'{{"version": {version}, "file": "model-000001.pkl"}}')
+            with pytest.raises(ModelRegistryError, match="version"):
+                registry.current_version()
+            with pytest.raises(ModelRegistryError, match="version"):
+                registry.load()
+
+    @pytest.mark.parametrize("stamp", ["{}", "[1]", "1",
+                                       '{"file": "model-000001.pkl"}'])
+    def test_stamp_without_a_version_field_is_refused(self, tmp_path, stamp):
+        with ModelRegistry(tmp_path / "models") as registry:
+            (registry.path / "CURRENT").write_text(stamp)
+            with pytest.raises(ModelRegistryError,
+                               match="missing its version field"):
+                registry.current_version()
+            with pytest.raises(ModelRegistryError,
+                               match="missing its version field"):
+                registry.load()
+
+    @staticmethod
+    def sealed(payload: bytes) -> bytes:
+        """An artifact with an intact header over ``payload``."""
+        return struct.pack("<4sI", MODEL_MAGIC, zlib.crc32(payload)) + payload
+
+    @pytest.mark.parametrize("damage, message", [
+        ("missing", "is missing"),
+        ("truncated", r"is truncated \(5 bytes\)"),
+        ("magic", "does not carry the model magic"),
+        ("crc", "failed its CRC32 check"),
+        ("unpickle", "does not unpickle"),
+        ("foreign", "holds a dict, not a BuiltModel"),
+    ])
+    def test_each_artifact_defect_names_the_file(self, published, damage,
+                                                 message):
+        registry, version, _ = published
+        artifact = registry.path / f"model-{version:06d}.pkl"
+        if damage == "missing":
+            artifact.unlink()
+        elif damage == "truncated":
+            truncate_tail(artifact, artifact.stat().st_size - 5)
+        elif damage == "magic":
+            flip_byte(artifact, 0)
+        elif damage == "crc":
+            flip_byte(artifact, artifact.stat().st_size - 1)
+        elif damage == "unpickle":
+            artifact.write_bytes(self.sealed(b"not a pickle"))
+        else:
+            artifact.write_bytes(self.sealed(pickle.dumps({"model": None})))
+        for read in (registry.load, lambda: registry.load_version(version)):
+            with pytest.raises(ModelRegistryError, match=message) as caught:
+                read()
+            assert str(artifact) in str(caught.value)
+        # The stamp itself is intact: the poll still reads the version.
+        assert registry.current_version() == version
+
+
+# ---------------------------------------------------------------------------
+# The worker's registry handle
+# ---------------------------------------------------------------------------
+
+class TestWorkerRegistryRuntime:
+    @pytest.fixture
+    def runtime(self, tmp_path):
+        handle = _PersistRuntime(str(tmp_path), poll_interval=0.0)
+        yield handle
+        handle.registry.close()
+
+    def test_an_empty_registry_serves_the_payload_model(
+            self, runtime, regulator_built_model):
+        assert runtime.resolve_model(regulator_built_model) \
+            is regulator_built_model
+        assert runtime.model_version == 0
+        assert runtime.poll_reload() is None
+
+    def test_the_published_model_wins_over_the_payload(
+            self, runtime, regulator_built_model):
+        candidate = rolled_model(regulator_built_model)
+        runtime.registry.publish(candidate, validate=False)
+        served = runtime.resolve_model(regulator_built_model)
+        assert model_fingerprint(served.network) \
+            == model_fingerprint(candidate.network)
+        assert runtime.model_version == 1
+        assert runtime.poll_reload() is None  # already on version 1
+
+    def test_an_unreadable_registry_falls_back_to_the_payload(
+            self, runtime, regulator_built_model, caplog):
+        runtime.registry.publish(regulator_built_model, validate=False)
+        flip_byte(runtime.registry.path / "CURRENT", 1)
+        with caplog.at_level(logging.WARNING, logger="repro.serving"):
+            served = runtime.resolve_model(regulator_built_model)
+        assert served is regulator_built_model
+        assert runtime.model_version == 0
+        assert "model registry unreadable" in caplog.text
+
+    def test_each_publish_is_picked_up_once(self, runtime,
+                                            regulator_built_model):
+        candidate = rolled_model(regulator_built_model)
+        runtime.resolve_model(regulator_built_model)
+        for version, model in ((1, regulator_built_model), (2, candidate)):
+            runtime.registry.publish(model, validate=False)
+            reloaded = runtime.poll_reload()
+            assert model_fingerprint(reloaded.network) \
+                == model_fingerprint(model.network)
+            assert runtime.model_version == version
+            assert runtime.poll_reload() is None
+
+    def test_the_poll_is_throttled(self, tmp_path, regulator_built_model):
+        runtime = _PersistRuntime(str(tmp_path), poll_interval=3600.0)
+        try:
+            runtime.resolve_model(regulator_built_model)
+            assert runtime.poll_reload() is None  # the first poll runs
+            runtime.registry.publish(regulator_built_model, validate=False)
+            # Within the interval the stamp is not read, bump or not.
+            assert runtime.poll_reload() is None
+            assert runtime.model_version == 0
+        finally:
+            runtime.registry.close()
+
+    def test_a_corrupt_new_artifact_is_retried_until_a_good_publish(
+            self, runtime, regulator_built_model, caplog):
+        candidate = rolled_model(regulator_built_model)
+        runtime.registry.publish(regulator_built_model, validate=False)
+        runtime.resolve_model(candidate)
+        assert runtime.model_version == 1
+        runtime.registry.publish(candidate, validate=False)
+        flip_byte(runtime.registry.path / "model-000002.pkl", 0)
+        with caplog.at_level(logging.WARNING, logger="repro.serving"):
+            assert runtime.poll_reload() is None
+            assert runtime.poll_reload() is None
+        assert runtime.model_version == 1
+        assert caplog.text.count("model registry poll failed; keeping "
+                                 "version 1") == 2
+        runtime.registry.publish(candidate, validate=False)
+        reloaded = runtime.poll_reload()
+        assert model_fingerprint(reloaded.network) \
+            == model_fingerprint(candidate.network)
+        assert runtime.model_version == 3

@@ -1,13 +1,12 @@
 """Crash recovery of the durable state: ``kill -9`` mid-write, restarts.
 
-Each durable artifact — cache segment, registry swap, columnar-store save —
-gets a writer subprocess SIGKILLed somewhere inside its write path, then a
-clean reopen that must (a) succeed, (b) retain everything committed before
-the kill, and (c) detect rather than serve whatever the kill tore.  On top
-sit the service-level guarantees: a restarted :class:`DiagnosisService` on
-the same ``persist_dir`` serves warm bit-identical posteriors, a published
-model hot-swaps running workers, and worker kills cannot poison the shared
-cache.
+Each durable artifact — registry swap, columnar-store save — gets a writer
+subprocess SIGKILLed somewhere inside its write path, then a clean reopen
+that must (a) succeed, (b) retain everything committed before the kill,
+and (c) detect rather than serve whatever the kill tore.  On top sit the
+service-level guarantees of ``persist_dir``: a published model hot-swaps
+running workers, a fresh or respawned worker serves the registry's model,
+and a corrupt registry stamp leaves workers serving the model they have.
 """
 
 from __future__ import annotations
@@ -22,12 +21,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import Diagnosis, FallbackPolicy
+from repro.core import (
+    Diagnosis,
+    Dlog2BBN,
+    FallbackPolicy,
+    RobustDiagnosisEngine,
+)
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
-from repro.exceptions import ModelRegistryError, StoreCorruptionError
-from repro.persist import ModelRegistry, PosteriorCache, model_fingerprint
+from repro.exceptions import StoreCorruptionError
+from repro.persist import ModelRegistry, model_fingerprint
 from repro.serving import DiagnosisService, ServiceConfig
-from repro.testing import WorkerChaos
+from repro.testing import WorkerChaos, flip_byte
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -57,17 +61,6 @@ def kill_after_commits(proc: subprocess.Popen, commits: int,
     return seen
 
 
-CACHE_WRITER = """
-import sys
-from repro.persist import PosteriorCache
-cache = PosteriorCache(sys.argv[1])
-i = 0
-while True:
-    cache.put(("crash", i), "v" * 8192 + str(i))
-    print(i, flush=True)
-    i += 1
-"""
-
 REGISTRY_WRITER = """
 import pickle, sys
 from repro.persist import ModelRegistry
@@ -91,23 +84,6 @@ while True:
 
 
 class TestKillMinus9:
-    def test_cache_segment_survives_a_killed_writer(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        proc = spawn_writer(CACHE_WRITER, str(cache_dir))
-        committed = int(kill_after_commits(proc, 25)[-1])
-
-        with PosteriorCache(cache_dir) as cache:
-            # Every committed entry is intact, bit for bit.
-            for i in range(committed + 1):
-                assert cache.get(("crash", i)) == "v" * 8192 + str(i)
-            # Whatever the kill tore was truncated or quarantined — the
-            # reopen itself is the assertion that recovery ran clean.
-            stats = cache.stats()
-            assert stats["entries"] >= committed + 1
-            # A fresh write lands on the repaired tail without complaint.
-            cache.put(("post-crash",), "ok")
-            assert cache.get(("post-crash",)) == "ok"
-
     def test_registry_swap_survives_a_killed_publisher(
             self, regulator_built_model, tmp_path):
         registry_dir = tmp_path / "models"
@@ -151,48 +127,59 @@ class TestKillMinus9:
                 == regulator_population.to_store().values.shape
 
 
+def designer_model(regulator_circuit):
+    """The designer-prior model: other CPTs than the simulation prior's."""
+    return Dlog2BBN(regulator_circuit.model,
+                    regulator_circuit.healthy_states).build()
+
+
 class TestServiceRestart:
-    def test_restart_serves_warm_bit_identical_posteriors(
-            self, regulator_built_model, tmp_path):
-        cases = list(PAPER_DIAGNOSTIC_CASES)
-        config = ServiceConfig(num_workers=2, chunk_size=2)
-        with DiagnosisService(regulator_built_model, FallbackPolicy(),
-                              config, persist_dir=tmp_path) as service:
-            cold = service.diagnose_batch(cases, timeout=120)
-
-        with DiagnosisService(regulator_built_model, FallbackPolicy(),
-                              config, persist_dir=tmp_path) as service:
-            warm = service.diagnose_batch(cases, timeout=120)
-            stats = service.stats()
-
-        assert all(isinstance(r, Diagnosis) for r in cold + warm)
-        for before, after in zip(cold, warm):
-            assert after.posteriors == before.posteriors  # bit-identical
-            assert after.provenance.engine == "cache"
-        # ISSUE acceptance: >= 90% of the restarted service's lookups hit.
-        lookups = stats.cache_hits + stats.cache_misses
-        assert lookups >= len(cases)
-        assert stats.cache_hits / lookups >= 0.9
-
-    def test_killed_workers_cannot_poison_the_shared_cache(
-            self, regulator_built_model, tmp_path):
+    def test_respawned_workers_serve_the_registry_model(
+            self, regulator_circuit, regulator_built_model, tmp_path):
+        """Killed workers come back on the registry's model, not the
+        payload's, and every slot is answered."""
+        with ModelRegistry(tmp_path / "models") as registry:
+            registry.publish(regulator_built_model, validate=False)
         cases = list(PAPER_DIAGNOSTIC_CASES) * 6
         config = ServiceConfig(num_workers=2, chunk_size=2,
                                chaos=WorkerChaos(kill_on_chunk=2))
-        with DiagnosisService(regulator_built_model, FallbackPolicy(),
-                              config, persist_dir=tmp_path) as service:
+        with DiagnosisService(designer_model(regulator_circuit),
+                              FallbackPolicy(), config,
+                              persist_dir=tmp_path) as service:
             results = service.diagnose_batch(cases, timeout=180)
             stats = service.stats()
-        assert all(isinstance(r, Diagnosis) for r in results)
         assert stats.respawns >= 1  # the kills actually happened
+        assert all(isinstance(r, Diagnosis) for r in results)
+        engine = RobustDiagnosisEngine(regulator_built_model,
+                                       FallbackPolicy())
+        reference = {case.name: engine.diagnose(case).posteriors
+                     for case in PAPER_DIAGNOSTIC_CASES}
+        for case, result in zip(cases, results):
+            for variable, states in reference[case.name].items():
+                assert result.posteriors[variable] == pytest.approx(
+                    states, abs=1e-12, rel=0)
 
-        # Workers died holding cache handles (and possibly the write
-        # lock); the shared state must reopen clean and stay correct.
-        with PosteriorCache(tmp_path / "cache") as cache:
-            for key in cache.keys():
-                if key[0] == "posterior":
-                    assert cache.get(key) is not None
-            assert cache.stats()["entries"] > 0
+    def test_corrupt_stamp_keeps_workers_on_their_model(
+            self, regulator_built_model, tmp_path):
+        """A damaged ``CURRENT`` stamp is logged at the next poll; the
+        worker keeps serving the model it has, without a respawn."""
+        with ModelRegistry(tmp_path / "models") as registry:
+            registry.publish(regulator_built_model, validate=False)
+        cases = list(PAPER_DIAGNOSTIC_CASES)
+        config = ServiceConfig(num_workers=1)
+        with DiagnosisService(regulator_built_model, FallbackPolicy(),
+                              config, persist_dir=tmp_path,
+                              reload_poll_interval=0.0) as service:
+            before = service.diagnose_batch(cases, timeout=120)
+            flip_byte(tmp_path / "models" / "CURRENT", 1)
+            after = service.diagnose_batch(cases, timeout=120)
+            stats = service.stats()
+        assert all(isinstance(r, Diagnosis) for r in before + after)
+        assert {r.provenance.engine for r in before + after} == {"ve"}
+        assert [r.posteriors for r in after] == \
+            [r.posteriors for r in before]
+        assert stats.respawns == 0
+        assert stats.workers_alive == 1
 
     def test_publish_model_hot_swaps_running_workers(
             self, regulator_circuit, regulator_built_model, tmp_path):

@@ -1,9 +1,9 @@
 """The robust engine's batched path: one primary sweep per batch.
 
-``RobustDiagnosisEngine.diagnose_batch`` admits every slot (evidence
-boundary, durable-cache lookup), answers the rest with ONE batched sweep of
-the primary engine, and sends only the slots that sweep could not answer
-down the fallback chain.  Every slot must come out exactly as
+``RobustDiagnosisEngine.diagnose_batch`` admits every slot (the evidence
+boundary), answers the admitted slots with ONE batched sweep of the primary
+engine, and sends only the slots that sweep could not answer down the
+fallback chain.  Every slot must come out exactly as
 ``diagnose`` would have produced it on its own.
 """
 
@@ -24,8 +24,6 @@ from repro.core import (
 )
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import DegradedResultWarning, EvidenceError
-from repro.persist import PosteriorCache, model_fingerprint
-from repro.serving import DiagnosisService, ServiceConfig
 from repro.serving.worker import _run_chunk
 from repro.testing import FaultInjector
 
@@ -190,12 +188,17 @@ def test_wall_time_is_an_equal_share_of_the_batch(built_model, chunk):
 
 
 def test_failed_sweep_walks_the_chain_per_slot(built_model):
+    """Every slot of a failed sweep walks the chain on its own, a duplicate
+    slot included."""
     engine = RobustDiagnosisEngine(built_model, policy())
-    cases = list(PAPER_DIAGNOSTIC_CASES)
+    cases = [*PAPER_DIAGNOSTIC_CASES,
+             dataclasses.replace(PAPER_DIAGNOSTIC_CASES[0], name="duplicate")]
     with FaultInjector() as chaos:
         chaos.raise_on_call(engine._engine, "posteriors_batch")
         with pytest.warns(DegradedResultWarning):
             results = engine.diagnose_batch(cases, on_error="collect")
+    assert [result.case_name for result in results] == \
+        [case.name for case in cases]
     for result in results:
         assert result.ok
         assert [attempt.engine for attempt in result.provenance.attempts] \
@@ -220,124 +223,19 @@ def test_sanitised_slots_still_warn(built_model):
     assert salvaged.suspects == clean.suspects
 
 
-def test_durable_cache_hits_keep_their_provenance(built_model, tmp_path):
-    cases = list(PAPER_DIAGNOSTIC_CASES)
-    with PosteriorCache(tmp_path / "cache") as cache:
-        engine = RobustDiagnosisEngine(built_model, policy(),
-                                       posterior_cache=cache)
-        cold = engine.diagnose_batch(cases)
-        warm = engine.diagnose_batch(cases)
-    assert {result.provenance.engine for result in cold} == {"ve"}
-    assert {result.provenance.engine for result in warm} == {"cache"}
-    assert engine.cache_hits == len(cases)
-    for before, after in zip(cold, warm):
-        assert after.posteriors == before.posteriors
-
-
-def test_duplicate_slots_share_one_durable_entry(built_model, tmp_path):
-    """A batch looks up and stores each distinct evidence once; its later
-    copies are durable hits of that entry, as they are case by case."""
-    distinct = list(PAPER_DIAGNOSTIC_CASES)
-    cases = [*distinct,
-             *(dataclasses.replace(case, name=f"{case.name}-again")
-               for case in distinct),
-             dataclasses.replace(distinct[0], name="third")]
-    copies = len(cases) - len(distinct)
-    with PosteriorCache(tmp_path / "cache") as cache:
-        engine = RobustDiagnosisEngine(built_model, policy(),
-                                       posterior_cache=cache)
-        cold = engine.diagnose_batch(cases)
-        assert (engine.cache_misses, engine.cache_hits) == \
-            (len(distinct), copies)
-        # One record per distinct row: no key is written twice.
-        assert cache.puts == len(cache.keys())
-        assert sum(key[0] == "posterior" for key in cache.keys()) == \
-            len(distinct)
-        reads = cache.hits
-        warm = engine.diagnose_batch(cases)
-        assert cache.hits - reads == len(distinct)
-        assert cache.puts == len(cache.keys())
-    assert engine.cache_misses == len(distinct)
-    assert engine.cache_hits == copies + len(cases)
-    assert [result.provenance.engine for result in cold] == \
-        ["ve"] * len(distinct) + ["cache"] * copies
-    assert {result.provenance.engine for result in warm} == {"cache"}
-    for first, result in zip(cold + warm, cases + cases):
-        assert first.case_name == result.name
-    for result in cold[len(distinct):] + warm:
-        twin = cold[[case.evidence() for case in distinct].index(
-            result.evidence)]
-        assert result.posteriors == twin.posteriors
-        assert result.suspects == twin.suspects
-        assert all(result.posteriors[variable] is not distribution
-                   for variable, distribution in twin.posteriors.items())
-
-
-def test_durable_records_are_keyed_by_the_codec_row_key(built_model,
-                                                        tmp_path):
-    """A cold batch stores each posterior set under the model fingerprint
-    and the evidence's codec row key, the key of the in-memory caches."""
-    cases = list(PAPER_DIAGNOSTIC_CASES)
-    with PosteriorCache(tmp_path / "cache") as cache:
-        engine = RobustDiagnosisEngine(built_model, policy(),
-                                       posterior_cache=cache)
-        engine.diagnose_batch(cases)
-        keys = set(cache.keys())
-    fingerprint = model_fingerprint(built_model.network)
-    codec = built_model.description.evidence_codec
-    assert keys == {("posterior", fingerprint,
-                     codec.key(case.evidence(), EvidenceError))
-                    for case in cases}
-
-
-def test_durable_hit_ignores_evidence_key_order(built_model, tmp_path):
-    """The row key sorts the evidence, so an engine that never saw a case
-    reads the record another engine stored for it in another key order."""
+def test_evidence_key_order_does_not_change_the_answer(built_model):
+    """Evidence is keyed by its sorted codec row key: the same evidence in
+    another key order is the same row, answered from the evidence cache."""
     evidence = PAPER_DIAGNOSTIC_CASES[0].evidence()
     reordered = dict(reversed(evidence.items()))
     assert list(reordered) != list(evidence)
-    with PosteriorCache(tmp_path / "cache") as cache:
-        writer = RobustDiagnosisEngine(built_model, policy(),
-                                       posterior_cache=cache)
-        (cold,) = writer.diagnose_batch([evidence])
-        reader = RobustDiagnosisEngine(built_model, policy(),
-                                       posterior_cache=cache)
-        (warm,) = reader.diagnose_batch([reordered])
-    assert cold.provenance.engine == "ve"
-    assert warm.provenance.engine == "cache"
-    assert (reader.cache_hits, reader.cache_misses) == (1, 0)
-    assert warm.posteriors == cold.posteriors
-
-
-def test_duplicate_of_an_unstored_slot_is_its_own_miss(built_model,
-                                                        tmp_path):
-    """Degraded posteriors are never stored, so a later copy of a slot that
-    degraded misses, as it would case by case."""
-    case = PAPER_DIAGNOSTIC_CASES[0]
-    with PosteriorCache(tmp_path / "cache") as cache:
-        engine = RobustDiagnosisEngine(built_model, policy(),
-                                       posterior_cache=cache)
-        with FaultInjector() as chaos:
-            chaos.raise_on_call(engine._engine, "posteriors_batch")
-            with pytest.warns(DegradedResultWarning):
-                results = engine.diagnose_batch([case, case])
-        assert cache.puts == 0
-    assert (engine.cache_misses, engine.cache_hits) == (2, 0)
-    assert [result.provenance.engine for result in results] == ["lw", "lw"]
-
-
-def test_served_cache_hits_move_the_service_counter(built_model, tmp_path):
-    cases = list(PAPER_DIAGNOSTIC_CASES)
-    config = ServiceConfig(num_workers=1, chunk_size=3)
-    with DiagnosisService(built_model, policy(), config,
-                          persist_dir=tmp_path) as service:
-        cold = service.diagnose_batch(cases, timeout=120)
-        warm = service.diagnose_batch(cases, timeout=120)
-        stats = service.stats()
-    assert {result.provenance.engine for result in cold} == {"ve"}
-    assert {result.provenance.engine for result in warm} == {"cache"}
-    assert stats.cache_hits == len(cases)
-    assert stats.cache_misses == len(cases)
+    engine = RobustDiagnosisEngine(built_model, policy())
+    (first,) = engine.diagnose_batch([evidence])
+    sweeps = engine._engine.sweep_count
+    (again,) = engine.diagnose_batch([reordered])
+    assert engine._engine.sweep_count == sweeps
+    assert again.provenance.engine == first.provenance.engine == "ve"
+    assert again.posteriors == first.posteriors
 
 
 class _Recorder:

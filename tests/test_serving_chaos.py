@@ -13,6 +13,7 @@ escaped hang fails the job instead of wedging it.)
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 
 import pytest
@@ -21,6 +22,7 @@ from repro.core import Dlog2BBN, FallbackPolicy
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import ServingError
 from repro.serving import DiagnosisService, ServiceConfig
+from repro.serving import worker as worker_module
 from repro.testing import WorkerChaos, is_poison_case, poison_case
 
 
@@ -111,6 +113,31 @@ class TestCrashIsolation:
         kinds = {r.error_type for r in results if not r.ok}
         assert kinds <= {"WorkerCrashError", "ServiceShutdownError"}
         assert not any(r.ok for r in results[:1])  # the poison slot itself
+
+    def test_failed_engine_builds_leave_the_supervisor_running(
+            self, built_model, monkeypatch):
+        """A worker whose engine cannot be built reports ``fatal``; once its
+        respawn budget is spent the supervisor retires it, fails the
+        outstanding slots structurally, and keeps running to shut down."""
+        def broken_build(*args):
+            time.sleep(0.2)  # let the submission below reach the queue
+            raise RuntimeError("injected engine build failure")
+
+        escaped = []
+        monkeypatch.setattr(worker_module, "_build_engine", broken_build)
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        svc = service(built_model, num_workers=1, max_respawns_per_worker=1,
+                      start_method="fork")
+        try:
+            results = svc.diagnose_batch(PAPER_DIAGNOSTIC_CASES, timeout=60)
+            stats = svc.stats()
+        finally:
+            svc.shutdown(timeout=30)
+        assert [r.error_type for r in results] == \
+            ["ServiceShutdownError"] * len(PAPER_DIAGNOSTIC_CASES)
+        assert stats.respawns == 1 and stats.workers_alive == 0
+        assert not svc._supervisor.is_alive()
+        assert [hook.exc_type for hook in escaped] == []
 
 
 class TestHangsAndSlowness:
