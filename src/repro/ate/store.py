@@ -48,6 +48,13 @@ _ARRAY_FILES = ("values", "passed", "device_ids",
 STORE_MAGIC = "RDRS2"
 
 
+def _meta_crc32(meta: Mapping) -> int:
+    """CRC32 of the canonical JSON of every metadata field but its own."""
+    return zlib.crc32(json.dumps(
+        {key: value for key, value in meta.items() if key != "meta_crc32"},
+        sort_keys=True, separators=(",", ":")).encode("ascii"))
+
+
 class DeviceResultStore:
     """A device population as ``(tests, devices)`` planes.
 
@@ -251,9 +258,9 @@ class DeviceResultStore:
         population) are stored as plain ``.npy`` files so :meth:`load` can
         memory-map them.  Every plane is written to a tmp file and
         ``os.rename``d, its byte length and CRC32 are recorded in the
-        metadata (format 2, carrying header magic), and the metadata file
-        itself is committed last, also atomically — so a crash mid-save
-        leaves either the previous consistent store or a detectable
+        metadata (format 2, with header magic and its own CRC32), and the
+        metadata file itself is committed last, also atomically — so a crash
+        mid-save leaves either the previous consistent store or a detectable
         mismatch, never silently truncated arrays.
         """
         path = Path(path)
@@ -287,6 +294,7 @@ class DeviceResultStore:
                 "conditions": [{block: float(value)
                                 for block, value in mapping.items()}
                                for mapping in self.conditions]}
+        meta["meta_crc32"] = _meta_crc32(meta)
         meta_tmp = path / f"{_META_FILE}.tmp.{os.getpid()}"
         meta_tmp.write_text(json.dumps(meta), encoding="ascii")
         os.replace(meta_tmp, path / _META_FILE)
@@ -308,26 +316,41 @@ class DeviceResultStore:
         checks are one ``stat`` per plane and always run; the CRC pass
         reads each plane once (the pages stay hot for the mmap) and can be
         skipped with ``verify=False`` when open cost must stay
-        O(metadata).  Legacy format-1 stores (no checksums recorded) still
-        load unverified.
+        O(metadata).  So does metadata that is undecodable, incomplete or
+        fails its CRC32 (checked when recorded).  Legacy format-1 stores (no
+        checksums recorded) still load unverified.
         """
         path = Path(path)
         meta_path = path / _META_FILE
         if not meta_path.exists():
             raise ATEError(f"no columnar store at {path} (missing {_META_FILE})")
-        meta = json.loads(meta_path.read_text(encoding="ascii"))
-        version = meta.get("format")
-        if version not in (1, 2):
-            raise ATEError(
-                f"unsupported columnar store format {version!r}")
-        planes = {}
-        if version == 2:
-            if meta.get("magic") != STORE_MAGIC:
+        try:
+            meta = json.loads(meta_path.read_bytes().decode("ascii"))
+            version = meta.get("format")
+            if version not in (1, 2):
+                raise ATEError(
+                    f"unsupported columnar store format {version!r}")
+            if version == 2 and meta.get("magic") != STORE_MAGIC:
                 raise StoreCorruptionError(
                     f"columnar store at {path} does not carry the store "
                     f"magic {STORE_MAGIC!r} (found {meta.get('magic')!r})",
                     kind="bad-magic", path=str(meta_path))
-            planes = meta.get("planes", {})
+            if version == 2 and "meta_crc32" in meta \
+                    and meta["meta_crc32"] != _meta_crc32(meta):
+                raise StoreCorruptionError(
+                    f"metadata of the columnar store at {path} failed its "
+                    f"CRC32 check", kind="bad-crc", path=str(meta_path))
+            planes = meta.get("planes", {}) if version == 2 else {}
+            expected = {name: (int(planes[name]["bytes"]),
+                               int(planes[name]["crc32"]))
+                        for name in _ARRAY_FILES if name in planes}
+            fields = [meta[name] for name in ("test_numbers", "test_names",
+                      "blocks", "lowers", "uppers", "conditions")]
+        except (ValueError, KeyError, TypeError, AttributeError) as error:
+            raise StoreCorruptionError(
+                f"metadata of the columnar store at {path} cannot be "
+                f"decoded, parsed or read in full: {error!r}",
+                kind="bad-meta", path=str(meta_path)) from None
         mode = "r" if mmap else None
         arrays = {}
         for name in _ARRAY_FILES:
@@ -338,26 +361,22 @@ class DeviceResultStore:
                     f"columnar store at {path} is missing {name}.npy",
                     **({"kind": "missing-plane", "path": str(file)}
                        if version == 2 else {}))
-            expected = planes.get(name)
-            if expected is not None:
-                size = file.stat().st_size
-                if size != int(expected["bytes"]):
+            if name in expected:
+                size, crc = expected[name]
+                if file.stat().st_size != size:
                     raise StoreCorruptionError(
                         f"plane {name}.npy of the store at {path} is "
-                        f"{size} byte(s), expected {expected['bytes']} — "
+                        f"{file.stat().st_size} byte(s), expected {size} — "
                         f"truncated or torn write", kind="truncated",
                         path=str(file))
-                if verify and zlib.crc32(file.read_bytes()) \
-                        != int(expected["crc32"]):
+                if verify and zlib.crc32(file.read_bytes()) != crc:
                     raise StoreCorruptionError(
                         f"plane {name}.npy of the store at {path} failed "
                         f"its CRC32 check — refusing to serve corrupted "
                         f"measurements", kind="bad-crc", path=str(file))
             arrays[name] = np.load(file, mmap_mode=mode, allow_pickle=False)
         return cls(arrays["device_ids"], arrays["values"], arrays["passed"],
-                   meta["test_numbers"], meta["test_names"], meta["blocks"],
-                   meta["lowers"], meta["uppers"], meta["conditions"],
-                   arrays["fault_index"], arrays["fault_blocks"],
+                   *fields, arrays["fault_index"], arrays["fault_blocks"],
                    arrays["fault_modes"], arrays["fault_severities"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

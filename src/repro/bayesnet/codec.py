@@ -29,6 +29,7 @@ evidence, which keys the engines' evidence caches.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +61,9 @@ class Defect(NamedTuple):
 class EvidenceCodec:
     """The label-to-code maps of a network or model, and their one reading.
 
-    ``labels`` holds every variable's state labels in code order.
+    ``labels`` holds every variable's state labels in code order; in a
+    posterior matrix row, state ``code`` of ``variable`` is column
+    ``offsets[variable] + code`` of ``width``.
     """
 
     def __init__(self, labels: Mapping[str, Sequence[object]]) -> None:
@@ -69,6 +72,9 @@ class EvidenceCodec:
         self._codes = {variable: {label: code
                                   for code, label in enumerate(states)}
                        for variable, states in self.labels.items()}
+        sizes = [len(states) for states in self.labels.values()]
+        self.offsets = dict(zip(self.labels, accumulate([0, *sizes])))
+        self.width = sum(sizes)
 
     @classmethod
     def of(cls, network) -> "EvidenceCodec":

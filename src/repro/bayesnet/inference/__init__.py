@@ -13,10 +13,10 @@ provided.  All engines share the same query interface:
 
 Variable elimination additionally answers whole populations at once
 (``posteriors_batch``): one batched sweep per evidence-variable set over
-the deduplicated state-code rows.  Elimination orders and contraction
-plans are memoised, so the structure is planned once and every later case
-only replays it.  Batched diagnosis runs every population through that
-sweep.
+the deduplicated state-code rows, returned as one posterior matrix with
+P(evidence) per row.  Elimination orders and contraction plans are
+memoised, so every later case only replays them.  Batched diagnosis runs
+every population through that sweep and reads its results off the matrix.
 """
 
 from repro.bayesnet.inference.elimination_order import (

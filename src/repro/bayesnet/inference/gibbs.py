@@ -59,6 +59,8 @@ class GibbsSampling(CompiledSampler):
             raise InferenceError("chains must be at least 1")
         self._init_compiled(network)
         self.num_samples = int(num_samples)
+        # Every query retains num_samples sweeps: its effective sample size.
+        self.last_effective_sample_size = float(self.num_samples)
         self.burn_in = int(burn_in)
         self.thin = int(thin)
         self.chains = min(int(chains), self.num_samples)

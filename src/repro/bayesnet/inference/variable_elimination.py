@@ -18,11 +18,14 @@ cache and, grouped by evidence variables, becomes the code matrix of one
 batched sweep.  A label names its state and a Python or numpy integer the
 state at that index; a bad entry (unknown variable, unknown label, an index
 out of range) raises ``InferenceError``.
-Repeated queries on the same case are answered from the cache.
+A sweep answers each case as one posterior row (the codec's column spans,
+evidence one-hot) and its P(evidence); a batch is one matrix of them
+(:class:`PosteriorRows`), and the evidence cache keeps one row per key.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -182,12 +185,14 @@ class VariableElimination:
         """Return the marginal posterior of each variable from a single sweep."""
         variables = list(variables)
         evidence = dict(evidence or {})
-        (marginals,) = self._answers([self._key(variables, evidence)])
-        if marginals is None:
+        keys = [self._key(variables, evidence)]
+        answer = PosteriorRows(EvidenceCodec.of(self.network), keys,
+                               *self._rows(keys))[0]
+        if answer is None:
             raise ImpossibleEvidenceError(
                 "the evidence has zero probability under the model; "
                 "posteriors are undefined", evidence=evidence)
-        return {variable: marginals[variable] for variable in variables}
+        return {variable: answer[variable] for variable in variables}
 
     def map_query(self, variables: Sequence[str],
                   evidence: Evidence | None = None) -> dict[str, str]:
@@ -219,24 +224,24 @@ class VariableElimination:
 
     # ------------------------------------------------------------ batched sweeps
     def posteriors_batch(self, evidence_list: Sequence[Evidence]
-                         ) -> list[dict[str, dict[str, float]] | None]:
-        """Return every case's all-marginal posteriors from batched sweeps.
+                         ) -> "PosteriorRows":
+        """Return every case's posteriors from batched sweeps, as one matrix.
 
         Each case is read once into its row key (``InferenceError`` on a bad
         entry, before any sweep), and the keys are answered like
         :meth:`posteriors` answers one: the population-scoring counterpart.
-        Each result slot maps every non-evidence variable to its posterior
-        distribution, in dicts of its own; zero-probability evidence yields
-        ``None`` in that slot (callers decide whether that is an error), and
-        non-finite CPD entries raise :class:`InferenceError`.
+        Indexing the result gives a case's non-evidence posteriors in dicts
+        of its own, ``None`` for zero-probability evidence (callers decide
+        whether that is an error), or raises :class:`InferenceError` for a
+        case that corrupted (NaN/inf) CPD entries reach, alone.
         """
         codec = EvidenceCodec.of(self.network)
-        return self._answers([codec.key(evidence or {}, InferenceError)
-                              for evidence in evidence_list])
+        keys = [codec.key(evidence or {}, InferenceError)
+                for evidence in evidence_list]
+        return PosteriorRows(codec, keys, *self._rows(keys))
 
-    def _answers(self, keys: Sequence[tuple]
-                 ) -> list[dict[str, dict[str, float]] | None]:
-        """Every row key's free-variable marginals, in dicts of its own.
+    def _rows(self, keys: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """Every row key's posterior row and P(evidence).
 
         Distinct keys the evidence cache already holds are read from it.
         The rest run ONE shared-bucket sweep per evidence variable set, with
@@ -246,27 +251,28 @@ class VariableElimination:
         product of a bucket's own potential with its backward message is
         the exact joint over the bucket scope.  Every batched operation is
         elementwise along the case axis, so a key's posteriors do not depend
-        on the batch it is swept in.  Swept keys are cached as
-        ``(marginals, P(evidence))``, zero-probability evidence as
-        ``(None, 0.0)``; replacing a CPD on the network drops the cache.
+        on the batch it is swept in.  Swept keys with a finite P(evidence)
+        are cached as ``(row, P(evidence))``; replacing a CPD on the network
+        drops the cache.
         """
         self._refresh_caches()
-        entries: dict[tuple, tuple | None] = dict.fromkeys(keys)
-        for key in entries:
-            entries[key] = self._marginal_cache.get(key)
+        found: dict[tuple, tuple | None] = dict.fromkeys(keys)
+        for key in found:
+            found[key] = self._marginal_cache.get(key)
         for group, variables, codes in _code_groups(
-                [key for key, entry in entries.items() if entry is None]):
-            marginals, constants = self._sweep_batch(variables, codes)
-            for key, distribution, constant in zip(
-                    group, self._batch_distributions(marginals, constants),
-                    constants.tolist()):
-                entries[key] = (distribution,
-                                constant if distribution is not None else 0.0)
-                self._marginal_cache.put(key, entries[key])
-        return [None if entries[key][0] is None else {
-                    variable: dict(states)
-                    for variable, states in entries[key][0].items()}
-                for key in keys]
+                [key for key, entry in found.items() if entry is None]):
+            block, constants = self._sweep_batch(variables, codes)
+            for key, row, constant in zip(group, block, constants.tolist()):
+                found[key] = (row, constant)
+                if math.isfinite(constant):
+                    self._marginal_cache.put(key, found[key])
+            if len(group) == len(keys):  # one cold sweep of distinct keys
+                return block, constants
+        if not keys:
+            return (np.zeros((0, EvidenceCodec.of(self.network).width)),
+                    np.zeros(0))
+        return (np.array([found[key][0] for key in keys]),
+                np.array([found[key][1] for key in keys]))
 
     def probabilities_of_evidence(self, evidence_list: Sequence[Evidence]
                                   ) -> np.ndarray:
@@ -291,23 +297,6 @@ class VariableElimination:
                     "corrupted (NaN/inf) CPD entries")
             probabilities.update(zip(group, constants.tolist()))
         return np.array([probabilities[key] for key in keys], dtype=float)
-
-    def _batch_distributions(self, marginals, constants
-                             ) -> list[dict[str, dict[str, float]] | None]:
-        """Expand batched marginal arrays into per-case distribution dicts."""
-        count = len(constants)
-        results: list[dict[str, dict[str, float]] | None] = [None] * count
-        # One tolist() per variable turns the planes into Python floats at C
-        # speed; the per-row work is then plain dict building.
-        columns = [(self.network.get_cpd(variable).state_names[variable],
-                    values.tolist(), variable)
-                   for variable, values in marginals.items()]
-        for row, constant in enumerate(constants.tolist()):
-            if constant <= 0.0:
-                continue
-            results[row] = {variable: dict(zip(names, rows[row]))
-                            for names, rows, variable in columns}
-        return results
 
     def _reduce_rows(self, factor: DiscreteFactor,
                      columns: Mapping[str, np.ndarray], count: int
@@ -474,25 +463,21 @@ class VariableElimination:
         return order, potentials, forward, parent, constants
 
     def _sweep_batch(self, evidence_vars: Sequence[str], codes: np.ndarray
-                     ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Run one batched full sweep; return per-case marginal arrays.
-
-        Returns ``({variable: (cases, card) normalised posteriors},
-        (cases,) evidence probabilities)``.  Rows with zero evidence
-        probability hold unspecified marginal values — callers mask them via
-        the constants vector.
-        """
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Run one batched full sweep: ``((cases, width) posterior rows,
+        (cases,) evidence probabilities)``, evidence one-hot.  A row whose
+        probability is zero or not finite holds unspecified values."""
         self.sweep_count += 1
         count = codes.shape[0]
+        codec = EvidenceCodec.of(self.network)
         order, potentials, forward, parent, constants = \
             self._forward_pass_batch(evidence_vars, codes)
-        if not np.all(np.isfinite(constants)):
-            raise InferenceError(
-                "non-finite evidence probability; the network contains "
-                "corrupted (NaN/inf) CPD entries")
 
+        block = np.zeros((count, codec.width))
+        cases = np.arange(count)
+        for position, variable in enumerate(evidence_vars):
+            block[cases, codec.offsets[variable] + codes[:, position]] = 1.0
         back: list[tuple | None] = [None] * len(order)
-        marginals: dict[str, np.ndarray] = {}
         with np.errstate(divide="ignore", invalid="ignore"):
             for j in range(len(order) - 1, -1, -1):
                 belief = potentials[j]
@@ -504,9 +489,9 @@ class VariableElimination:
                 if not batched:
                     marginal = np.broadcast_to(marginal, (count,) + marginal.shape)
                 totals = marginal.sum(axis=-1, keepdims=True)
-                marginals[order[j]] = np.where(
-                    totals > 0, marginal / np.where(totals > 0, totals, 1.0),
-                    0.0)
+                start = codec.offsets[order[j]]
+                np.divide(marginal, totals, where=totals > 0,
+                          out=block[:, start:start + marginal.shape[-1]])
                 for i in range(j):
                     if parent[i] == j:
                         separator = set(forward[i][0])
@@ -514,7 +499,9 @@ class VariableElimination:
                             [belief], keep=[v for v in variables
                                             if v in separator])
                         back[i] = self._divide_rows(numerator, forward[i])
-        return marginals, constants
+        # The evidence cache keeps views of these rows.
+        block.flags.writeable = False
+        return block, constants
 
     @staticmethod
     def _divide_rows(numerator: tuple, denominator: tuple) -> tuple:
@@ -549,3 +536,56 @@ def _code_groups(keys: Iterable[tuple]):
         yield members, list(variables), np.array(
             [[code for _, code in key] for key in members],
             dtype=np.int64).reshape(len(members), len(variables))
+
+
+class PosteriorRows(Sequence):
+    """The answers of one :meth:`VariableElimination.posteriors_batch` call.
+
+    ``matrix`` holds one posterior row per case (the network codec's layout,
+    evidence one-hot) and ``probability`` each case's P(evidence).  A slot's
+    dicts are built from its row when first indexed, then kept.
+    """
+
+    def __init__(self, codec: EvidenceCodec, keys: Sequence[tuple],
+                 matrix: np.ndarray, probability: np.ndarray) -> None:
+        self.matrix, self.probability = matrix, probability
+        self._codec, self._keys = codec, keys
+        self._built: list[dict | None] = [None] * len(keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, slot: int) -> dict[str, dict[str, float]] | None:
+        if isinstance(slot, slice):
+            return [self[index] for index in range(len(self))[slot]]
+        error = self.error(slot)
+        if error is not None:
+            if isinstance(error, ImpossibleEvidenceError):
+                return None
+            raise error
+        if self._built[slot] is None:
+            observed = dict(self._keys[slot])
+            values, codec = self.matrix[slot].tolist(), self._codec
+            self._built[slot] = {
+                variable: dict(zip(labels, values[codec.offsets[variable]:]))
+                for variable, labels in codec.labels.items()
+                if variable not in observed}
+        return self._built[slot]
+
+    def error(self, slot: int) -> InferenceError | None:
+        """The error of a slot whose P(evidence) is not finite, or zero."""
+        probability = float(self.probability[slot])
+        if not math.isfinite(probability):
+            return InferenceError(
+                "non-finite evidence probability; the network contains "
+                "corrupted (NaN/inf) CPD entries")
+        if probability <= 0.0:
+            return ImpossibleEvidenceError(
+                "the evidence has zero probability under the model; "
+                "posteriors are undefined", evidence=dict(self._keys[slot]))
+        return None
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None

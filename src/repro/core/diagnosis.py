@@ -7,7 +7,10 @@ with Bayes' theorem.  The paper then deduces the suspect functional blocks
 *manually* by iterating over the parent–child relations ("a common parent
 block can be iteratively deduced").  :class:`DiagnosisEngine` automates both
 steps; the deduction algorithm below reproduces the paper's reasoning on all
-five published case studies when fed the paper's own posterior numbers.
+five published case studies when fed the paper's own posterior numbers.  A
+batch's distinct evidence rows are answered as one posterior matrix, each
+row's suspects come from its blocks' level pattern, and each
+:class:`Diagnosis` is a lazy view of its row.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import dataclasses
 import time
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
+from repro.bayesnet.codec import EvidenceCodec
 from repro.bayesnet.inference import (
     GibbsSampling,
     JunctionTree,
@@ -54,14 +60,6 @@ def chunk_slices(total: int, chunk_size: int) -> list[slice]:
         raise DiagnosisError(f"total must be >= 0, got {total}")
     return [slice(start, min(start + chunk_size, total))
             for start in range(0, total, chunk_size)]
-
-
-def impossible_evidence(evidence: Mapping[str, str]
-                        ) -> ImpossibleEvidenceError:
-    """The error for evidence the model assigns probability zero."""
-    return ImpossibleEvidenceError(
-        "the evidence has zero probability under the model; posteriors are "
-        "undefined", evidence=evidence)
 
 
 def _slot_name(case, index: int, names) -> str:
@@ -321,6 +319,9 @@ class Diagnosis:
         Optional serving metadata (engine used, attempts, degradation);
         populated by the robust serving layer, ``None`` for direct
         :class:`DiagnosisEngine` calls.
+
+    A batch result is a row view: ``posteriors``, ``fail_probabilities`` and
+    ``ranked_candidates`` are built on first read, then kept (see README).
     """
 
     case_name: str
@@ -330,6 +331,16 @@ class Diagnosis:
     suspects: list[str]
     ranked_candidates: list[tuple[str, float]]
     provenance: DiagnosisProvenance | None = None
+
+    @classmethod
+    def _of_row(cls, layout, row, order, suspects, case_name, evidence,
+                provenance=None) -> "Diagnosis":
+        """The view of one posterior matrix row, its ranking ``order``."""
+        view = cls.__new__(cls)
+        view.__dict__.update(case_name=case_name, evidence=evidence,
+                             suspects=list(suspects), provenance=provenance,
+                             _layout=layout, _row=row, _order=order)
+        return view
 
     @property
     def ok(self) -> bool:
@@ -374,16 +385,30 @@ class Diagnosis:
 
     def rank_of(self, block: str) -> int:
         """Return the 1-based rank of ``block`` in the fail-probability ranking."""
-        ranks = self.__dict__.get("_rank_index")
-        if ranks is None or len(ranks) != len(self.ranked_candidates):
-            ranks = {candidate: rank for rank, (candidate, _)
-                     in enumerate(self.ranked_candidates, start=1)}
-            self.__dict__["_rank_index"] = ranks
-        try:
-            return ranks[block]
-        except KeyError:
-            raise DiagnosisError(
-                f"block {block!r} is not an internal model variable") from None
+        for rank, (candidate, _) in enumerate(self.ranked_candidates, start=1):
+            if candidate == block:
+                return rank
+        raise DiagnosisError(
+            f"block {block!r} is not an internal model variable")
+
+
+class _RowField:
+    """A view's field, built on first read, then kept; set ones shadow it."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        value = view.__dict__[self.name] = getattr(view._layout,
+                                                   self.name)(view)
+        return value
+
+
+Diagnosis.posteriors, Diagnosis.fail_probabilities, \
+    Diagnosis.ranked_candidates = map(_RowField, (
+        "posteriors", "fail_probabilities", "ranked_candidates"))
 
 
 class DiagnosisEngine:
@@ -444,13 +469,8 @@ class DiagnosisEngine:
             raise DiagnosisError(
                 f"unknown inference engine {inference!r}; "
                 f"use one of {ENGINE_NAMES}")
-        # Per-case lookups, built once: the model is frozen after
-        # construction.
-        self._observed = {
-            variable: {state: {label: float(label == state)
-                               for label in labels}
-                       for state in labels}
-            for variable, labels in self.model.state_names().items()}
+        self._layout = _RowLayout(self.model, self.network,
+                                  self.healthy_states)
         # Model order of the internal variables, the tie-break of suspects.
         self._internal_order = {
             variable: index
@@ -460,6 +480,9 @@ class DiagnosisEngine:
                             for parent in self.model.parents_of(variable)
                             if parent in self._internal_order)
             for variable in self._internal_order}
+        self._patterns = _SUSPECT_PATTERNS.setdefault((
+            tuple(self._internal_parents.items()), self.abnormal_threshold,
+            self.ambiguous_threshold), {})
 
     # --------------------------------------------------------------- posteriors
     def initial_probabilities(self) -> dict[str, dict[str, float]]:
@@ -475,30 +498,12 @@ class DiagnosisEngine:
         """
         return self.diagnose_batch([evidence])[0].posteriors
 
-    def _update(self, evidence: dict[str, str]) -> dict[str, dict[str, float]]:
-        """One single-slot query on checked evidence (a fallback attempt)."""
+    def _update(self, evidence: dict[str, str]) -> np.ndarray:
+        """One ``posteriors`` query on checked evidence, as a matrix row."""
         free = [variable for variable in self.model.variable_names
                 if variable not in evidence]
-        computed = self._engine.posteriors(free, evidence)
-        return self._full_posteriors(evidence, computed)
-
-    def _full_posteriors(self, evidence: Mapping[str, str],
-                         computed: Mapping[str, Mapping[str, float]]
-                         ) -> dict[str, dict[str, float]]:
-        """Complete free-variable marginals into every variable's posterior.
-
-        Evidence variables collapse onto a fresh copy of their observed
-        one-hot state.  ``computed`` must be this result's own: the engines
-        hand out fresh dicts per query and per batch slot, so no two
-        diagnoses (duplicate batch slots, evidence-cache hits) ever share a
-        mutable posterior.
-        """
-        posteriors: dict[str, dict[str, float]] = {}
-        for variable in self.model.variable_names:
-            state = evidence.get(variable)
-            posteriors[variable] = computed[variable] if state is None \
-                else dict(self._observed[variable][state])
-        return posteriors
+        return self._layout.fill(evidence,
+                                 self._engine.posteriors(free, evidence))
 
     def fail_probability(self, variable: str,
                          posteriors: Mapping[str, Mapping[str, float]]) -> float:
@@ -586,31 +591,30 @@ class DiagnosisEngine:
                 for variable in self.model.internal_variables}
         return sorted(fail.items(), key=lambda item: item[1], reverse=True)
 
-    def _internal_fail_probabilities(
-            self, posteriors: Mapping[str, Mapping[str, float]]
-    ) -> dict[str, float]:
-        """Return the fail probability of every internal variable."""
-        healthy = self.healthy_states
-        return {variable: 1.0 - float(posteriors[variable].get(
-                    healthy[variable], 0.0))
-                for variable in self.model.internal_variables}
-
-    def _diagnosis(self, name: str, evidence: dict[str, str],
-                   posteriors: dict[str, dict[str, float]],
-                   provenance: DiagnosisProvenance | None = None
-                   ) -> Diagnosis:
-        """Assemble a Diagnosis: fail probabilities, suspects and ranking."""
-        fail = self._internal_fail_probabilities(posteriors)
-        return Diagnosis(
-            case_name=name,
-            evidence=evidence,
-            posteriors=posteriors,
-            fail_probabilities=fail,
-            suspects=self._deduce_from_fail(fail),
-            ranked_candidates=sorted(fail.items(), key=lambda item: item[1],
-                                     reverse=True),
-            provenance=provenance,
-        )
+    def _rank_rows(self, matrix: np.ndarray) -> list[tuple[list, list]]:
+        """Every posterior row's ranking order (one stable argsort of the
+        fail probabilities, ties in model order) and suspects.  The rules
+        read only each internal block's level (below ambiguous, ambiguous,
+        abnormal): :meth:`_deduce_from_fail` runs once per pattern, and
+        with no abnormal block the top-ranked block is the one suspect."""
+        names, width = self._layout.internal, len(self._layout.internal)
+        fail = 1.0 - matrix[:, self._layout.healthy]
+        raw = ((fail >= self.ambiguous_threshold).astype(np.int8)
+               + (fail >= self.abnormal_threshold)).tobytes()
+        band = (0.0, self.ambiguous_threshold, self.abnormal_threshold)
+        suspects = []
+        for row, ranked in enumerate(
+                np.argsort(-fail, axis=1, kind="stable").tolist()):
+            pattern = raw[row * width:(row + 1) * width]
+            chosen = self._patterns.get(pattern)
+            if chosen is None:
+                chosen = self._patterns[pattern] = frozenset(
+                    map(names.index, self._deduce_from_fail(dict(zip(
+                        names, (band[level] for level in pattern))))
+                        )) if 2 in pattern else frozenset()
+            suspects.append((ranked, [names[i] for i in ranked if i in chosen]
+                             if chosen else [names[i] for i in ranked[:1]]))
+        return suspects
 
     # ---------------------------------------------------------------- diagnosis
     def diagnose(self, case: DiagnosticCase,
@@ -636,11 +640,9 @@ class DiagnosisEngine:
 
         The one diagnosis pipeline; :meth:`diagnose`,
         :meth:`diagnose_evidence` and :meth:`update` are batches of one.
-        Each slot's evidence is checked once (admission); the posterior
-        updates of every admitted slot then run as ONE sweep of the engine
-        — on variable elimination a batched sweep that deduplicates
-        repeated failing conditions, on the other engines one query per
-        slot — and each slot's answer is settled into its result.
+        Each slot's evidence is checked once (admission); the distinct
+        evidence rows then run as ONE sweep of the engine into one
+        posterior matrix, and each slot's result is a view of its row.
 
         Parameters
         ----------
@@ -683,46 +685,45 @@ class DiagnosisEngine:
         return results
 
     def _diagnose_batch_swept(self, cases, names, on_error, budget):
-        """The pipeline of :meth:`diagnose_batch`: admit, sweep, settle.
-
-        Evidence admission (:meth:`_admit`) is isolated per slot; the
-        posterior updates of every admitted slot then run as ONE sweep
-        (:meth:`_sweep`) — a sweep that raises fails every slot — and
-        :meth:`_settle` turns each slot's answer into its result.  Failed
-        slots are handled per ``on_error``; ``"skip"`` filtering is left to
-        the caller.
+        """The pipeline of :meth:`diagnose_batch`: admit each slot
+        (:meth:`_admit`), sweep the distinct rows (:meth:`_sweep`; one that
+        raises fails every slot), settle each slot (:meth:`_settle`).
+        ``"skip"`` filtering is left to the caller.
         """
         results: list[Diagnosis | DiagnosisFailure | None] = [None] * len(cases)
         admitted = []
+        rows: dict[frozenset, int] = {}
+        distinct: list[dict[str, str]] = []
         for index, item in enumerate(cases):
             name = _slot_name(item, index, names)
             try:
                 if budget is not None and budget.left() <= 0:
                     raise budget.exceeded(name)
-                admission = self._admit(name, item)
+                evidence, context = self._admit(name, item)
             except Exception as error:
                 results[index] = _slot_failure(name, item, error, on_error)
                 continue
-            admitted.append((index, item, name, admission))
+            row = rows.setdefault(frozenset(evidence.items()), len(distinct))
+            if row == len(distinct):
+                distinct.append(evidence)
+            admitted.append((index, item, name, evidence, context, row))
         started = time.perf_counter()
         swept = budget is None or budget.left() > 0
-        answers = [None] * len(admitted)
+        answers: list = [None] * len(distinct)
         if swept:
             try:
-                answers = self._sweep([evidence
-                                       for *_, (evidence, _) in admitted])
+                answers = self._sweep(distinct)
             except Exception as error:  # noqa: BLE001 - fails every slot
-                answers = [error] * len(admitted)
+                answers = [error] * len(distinct)
         elapsed = (time.perf_counter() - started) / max(len(admitted), 1)
         spent = budget is not None and budget.left() <= 0
-        for (index, item, name, (evidence, context)), answer in zip(
-                admitted, answers):
+        for index, item, name, evidence, context, row in admitted:
             try:
                 if spent:  # before the sweep, or the sweep ended late
                     raise budget.exceeded(name, late=(
                         self.inference_name, elapsed) if swept else None)
                 results[index] = self._settle(name, evidence, context,
-                                              answer, elapsed, budget)
+                                              answers[row], elapsed, budget)
             except Exception as error:
                 results[index] = _slot_failure(name, item, error, on_error)
         return results
@@ -736,41 +737,44 @@ class DiagnosisEngine:
         return validate_evidence(self.model, case), None
 
     def _sweep(self, evidences: list[dict[str, str]]) -> list:
-        """Answer every admitted slot in one sweep of the engine.
-
-        Returns, per slot, the free-variable marginals in dicts of the
-        slot's own, ``None`` for zero-probability evidence, or the slot's
-        own error.  Variable elimination encodes each slot once and runs
-        one shared elimination sweep per evidence pattern over the rows its
-        evidence cache does not hold
-        (:meth:`~repro.bayesnet.inference.variable_elimination.VariableElimination.posteriors_batch`);
-        the other engines answer each slot with one ``posteriors`` query.
-        """
+        """Answer every distinct row in one sweep of the engine: per row,
+        ``(posterior row, ranking order, suspects, sampler effective sample
+        size)`` or the error it alone fails with.  Variable elimination
+        answers in one ``posteriors_batch`` call; the other engines fill
+        the matrix one ``posteriors`` query per row."""
+        count = len(evidences)
+        errors, ess = [None] * count, [None] * count  # per row
         if isinstance(self._engine, VariableElimination):
-            return self._engine.posteriors_batch(evidences)
-        return [self._answer(evidence) for evidence in evidences]
+            answers = self._engine.posteriors_batch(evidences)
+            matrix, probability = answers.matrix, answers.probability
+            for row in np.flatnonzero(~(np.isfinite(probability)
+                                        & (probability > 0.0))).tolist():
+                errors[row] = answers.error(row)
+        else:
+            matrix = np.zeros((count, self._layout.width))
+            for row, evidence in enumerate(evidences):
+                try:
+                    matrix[row] = self._update(evidence)
+                    ess[row] = getattr(self._engine,
+                                       "last_effective_sample_size", None)
+                except Exception as error:  # noqa: BLE001 - fails this row
+                    errors[row] = error
+        ranked = self._rank_rows(matrix)
+        for row, error in enumerate(errors):
+            if isinstance(error, ImpossibleEvidenceError):
+                # Every engine's zero-probability row fails with one message.
+                errors[row] = ImpossibleEvidenceError(
+                    "the evidence has zero probability under the model; "
+                    "posteriors are undefined", evidence=evidences[row])
+        return [(matrix[row], *ranked[row], ess[row]) if error is None
+                else error for row, error in enumerate(errors)]
 
-    def _answer(self, evidence: dict[str, str]):
-        """One slot of a per-slot sweep: marginals, ``None`` or its error."""
-        free = [variable for variable in self.model.variable_names
-                if variable not in evidence]
-        try:
-            return self._engine.posteriors(free, evidence)
-        except ImpossibleEvidenceError:
-            return None
-        except Exception as error:  # noqa: BLE001 - fails this slot
-            return error
-
-    def _settle(self, name: str, evidence: dict[str, str],
-                context, computed, elapsed: float,
-                budget: Budget | None) -> Diagnosis:
-        """Turn one slot's sweep answer into its Diagnosis, or raise."""
-        if isinstance(computed, Exception):
-            raise computed
-        if computed is None:
-            raise impossible_evidence(evidence)
-        return self._diagnosis(name, evidence,
-                               self._full_posteriors(evidence, computed))
+    def _settle(self, name: str, evidence: dict[str, str], context,
+                answer, elapsed: float, budget: Budget | None) -> Diagnosis:
+        """Turn one slot's answer into its Diagnosis view, or raise."""
+        if isinstance(answer, Exception):
+            raise answer
+        return Diagnosis._of_row(self._layout, *answer[:3], name, evidence)
 
     def diagnose_measurements(self, conditions: Mapping[str, float],
                               measurements: Mapping[str, float],
@@ -801,3 +805,59 @@ class DiagnosisEngine:
                 "problem(s): " + "; ".join(str(issue) for issue in issues),
                 issues=tuple(issues))
         return self.diagnose_evidence(evidence, name=name)
+
+
+#: Suspect sets by level pattern, filled as patterns occur, per internal
+#: structure and thresholds: engines over one structure share them.
+_SUSPECT_PATTERNS: dict[tuple, dict[bytes, frozenset[int]]] = {}
+#: Each row layout's compiled posterior builder (functions do not pickle).
+_POSTERIOR_BUILDERS: dict[tuple, object] = {}
+
+
+class _RowLayout:
+    """Where a model's variables sit in a posterior matrix row (the
+    network codec's spans, in model order); views build their dicts."""
+
+    def __init__(self, model, network, healthy_states: Mapping[str, str]
+                 ) -> None:
+        codec = EvidenceCodec.of(network)
+        self.width = codec.width
+        self.spans = tuple((variable, codec.labels[variable],
+                            codec.offsets[variable])
+                           for variable in model.variable_names)
+        self.internal = tuple(model.internal_variables)
+        self.healthy = np.array(
+            [codec.offsets[variable]
+             + codec.labels[variable].index(healthy_states[variable])
+             for variable in self.internal], dtype=np.intp)
+
+    def posteriors(self, view: Diagnosis) -> dict[str, dict[str, float]]:
+        build = _POSTERIOR_BUILDERS.get(self.spans)
+        if build is None:
+            # One dict display per variable, its states as literal keys:
+            # several times faster than a dict(zip(...)) per variable.
+            # Names and labels enter as repr() literals: nothing else runs.
+            build = _POSTERIOR_BUILDERS[self.spans] = eval(
+                "lambda v: {" + ", ".join(repr(variable) + ": {" + ", ".join(
+                    f"{label!r}: v[{start + code}]"
+                    for code, label in enumerate(labels)) + "}"
+                    for variable, labels, start in self.spans) + "}")
+        return build(view._row.tolist())
+
+    def fail_probabilities(self, view: Diagnosis) -> dict[str, float]:
+        return dict(zip(self.internal,
+                        (1.0 - view._row[self.healthy]).tolist()))
+
+    def ranked_candidates(self, view: Diagnosis) -> list[tuple[str, float]]:
+        fail = (1.0 - view._row[self.healthy]).tolist()
+        return [(self.internal[i], fail[i]) for i in view._order]
+
+    def fill(self, evidence: Mapping[str, str],
+             computed: Mapping[str, Mapping[str, float]]) -> np.ndarray:
+        """The row of one slot's free-variable dicts, evidence one-hot."""
+        row = np.zeros(self.width)
+        for variable, labels, start in self.spans:
+            distribution = computed.get(variable) or {evidence[variable]: 1.0}
+            row[start:start + len(labels)] = [distribution.get(label, 0.0)
+                                              for label in labels]
+        return row

@@ -17,14 +17,14 @@ case is a batch of one), admit -> sweep -> settle, with three additions:
    per :class:`FallbackPolicy.on_invalid_evidence`: one pass of the model's
    :class:`~repro.bayesnet.codec.EvidenceCodec` over the case as it
    arrives, naming every bad entry once.
-2. **Fallback chain** — the remaining slots share ONE sweep of the primary
+2. **Fallback chain** — the distinct rows share ONE sweep of the primary
    engine.  A slot that sweep could not answer walks ``policy.chain``
    (default ``ve -> lw -> gibbs``) with the sweep counted as its first
    primary attempt; each engine is attempted up to
    ``attempts_per_engine`` times with exponential backoff.  Transient
    failures (engine exceptions) degrade to the next engine; *permanent*
-   failures (malformed or zero-probability evidence) fail the slot at once
-   — no sampler can fix evidence the model assigns probability zero.
+   failures (malformed or zero-probability evidence) fail the slot at once.
+   A fallback answer fills a posterior row too: every result is a row view.
 3. **Provenance** — every returned :class:`~repro.core.diagnosis.Diagnosis`
    carries a :class:`~repro.core.diagnosis.DiagnosisProvenance`: engine
    used, every attempt record, wall time (each slot's equal share of the
@@ -57,7 +57,6 @@ from repro.core.diagnosis import (
     DiagnosisEngine,
     DiagnosisProvenance,
     ENGINE_NAMES,
-    impossible_evidence,
 )
 from repro.core.evidence import sanitize_evidence, validate_evidence
 from repro.core.model_builder import BuiltModel
@@ -240,21 +239,22 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 if budget is not None and budget.left() <= 0:
                     raise budget.exceeded(name, tuple(attempts), last_error)
                 attempt_start = time.perf_counter()
+                engine = self._engine_for(engine_name)
                 try:
-                    posteriors = self._engine_for(engine_name)._update(
-                        evidence)
+                    row = engine._update(evidence)
                 except Exception as error:  # noqa: BLE001 - recorded below
-                    posteriors, last_error = None, error
+                    row, last_error = None, error
                 elapsed = time.perf_counter() - attempt_start
                 if budget is not None and budget.left() <= 0:
                     raise budget.exceeded(name, tuple(attempts),
                                           late=(engine_name, elapsed))
-                if posteriors is not None:
+                if row is not None:
                     attempts.append(AttemptRecord(engine_name, "ok", elapsed))
                     return self._accept(
-                        name, evidence, posteriors, engine_name, position,
-                        tuple(attempts), issues, notes, start,
-                        self._effective_sample_size(engine_name))
+                        name, evidence, (row, *self._rank_rows(row[None])[0]),
+                        engine_name, position, tuple(attempts), issues, notes,
+                        start, getattr(engine._engine,
+                                       "last_effective_sample_size", None))
                 attempts.append(AttemptRecord(
                     engine_name, "error", elapsed,
                     f"{type(last_error).__name__}: {last_error}"))
@@ -294,15 +294,6 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 result.wall_time = share
         return results
 
-    def _answer(self, evidence: dict[str, str]):
-        # A sampler's effective sample size belongs to one query: keep it
-        # with the slot's answer for the provenance built at settlement.
-        answer = super()._answer(evidence)
-        ess = self._effective_sample_size(self.inference_name)
-        if ess is None or not isinstance(answer, dict):
-            return answer
-        return _Sampled(answer, ess)
-
     def _settle(self, name: str, evidence: dict[str, str],
                 context, computed, elapsed: float,
                 budget: Budget | None) -> Diagnosis:
@@ -314,8 +305,6 @@ class RobustDiagnosisEngine(DiagnosisEngine):
         issues, notes = context
         primary = self.policy.chain[0]
         start = time.perf_counter()
-        if computed is None:
-            computed = impossible_evidence(evidence)
         if isinstance(computed, Exception):
             attempt = AttemptRecord(primary, "error", elapsed,
                                     f"{type(computed).__name__}: {computed}")
@@ -325,19 +314,16 @@ class RobustDiagnosisEngine(DiagnosisEngine):
                 raise computed
             return self._run_chain(name, evidence, issues, notes, start,
                                    budget, (attempt,), computed)
-        return self._accept(name, evidence,
-                            self._full_posteriors(evidence, computed),
-                            primary, 0,
+        return self._accept(name, evidence, computed[:3], primary, 0,
                             (AttemptRecord(primary, "ok", elapsed),),
-                            issues, notes, start,
-                            getattr(computed, "effective_sample_size", None))
+                            issues, notes, start, computed[3])
 
-    def _accept(self, name: str, evidence: dict[str, str],
-                posteriors: dict[str, dict[str, float]], engine_name: str,
+    def _accept(self, name: str, evidence: dict[str, str], answer: tuple,
+                engine_name: str,
                 chain_position: int, attempts: tuple[AttemptRecord, ...],
                 issues: tuple, notes: list[str], start: float,
                 ess: float | None) -> Diagnosis:
-        """Build the final Diagnosis + provenance from accepted posteriors."""
+        """The view of an accepted answer, with its provenance."""
         if ess is not None and ess < self.policy.min_effective_sample_size:
             notes.append(
                 f"low effective sample size ({ess:.1f} < "
@@ -356,22 +342,5 @@ class RobustDiagnosisEngine(DiagnosisEngine):
             warnings.warn(
                 f"case {name!r} served degraded by {engine_name!r}: "
                 + "; ".join(notes), DegradedResultWarning, stacklevel=3)
-        return self._diagnosis(name, evidence, posteriors, provenance)
-
-    def _effective_sample_size(self, engine_name: str) -> float | None:
-        """Confidence signal of a sampled posterior; None for exact engines."""
-        engine = self._engine_for(engine_name)._engine
-        ess = getattr(engine, "last_effective_sample_size", None)
-        if ess is not None:
-            return float(ess)
-        if engine_name == "gibbs":
-            return float(engine.num_samples)
-        return None
-
-
-class _Sampled(dict):
-    """A sampled slot's marginals, with its query's effective sample size."""
-
-    def __init__(self, marginals, effective_sample_size: float) -> None:
-        super().__init__(marginals)
-        self.effective_sample_size = effective_sample_size
+        return Diagnosis._of_row(self._layout, *answer, name, evidence,
+                                 provenance)

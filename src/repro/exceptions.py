@@ -157,10 +157,12 @@ class StoreCorruptionError(ATEError):
     """A saved columnar device store failed an integrity check on load.
 
     Raised instead of returning silently corrupted arrays: a truncated or
-    bit-flipped ``.npy`` plane fails its recorded length/CRC32 check (or the
-    store directory is missing its header magic) and the load aborts with
-    the defect named.  ``kind`` is ``"bad-magic"``, ``"missing-plane"``,
-    ``"truncated"`` or ``"bad-crc"``; ``path`` names the offending file.
+    bit-flipped ``.npy`` plane or metadata file fails its recorded
+    length/CRC32 check (or the header magic is missing, or the metadata
+    cannot be decoded, parsed or read in full) and the load aborts with the
+    defect named.  ``kind`` is ``"bad-magic"``, ``"missing-plane"``,
+    ``"truncated"``, ``"bad-crc"`` or ``"bad-meta"``; ``path`` names the
+    offending file.
     """
 
     def __init__(self, message: str, *, kind: str = "bad-crc",

@@ -34,10 +34,10 @@ at the pipeline's stage boundaries; the supervisor reaps a worker still
 busy at budget + ``deadline_grace``.  ``WorkerChaos.on_case`` runs for
 every case before the call.
 
-Every per-case failure inside a healthy worker is converted to a structured
-:class:`~repro.core.diagnosis.DiagnosisFailure` *here*, so the only way a
-chunk comes back incomplete is the process dying — exactly the condition
-the supervisor detects via the process sentinel.
+Every per-case failure is converted to a structured
+:class:`~repro.core.diagnosis.DiagnosisFailure` *here*, so a chunk comes
+back incomplete only if the process dies (the supervisor sees its sentinel).
+A result pickles as its row view: name, evidence, suspects, provenance, row.
 """
 
 from __future__ import annotations

@@ -10,14 +10,17 @@ junction tree, the one diagnosis pipeline on a VE or JT primary (whole
 batches, batches of one, a deadline-bound robust batch), a worker-pool
 service's results with and without a deadline, and a robust engine's
 second pass over a batch, answered from its evidence cache, must all agree
-with it to 1e-12, and every path must refuse zero-probability evidence.  Label, Python-int and numpy-int
-forms of the same evidence share one evidence-cache entry.
+with it to 1e-12, and every path must refuse zero-probability evidence.
+A batch's results are views of its posterior matrix rows; they match it
+read in place and after a pickle round trip.  Label, Python-int and
+numpy-int forms of the same evidence share one evidence-cache entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -286,6 +289,42 @@ def test_diagnose_batch_posteriors(case, data):
             expected[name] = {label: float(label == state)
                               for label in net.labels(name)}
         assert_matches(result.posteriors, expected, evidence)
+
+
+@given(cases(min_card=2), st.data())
+def test_result_views_read_directly_and_after_pickling(case, data):
+    """Each slot's view (duplicates, mixed evidence patterns, impossible
+    rows) matches enumeration whether read in place or unpickled unread."""
+    net, rows = case
+    roles = [data.draw(st.sampled_from([BlockType.CONTROL, BlockType.OBSERVE,
+                                        BlockType.INTERNAL]))
+             for _ in net.names]
+    joint = joint_table(net)
+    built = built_model(net, roles)
+    internal = built.description.internal_variables
+    engine = DiagnosisEngine(built)
+    batch = rows + [dict(row) for row in reversed(rows)]
+    expected = [expected_diagnosis(net, joint, evidence) for evidence in batch]
+    direct = engine.diagnose_batch(batch, on_error="collect")
+    unread = [pickle.loads(pickle.dumps(result)) for result in
+              engine.diagnose_batch(batch, on_error="collect")]
+    for results in (direct, unread):
+        for evidence, result, want in zip(batch, results, expected):
+            if want is None:
+                assert result.error_type == "ImpossibleEvidenceError"
+                continue
+            assert_matches(result.posteriors, want, evidence)
+            fail = {name: 1.0 - want[name][LABELS[0]] for name in internal}
+            assert result.fail_probabilities.keys() == fail.keys()
+            for name, probability in fail.items():
+                assert result.fail_probabilities[name] == pytest.approx(
+                    probability, abs=TOL, rel=0), (name, evidence)
+            assert [name for name, _ in result.ranked_candidates] == \
+                [name for name, _ in sorted(
+                    result.fail_probabilities.items(),
+                    key=lambda item: item[1], reverse=True)]
+            assert result.suspects == engine.deduce_candidates(
+                result.posteriors)
 
 
 def expected_diagnosis(net: RandomNetwork, joint: np.ndarray,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.ate import DeviceResultStore
-from repro.exceptions import StoreCorruptionError
+from repro.exceptions import ATEError, StoreCorruptionError
 from repro.testing import flip_byte, truncate_tail
 
 
@@ -104,3 +104,107 @@ class TestLegacyFormat1:
         (clone / "meta.json").write_text(json.dumps(meta))
         loaded = reconstructed(clone)
         assert np.array_equal(saved[0].values, loaded.values)
+
+
+def same_store(loaded, store) -> bool:
+    """Every plane and every per-test field equal to the saved store's."""
+    planes = ("device_ids", "values", "passed", "test_numbers",
+              "fault_index", "fault_blocks", "fault_modes", "fault_severities")
+    return (all(np.array_equal(getattr(loaded, name), getattr(store, name))
+                for name in planes)
+            and [loaded.test_names, loaded.blocks, loaded.conditions]
+            == [store.test_names, store.blocks, store.conditions]
+            and np.array_equal(loaded.lowers, store.lowers)
+            and np.array_equal(loaded.uppers, store.uppers))
+
+
+class TestMetadataFuzz:
+    """Every single-byte, single-bit and truncation defect of ``meta.json``
+    raises an :class:`ATEError` or loads the saved store unchanged."""
+
+    @pytest.fixture(scope="class")
+    def small(self, regulator_program, tmp_path_factory):
+        from repro.ate import PopulationGenerator
+        from repro.circuits import BehavioralSimulator, build_voltage_regulator
+        circuit = build_voltage_regulator()
+        simulator = BehavioralSimulator(
+            circuit.netlist, process_variation=circuit.process_variation,
+            seed=5)
+        population = PopulationGenerator(
+            simulator, regulator_program, circuit.fault_universe,
+            circuit.block_weights, seed=6).generate(failed_count=4,
+                                                    passing_count=1)
+        store = population.to_store()
+        path = store.save(tmp_path_factory.mktemp("meta-fuzz") / "pop")
+        return store, path
+
+    def outcomes(self, store, path, damaged):
+        meta = path / "meta.json"
+        pristine = meta.read_bytes()
+        outcomes = {"raised": 0, "equal": 0}
+        try:
+            for content in damaged(pristine):
+                if content is not None:
+                    meta.write_bytes(content)
+                try:
+                    loaded = DeviceResultStore.load(path, mmap=False)
+                except ATEError:
+                    outcomes["raised"] += 1
+                else:
+                    assert same_store(loaded, store)
+                    outcomes["equal"] += 1
+                meta.write_bytes(pristine)
+        finally:
+            meta.write_bytes(pristine)
+        return outcomes
+
+    def test_the_saved_metadata_records_its_crc(self, small):
+        meta = json.loads((small[1] / "meta.json").read_text())
+        assert isinstance(meta["meta_crc32"], int)
+        assert same_store(DeviceResultStore.load(small[1]), small[0])
+
+    def test_every_flipped_byte_is_detected(self, small):
+        store, path = small
+
+        def flips(pristine):
+            for offset in range(len(pristine)):
+                flip_byte(path / "meta.json", offset)
+                yield None
+
+        outcomes = self.outcomes(store, path, flips)
+        assert outcomes["equal"] == 0
+        assert outcomes["raised"] == (path / "meta.json").stat().st_size
+
+    def test_flipped_low_bits_raise_or_load_the_saved_store(self, small):
+        store, path = small
+        size = (path / "meta.json").stat().st_size
+        offsets = np.random.default_rng(22).choice(size, size=min(size, 300),
+                                                   replace=False)
+
+        def flips(pristine):
+            for offset in sorted(offsets.tolist()):
+                for bit in range(7):
+                    damaged = bytearray(pristine)
+                    damaged[offset] ^= 1 << bit
+                    yield bytes(damaged)
+
+        outcomes = self.outcomes(store, path, flips)
+        assert sum(outcomes.values()) == 7 * len(offsets)
+        assert outcomes["raised"] > 0
+
+    def test_every_truncation_is_detected(self, small):
+        store, path = small
+
+        def truncations(pristine):
+            for length in range(len(pristine)):
+                yield pristine[:length]
+
+        outcomes = self.outcomes(store, path, truncations)
+        assert outcomes["equal"] == 0
+
+    def test_legacy_metadata_without_a_crc_still_loads(self, small, tmp_path):
+        clone = corrupt_copy(small[1], tmp_path)
+        meta = json.loads((clone / "meta.json").read_text())
+        del meta["meta_crc32"]
+        (clone / "meta.json").write_text(json.dumps(meta))
+        assert same_store(DeviceResultStore.load(clone), small[0])
