@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import tokenize
 import zlib
 from collections.abc import Mapping, Sequence
 from pathlib import Path
@@ -374,7 +375,12 @@ class DeviceResultStore:
                         f"plane {name}.npy of the store at {path} failed "
                         f"its CRC32 check — refusing to serve corrupted "
                         f"measurements", kind="bad-crc", path=str(file))
-            arrays[name] = np.load(file, mmap_mode=mode, allow_pickle=False)
+            try:
+                arrays[name] = np.load(file, mmap_mode=mode, allow_pickle=False)
+            except (OSError, ValueError, tokenize.TokenError) as error:
+                raise StoreCorruptionError(
+                    f"plane {name}.npy of the store at {path} cannot be read: "
+                    f"{error!r}", kind="bad-plane", path=str(file)) from error
         return cls(arrays["device_ids"], arrays["values"], arrays["passed"],
                    *fields, arrays["fault_index"], arrays["fault_blocks"],
                    arrays["fault_modes"], arrays["fault_severities"])

@@ -206,7 +206,8 @@ class VariableElimination:
         A full sweep cached for the same evidence answers it; otherwise one
         forward-only bucket pass does, uncached — evidence probability needs
         no backward message pass, which roughly halves the sweep cost of
-        likelihood scoring workloads.
+        likelihood scoring workloads.  That pass is a batch of one through
+        :meth:`probabilities_of_evidence`: a non-finite result raises.
         """
         key = self._key((), evidence)
         if not key:
@@ -215,12 +216,7 @@ class VariableElimination:
         cached_sweep = self._marginal_cache.get(key)
         if cached_sweep is not None:
             return cached_sweep[1]
-        # Only the forward bucket pass, routed through the batched kernel
-        # with a single case row so the scalar and batched likelihood paths
-        # can never diverge numerically.
-        self.sweep_count += 1
-        ((_, variables, codes),) = _code_groups([key])
-        return float(self._forward_pass_batch(variables, codes)[-1][0])
+        return float(self.probabilities_of_evidence([evidence])[0])
 
     # ------------------------------------------------------------ batched sweeps
     def posteriors_batch(self, evidence_list: Sequence[Evidence]

@@ -48,7 +48,10 @@ ENGINE_NAMES = ("jt", "ve", "lw", "gibbs")
 
 
 def chunk_slices(total: int, chunk_size: int) -> list[slice]:
-    """Split ``total`` batch slots into contiguous slices of ``chunk_size``.
+    """Split ``total`` batch slots into the fewest contiguous slices of at
+    most ``chunk_size``: ``count = ceil(total / chunk_size)`` slices of
+    ``ceil(total / count)`` slots, the last one possibly shorter (500 slots
+    at 256 are two of 250, not 256 and 244).
 
     The shared chunking rule for every sharded batch entry point (the
     worker-pool service, future async APIs): deterministic, order-preserving
@@ -58,8 +61,9 @@ def chunk_slices(total: int, chunk_size: int) -> list[slice]:
         raise DiagnosisError(f"chunk_size must be >= 1, got {chunk_size}")
     if total < 0:
         raise DiagnosisError(f"total must be >= 0, got {total}")
-    return [slice(start, min(start + chunk_size, total))
-            for start in range(0, total, chunk_size)]
+    size = max(1, -(-total // max(1, -(-total // chunk_size))))
+    return [slice(start, min(start + size, total))
+            for start in range(0, total, size)]
 
 
 def _slot_name(case, index: int, names) -> str:

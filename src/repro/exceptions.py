@@ -161,8 +161,8 @@ class StoreCorruptionError(ATEError):
     length/CRC32 check (or the header magic is missing, or the metadata
     cannot be decoded, parsed or read in full) and the load aborts with the
     defect named.  ``kind`` is ``"bad-magic"``, ``"missing-plane"``,
-    ``"truncated"``, ``"bad-crc"`` or ``"bad-meta"``; ``path`` names the
-    offending file.
+    ``"truncated"``, ``"bad-crc"``, ``"bad-meta"`` or ``"bad-plane"`` (a
+    plane ``numpy`` cannot read); ``path`` names the offending file.
     """
 
     def __init__(self, message: str, *, kind: str = "bad-crc",

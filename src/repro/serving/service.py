@@ -1,16 +1,18 @@
 """Supervised parallel diagnosis service over a multiprocessing worker pool.
 
 :class:`DiagnosisService` shards ``diagnose_batch`` workloads into chunks
-and runs them on a pool of worker processes, each hosting its own
-:class:`~repro.core.robust.RobustDiagnosisEngine`.  The supervisor thread
-owns every robustness guarantee the pool needs to survive real traffic:
+(:func:`~repro.core.diagnosis.chunk_slices`) and runs them on a pool of
+worker processes, each hosting its own
+:class:`~repro.core.robust.RobustDiagnosisEngine`, which answers a chunk in
+one sweep and replies with planes.  The supervisor thread owns every
+robustness guarantee the pool needs to survive real traffic:
 
 * **Crash isolation** — a worker death (segfault, OOM-kill, injected
   ``SIGKILL``) is detected through its process sentinel; only its in-flight
-  chunk is lost.  The chunk is retried on a healthy worker — multi-case
-  chunks are *bisected* first, so one poisonous case ends up isolated in a
-  single-slot chunk instead of failing its neighbours — until the retry
-  budget is spent, at which point the surviving slots get a structured
+  chunk is lost.  A lost multi-case chunk is requeued as single-case
+  chunks, so one poisonous case is isolated after one crash instead of
+  failing its neighbours; its chunk is retried on a healthy worker until
+  the retry budget is spent, at which point its slot gets a structured
   :class:`~repro.core.diagnosis.DiagnosisFailure` (``WorkerCrashError``).
 * **Bounded respawn** — dead workers are restarted up to
   ``max_respawns_per_worker`` times; a slot that keeps dying goes dark
@@ -57,6 +59,7 @@ from multiprocessing import connection as mp_connection
 from repro.core.diagnosis import (
     Diagnosis,
     DiagnosisFailure,
+    DiagnosisProvenance,
     DiagnosticCase,
     chunk_slices,
 )
@@ -95,8 +98,9 @@ class ServiceConfig:
         Worker processes in the pool; defaults to the CPUs this process
         may run on.
     chunk_size:
-        Cases per dispatched chunk.  Larger chunks amortise IPC; smaller
-        chunks spread load and shrink the crash blast radius.
+        The most cases one chunk holds (see ``chunk_slices``).  Larger
+        chunks amortise the sweep's fixed cost; smaller ones bound
+        head-of-line blocking and spread a request over more workers.
     max_pending_cases:
         Bound on cases submitted but not yet dispatched — the backpressure
         valve.
@@ -115,8 +119,8 @@ class ServiceConfig:
         structured per-case deadline failures itself in the common case).
     max_chunk_retries:
         Crash/hang retries for a single-case chunk before its slot fails
-        structurally.  (Multi-case chunks bisect on retry, which does not
-        consume this budget.)
+        structurally.  (A lost multi-case chunk is split into single-case
+        chunks, which does not consume this budget.)
     max_respawns_per_worker:
         Lifetime process restarts per worker slot before it goes dark.
     breaker_threshold / breaker_cooldown / breaker_max_cooldown:
@@ -135,7 +139,7 @@ class ServiceConfig:
     """
 
     num_workers: int | None = None
-    chunk_size: int = 16
+    chunk_size: int = 256
     max_pending_cases: int = 10_000
     overload_policy: str = "block"
     submit_timeout: float = 30.0
@@ -691,7 +695,7 @@ class DiagnosisService:
                                   now)
 
     def _complete_chunk(self, worker: _Worker, message, now: float) -> None:
-        _, chunk_id, results, elapsed, reloads = message
+        _, chunk_id, reply, elapsed, reloads = message
         chunk = worker.chunk
         if chunk is None or chunk.chunk_id != chunk_id:
             return  # stale (should not happen: one pipe per process)
@@ -702,9 +706,10 @@ class DiagnosisService:
         self._latency.record(elapsed)
         self._model_reloads += reloads
         self._in_flight_cases -= len(chunk.pairs)
-        for slot, result in results:
-            self._write_slot(chunk.request, slot, result)
+        # Dispatch first: the worker's next sweep overlaps this decode.
         self._dispatch(now)
+        for slot, result in _views(reply):
+            self._write_slot(chunk.request, slot, result)
 
     def _on_worker_death(self, worker: _Worker, reason: str,
                          now: float) -> None:
@@ -752,7 +757,8 @@ class DiagnosisService:
 
     def _requeue_crashed(self, chunk: _Chunk, reason: str,
                          worker_index: int) -> None:
-        """Crash-retry policy: bisect multi-case chunks, budget singles."""
+        """Crash-retry policy: split multi-case chunks into singles, budget
+        singles; a poison case costs ``max_chunk_retries + 2`` crashes."""
         self._retries += 1
         request = chunk.request
         if request.deadline_end is not None \
@@ -762,10 +768,9 @@ class DiagnosisService:
                 f"worker failure ({reason})"))
             return
         if len(chunk.pairs) > 1:
-            middle = len(chunk.pairs) // 2
-            for pairs in (chunk.pairs[:middle], chunk.pairs[middle:]):
-                self._queue.appendleft(_Chunk(next(self._chunk_ids), request,
-                                              pairs, chunk.attempts))
+            self._queue.extendleft(
+                _Chunk(next(self._chunk_ids), request, [pair], chunk.attempts)
+                for pair in reversed(chunk.pairs))
             self._pending_cases += len(chunk.pairs)
             return
         if chunk.attempts >= self.config.max_chunk_retries:
@@ -926,3 +931,25 @@ class DiagnosisService:
                 os.close(descriptor)
             except OSError:
                 pass
+
+
+def _views(reply) -> list:
+    """A ``done`` reply as ``[(slot, result)]``: each answered slot a view
+    of its row of the read-only matrix, in the worker's layout, owning its
+    provenance, evidence dict and suspect list."""
+    planes, results = reply
+    if planes is None:
+        return results
+    layout, slots, names, evidence, matrix, orders, chosen, provenances, \
+        which = planes
+    matrix.flags.writeable = False
+    internal = layout.internal
+    for slot, name, admitted, row, order, mask, index in zip(
+            slots, names, evidence, matrix, orders.tolist(), chosen.tolist(),
+            which):
+        fields = provenances[index]
+        results.append((slot, Diagnosis._of_row(
+            layout, row, order, [internal[i] for i in order if mask[i]],
+            name, admitted,
+            None if fields is None else DiagnosisProvenance(*fields))))
+    return results

@@ -14,10 +14,19 @@ parent -> worker
 
 worker -> parent
     ``("ready", pid)`` once the engine is built,
-    ``("done", chunk_id, [(slot, Diagnosis | DiagnosisFailure), ...],
-    elapsed, reloads)`` per chunk (``reloads`` counts the hot model swaps
-    since the last ``done``), ``("probe-ok", probe_id)`` per probe, and
-    ``("fatal", message)`` if the engine cannot even be constructed.
+    ``("done", chunk_id, (planes, pairs), elapsed, reloads)`` per chunk
+    (``reloads`` counts the hot model swaps since the last ``done``),
+    ``("probe-ok", probe_id)`` per probe, and ``("fatal", message)`` if the
+    engine cannot even be constructed.
+
+A ``done`` carries the chunk's row views as ``planes`` (``None`` if it has
+none): the worker's row layout once, then per answered slot its slot, name
+and admitted evidence, its posterior row in one ``(rows, width)`` float64
+matrix, its ranking order in one integer matrix, its suspects in one
+``(rows, internal)`` boolean mask and an index into the distinct
+provenances (tuples of field values).  The parent rebuilds each view with
+``Diagnosis._of_row``.  Failures, and any result that is not a row view,
+travel whole in ``pairs`` as ``(slot, result)``.
 
 With a ``persist_dir``, each worker opens the model registry under it.
 The registry is authoritative: when it holds a published model, the worker
@@ -37,16 +46,19 @@ every case before the call.
 Every per-case failure is converted to a structured
 :class:`~repro.core.diagnosis.DiagnosisFailure` *here*, so a chunk comes
 back incomplete only if the process dies (the supervisor sees its sentinel).
-A result pickles as its row view: name, evidence, suspects, provenance, row.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import operator
 import time
 import traceback
 
+import numpy as np
+
+from repro.core.diagnosis import Diagnosis, DiagnosisProvenance
 from repro.core.model_builder import BuiltModel
 from repro.core.robust import FallbackPolicy, RobustDiagnosisEngine
 
@@ -187,8 +199,8 @@ def worker_main(conn, payload: WorkerPayload) -> None:
                     reloads = 1
             started = time.perf_counter()
             results = _run_chunk(engine, pairs, budget, chaos)
-            conn.send(("done", chunk_id, results,
-                       time.perf_counter() - started, reloads))
+            elapsed = time.perf_counter() - started
+            conn.send(("done", chunk_id, _planes(results), elapsed, reloads))
     except (EOFError, OSError, BrokenPipeError):
         pass
     finally:
@@ -210,3 +222,34 @@ def _run_chunk(engine: RobustDiagnosisEngine, pairs, budget, chaos):
     results = engine.diagnose_batch([case for _, case in pairs],
                                     on_error="collect", deadline=deadline)
     return [(slot, result) for (slot, _), result in zip(pairs, results)]
+
+
+#: A provenance's field values in constructor order: its form in a reply.
+_PROVENANCE_FIELDS = operator.attrgetter(
+    *(field.name for field in dataclasses.fields(DiagnosisProvenance)))
+
+
+def _planes(results):
+    """A chunk's ``[(slot, result)]`` as ``(planes, pairs)`` (see above)."""
+    layout, views, pairs = None, [], []
+    for slot, result in results:
+        own = vars(result).get("_layout") if type(result) is Diagnosis else None
+        layout = layout or own
+        (views if own is layout is not None else pairs).append((slot, result))
+    if not views:
+        return None, pairs
+    position = {name: index for index, name in enumerate(layout.internal)}
+    chosen = np.zeros((len(views), len(position)), dtype=bool)
+    chosen.flat[[row * len(position) + position[name]
+                 for row, (_, view) in enumerate(views)
+                 for name in view.suspects]] = True
+    distinct, which = {}, []
+    for _, view in views:
+        fields = view.provenance and _PROVENANCE_FIELDS(view.provenance)
+        which.append(distinct.setdefault(fields, len(distinct)))
+    return (layout, [slot for slot, _ in views],
+            [view.case_name for _, view in views],
+            [view.evidence for _, view in views],
+            np.array([view._row for _, view in views]),
+            np.array([view._order for _, view in views], dtype=np.intp),
+            chosen, list(distinct), which), pairs

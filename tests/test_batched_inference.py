@@ -333,6 +333,31 @@ class TestProbabilityOfEvidence:
         assert tree.probability_of_evidence(evidence) == probability
         assert tree.calibration_count == 1
 
+    def test_ve_single_probability_raises_on_nan_cpds(
+            self, regulator_built_model):
+        """A non-finite P(evidence) raises, as JT and VE's batch path do,
+        instead of returning NaN; a row the NaN entries miss still answers."""
+        from repro.testing import FaultInjector
+        network = regulator_built_model.network
+        with FaultInjector() as chaos:
+            chaos.corrupt_cpd(network, "reg1", mode="nan")
+            *poisoned, clean = [case.evidence()
+                                for case in PAPER_DIAGNOSTIC_CASES]
+            for evidence in poisoned:
+                for engine in (VariableElimination(network),
+                               JunctionTree(network)):
+                    with pytest.raises(InferenceError):
+                        engine.probability_of_evidence(evidence)
+                with pytest.raises(InferenceError):
+                    VariableElimination(network).probabilities_of_evidence(
+                        [clean, evidence])
+            probability = VariableElimination(
+                network).probability_of_evidence(clean)
+            assert probability == pytest.approx(
+                JunctionTree(network).probability_of_evidence(clean),
+                rel=0, abs=1e-12)
+        assert probability == pytest.approx(0.0019155, abs=5e-8)
+
 
 class TestVectorizedSamplerDeterminism:
     def test_forward_sampler_is_seed_deterministic(self, sprinkler_network):

@@ -80,9 +80,28 @@ class TestCrashIsolation:
         assert [r.case_name for r in bad] == ["poison-a"]
         assert bad[0].error_type == "WorkerCrashError"
         assert "retry budget" in bad[0].message
-        # every sibling of the poison chunk survived the bisection
+        # every sibling of the poison chunk survived the split
         assert sum(r.ok for r in results) == 31
         assert stats.respawns <= 2 * 30
+
+    def test_poison_case_is_isolated_at_the_default_config(self,
+                                                           built_model):
+        """300 cases are two chunks of 150 at the default ``chunk_size``;
+        the poison case costs its chunk one crash and itself
+        ``max_chunk_retries + 1`` more, which one worker's default respawn
+        budget outlasts."""
+        batch = make_batch(300, poison_slots={211: "poison-a"})
+        config = ServiceConfig(num_workers=1, chaos=WorkerChaos())
+        with DiagnosisService(built_model, FallbackPolicy(), config) as svc:
+            results = svc.diagnose_batch(batch, timeout=300)
+            stats = svc.stats()
+            later = svc.diagnose_batch(batch[:4], timeout=300)
+        assert [r.case_name for r in results if not r.ok] == ["poison-a"]
+        assert results[211].error_type == "WorkerCrashError"
+        assert [r.case_name for r in results] == [c.name for c in batch]
+        assert stats.respawns == config.max_chunk_retries + 2
+        assert stats.workers_alive == 1
+        assert all(r.ok for r in later)
 
     def test_crash_retry_budget_is_respected(self, built_model):
         batch = [poison_case("p0")]

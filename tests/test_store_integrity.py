@@ -85,6 +85,30 @@ class TestFormat2:
             reconstructed(clone)
         assert excinfo.value.kind == "bad-magic"
 
+    def test_unverified_header_flips_raise_structured_errors(self, saved,
+                                                              tmp_path):
+        """``verify=False`` skips the CRC pass, not the structured error: a
+        damaged ``.npy`` header raises an ``ATEError`` or loads a store."""
+        clone = corrupt_copy(saved[1], tmp_path)
+        outcomes = {"raised": 0, "loaded": 0}
+        for plane in sorted(clone.glob("*.npy")):
+            pristine = plane.read_bytes()
+            with open(plane, "rb") as handle:
+                major, _ = np.lib.format.read_magic(handle)
+                getattr(np.lib.format, f"read_array_header_{major}_0")(handle)
+                header = handle.tell()
+            for offset in range(header):
+                flip_byte(plane, offset)
+                try:
+                    reconstructed(clone, verify=False)
+                except ATEError:
+                    outcomes["raised"] += 1
+                else:
+                    outcomes["loaded"] += 1
+                plane.write_bytes(pristine)
+        assert outcomes["raised"] > 0
+        assert sum(outcomes.values()) >= 7 * 64
+
     def test_verify_false_skips_only_the_crc_pass(self, saved, tmp_path):
         clone = corrupt_copy(saved[1], tmp_path)
         plane = clone / "values.npy"
