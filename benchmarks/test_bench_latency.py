@@ -19,7 +19,7 @@ import pytest
 
 from repro.ate import PopulationGenerator
 from repro.circuits import BehavioralSimulator
-from repro.core import DiagnosisEngine, Dlog2BBN
+from repro.core import DiagnosisEngine, Dlog2BBN, FallbackPolicy
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.utils.tables import format_table
 
@@ -72,7 +72,8 @@ def test_bench_single_device_latency(benchmark, built_model,
 
     def cold_engine(sample):
         """A fresh engine for one timed call on ``evidences[sample]``."""
-        engine = DiagnosisEngine(built_model, inference=inference)
+        engine = DiagnosisEngine(built_model,
+                                 FallbackPolicy(chain=(inference,)))
         # The warm-up pays the one-time costs (model validation memos,
         # elimination orders / tree compilation) that a resident
         # bench-station service would have amortised long before the
@@ -123,8 +124,8 @@ def test_bench_single_device_latency(benchmark, built_model,
 def test_exact_engines_agree_on_latency_workload(built_model,
                                                  latency_evidences):
     """Both timed engines produce identical suspect lists on the workload."""
-    ve = DiagnosisEngine(built_model, inference="ve")
-    jt = DiagnosisEngine(built_model, inference="jt")
+    ve = DiagnosisEngine(built_model, FallbackPolicy(chain=("ve",)))
+    jt = DiagnosisEngine(built_model, FallbackPolicy(chain=("jt",)))
     for number, evidence in enumerate(latency_evidences[:10]):
         ours = ve.diagnose_evidence(evidence, name=f"agree{number}")
         theirs = jt.diagnose_evidence(evidence, name=f"agree{number}")

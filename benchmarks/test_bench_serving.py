@@ -4,9 +4,10 @@ The worker-pool service exists to push customer-return populations through
 ``diagnose_batch`` faster than one process can, without giving back its
 robustness guarantees on the healthy path.  This benchmark measures
 devices/second at 1, 2 and (when the machine has them) N workers against
-the bare single-process engine on the same 200 cases, one per failing
-device and condition (their evidence rows repeat; the count of distinct
-rows is printed), and asserts the two service promises:
+the bare single-process engine (``DiagnosisEngine(built_model)``, a chain
+of one; the workers run the default chain) on the same 200 cases, one per
+failing device and condition (their evidence rows repeat; the count of
+distinct rows is printed), and asserts the two service promises:
 
 * healthy-path overhead: a 1-worker service stays within 10% of the bare
   engine (plus absolute slack for IPC/scheduler jitter), and

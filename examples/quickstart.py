@@ -5,9 +5,9 @@ prior from behavioural simulation, fine-tunes the CPTs on a synthetic
 70-failed-device population (the stand-in for the paper's customer returns)
 and diagnoses the five Table VI case studies.  The closing sections show
 the production path: the batched population pipeline (thousands of devices
-simulated, tested and converted to learning cases per second), the robust
-engine on noisy records, the supervised worker-pool service that shards a
-population across processes with crash isolation, deadlines and
+simulated, tested and converted to learning cases per second), the engine's
+fallback chain on noisy records, the supervised worker-pool service that
+shards a population across processes with crash isolation, deadlines and
 backpressure, and the versioned model registry that hot-swaps re-trained
 models into running workers.
 
@@ -25,12 +25,7 @@ from pathlib import Path
 from repro.ate import DeviceResultStore, PopulationGenerator
 from repro.ate.programs import REGULATOR_CONDITION_SETS, build_functional_program
 from repro.circuits import BehavioralSimulator, build_voltage_regulator
-from repro.core import (
-    DiagnosisEngine,
-    Dlog2BBN,
-    FallbackPolicy,
-    RobustDiagnosisEngine,
-)
+from repro.core import DiagnosisEngine, Dlog2BBN, FallbackPolicy
 from repro.core.behavioral_prior import SimulationPriorBuilder
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES, PAPER_EXPECTED_SUSPECTS
 from repro.core.report import case_summary_table
@@ -99,11 +94,11 @@ def main() -> None:
           f"{len(big_cases)} learning cases in {converted * 1e3:.0f} ms "
           f"({len(big_cases) / converted:,.0f} cases/s).")
 
-    # 7. Robust serving: real returned-device logs are noisy.  The robust
-    #    engine validates evidence up front, falls back from exact to
-    #    approximate inference, and isolates per-case failures so one
-    #    poisoned record cannot kill a population sweep.
-    robust = RobustDiagnosisEngine(
+    # 7. Robust serving: real returned-device logs are noisy.  An engine
+    #    with a fallback chain validates evidence up front, falls back from
+    #    exact to approximate inference, and isolates per-case failures so
+    #    one poisoned record cannot kill a population sweep.
+    robust = DiagnosisEngine(
         built,
         FallbackPolicy(chain=("ve", "lw", "gibbs"), num_samples=2000,
                        seed=0))
@@ -131,12 +126,13 @@ def main() -> None:
                   f"{result.message.splitlines()[0]}")
 
     # 8. Serving a population: the worker-pool service shards a batch
-    #    across supervised worker processes (each hosting its own robust
-    #    engine).  Worker crashes are isolated and retried, a per-request
-    #    deadline is checked between each worker's pipeline stages (and a
-    #    worker that overruns it is reaped), a bounded queue applies
-    #    backpressure, and `stats()` exposes a structured health snapshot.  Use it whenever one process is not enough — or when it
-    #    must not be trusted to stay alive.
+    #    across supervised worker processes (each hosting its own engine
+    #    on the service's fallback chain).  Worker crashes are isolated and
+    #    retried, a per-request deadline is checked between each worker's
+    #    pipeline stages (and a worker that overruns it is reaped), a
+    #    bounded queue applies backpressure, and `stats()` exposes a
+    #    structured health snapshot.  Use it whenever one process is not
+    #    enough — or when it must not be trusted to stay alive.
     population_evidence = [case.observed() for case in big_cases[:200]]
     service_policy = FallbackPolicy(chain=("ve", "lw"), num_samples=2000,
                                     seed=0, on_invalid_evidence="sanitize")

@@ -81,7 +81,6 @@ from repro.core import (
     Dlog2BBN,
     FallbackPolicy,
     ModelVariable,
-    RobustDiagnosisEngine,
     StateDefinition,
     StateTable,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "DiagnosticReport",
     "Dlog2BBN",
     "FallbackPolicy",
-    "RobustDiagnosisEngine",
     "ModelVariable",
     "StateDefinition",
     "StateTable",

@@ -249,7 +249,8 @@ class VariableElimination:
         elementwise along the case axis, so a key's posteriors do not depend
         on the batch it is swept in.  Swept keys with a finite P(evidence)
         are cached as ``(row, P(evidence))``; replacing a CPD on the network
-        drops the cache.
+        drops the cache.  The posterior matrix is read-only, however its
+        rows were found.
         """
         self._refresh_caches()
         found: dict[tuple, tuple | None] = dict.fromkeys(keys)
@@ -264,11 +265,10 @@ class VariableElimination:
                     self._marginal_cache.put(key, found[key])
             if len(group) == len(keys):  # one cold sweep of distinct keys
                 return block, constants
-        if not keys:
-            return (np.zeros((0, EvidenceCodec.of(self.network).width)),
-                    np.zeros(0))
-        return (np.array([found[key][0] for key in keys]),
-                np.array([found[key][1] for key in keys]))
+        matrix = np.array([found[key][0] for key in keys]) if keys \
+            else np.zeros((0, EvidenceCodec.of(self.network).width))
+        matrix.flags.writeable = False
+        return matrix, np.array([found[key][1] for key in keys], dtype=float)
 
     def probabilities_of_evidence(self, evidence_list: Sequence[Evidence]
                                   ) -> np.ndarray:

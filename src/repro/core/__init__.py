@@ -30,12 +30,14 @@ from repro.core.model_builder import (
     validate_built_network,
 )
 from repro.core.diagnosis import (
+    PERMANENT_FAILURES,
     AttemptRecord,
     Diagnosis,
     DiagnosisEngine,
     DiagnosisFailure,
     DiagnosisProvenance,
     DiagnosticCase,
+    FallbackPolicy,
 )
 from repro.core.evidence import (
     EvidenceIssue,
@@ -43,11 +45,7 @@ from repro.core.evidence import (
     sanitize_evidence,
     validate_evidence,
 )
-from repro.core.robust import (
-    FallbackExhaustedError,
-    FallbackPolicy,
-    RobustDiagnosisEngine,
-)
+from repro.exceptions import FallbackExhaustedError
 from repro.core.report import DiagnosticReport, ReportColumn
 from repro.core.metrics import DiagnosisMetrics, rank_of_true_fault
 
@@ -74,9 +72,9 @@ __all__ = [
     "merge_case_evidence",
     "sanitize_evidence",
     "validate_evidence",
-    "RobustDiagnosisEngine",
     "FallbackPolicy",
     "FallbackExhaustedError",
+    "PERMANENT_FAILURES",
     "DiagnosticReport",
     "ReportColumn",
     "DiagnosisMetrics",

@@ -7,16 +7,36 @@ with Bayes' theorem.  The paper then deduces the suspect functional blocks
 *manually* by iterating over the parent–child relations ("a common parent
 block can be iteratively deduced").  :class:`DiagnosisEngine` automates both
 steps; the deduction algorithm below reproduces the paper's reasoning on all
-five published case studies when fed the paper's own posterior numbers.  A
-batch's distinct evidence rows are answered as one posterior matrix, each
-row's suspects come from its blocks' level pattern, and each
-:class:`Diagnosis` is a lazy view of its row.
+five published case studies when fed the paper's own posterior numbers.
+
+:meth:`DiagnosisEngine.diagnose_batch` is the one pipeline (a single case is
+a batch of one), run under the engine's :class:`FallbackPolicy`:
+
+1. **Admit** — each slot's evidence is checked once, strictly by
+   :func:`~repro.core.evidence.validate_evidence` or repair-and-continue by
+   :func:`~repro.core.evidence.sanitize_evidence`; a bad slot fails alone.
+2. **Sweep** — the distinct admitted rows are answered as one posterior
+   matrix by ONE sweep of the chain's first engine.
+3. **Settle** — each slot becomes a lazy view of its row.  A slot the sweep
+   could not answer walks the rest of the chain, the sweep counted as the
+   primary's first attempt; malformed or zero-probability evidence fails
+   at once.
+
+Every :class:`Diagnosis` carries a :class:`DiagnosisProvenance` (engine,
+attempts, its equal share of the batch's wall time, degradation), built on
+first read; a degraded result also emits a
+:class:`~repro.exceptions.DegradedResultWarning`.  A deadline is a budget
+checked between the stages; nothing running is interrupted (a served
+request's hard bound is the supervisor reaping its worker, see
+:mod:`repro.serving.service`).  An engine built without a policy is a chain
+of one, variable elimination.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+import warnings
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -31,20 +51,29 @@ from repro.bayesnet.inference import (
 from repro.core.evidence import (
     EvidenceIssue,
     merge_case_evidence,
+    sanitize_evidence,
     validate_evidence,
 )
 from repro.core.model_builder import BuiltModel
 from repro.exceptions import (
     DeadlineExceededError,
+    DegradedResultWarning,
     DiagnosisError,
     EvidenceError,
+    FallbackExhaustedError,
     ImpossibleEvidenceError,
     InferenceTimeoutError,
     ReproError,
 )
 
-#: Inference engines a DiagnosisEngine can run on, in decreasing exactness.
-ENGINE_NAMES = ("jt", "ve", "lw", "gibbs")
+#: The inference engines a fallback chain can name, in decreasing exactness.
+_ENGINES = {"jt": JunctionTree, "ve": VariableElimination,
+            "lw": LikelihoodWeighting, "gibbs": GibbsSampling}
+ENGINE_NAMES = tuple(_ENGINES)
+
+#: Failure classes no retry or engine change can repair: the input itself is
+#: bad (malformed evidence) or contradicts the model (zero probability).
+PERMANENT_FAILURES = (EvidenceError, ImpossibleEvidenceError)
 
 
 def chunk_slices(total: int, chunk_size: int) -> list[slice]:
@@ -78,17 +107,19 @@ def _slot_failure(name: str, case, error: Exception,
     """Re-raise under ``on_error="raise"``, else the structured failure.
 
     ``case`` is the slot as submitted; the failure records its raw
-    evidence.  Robust serving errors carry their attempt trail; plain
-    engine errors default to an empty one.
+    evidence (none for a slot that is neither a mapping nor a case) and
+    the error's attempt trail.  Its wall time is set when the batch ends.
     """
     if on_error == "raise":
         raise error
-    raw = case.raw_evidence() if isinstance(case, DiagnosticCase) \
-        else {str(variable): str(state) for variable, state in case.items()}
+    if isinstance(case, DiagnosticCase):
+        raw = case.raw_evidence()
+    elif isinstance(case, Mapping):
+        raw = {str(variable): str(state) for variable, state in case.items()}
+    else:
+        raw = {}
     return DiagnosisFailure.from_exception(
-        name, raw, error,
-        attempts=tuple(getattr(error, "attempts", ()) or ()),
-        wall_time=float(getattr(error, "wall_time", 0.0) or 0.0))
+        name, raw, error, attempts=tuple(getattr(error, "attempts", ()) or ()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,16 +233,17 @@ class AttemptRecord:
 
 @dataclasses.dataclass
 class DiagnosisProvenance:
-    """How a diagnosis was produced — the serving layer's audit trail.
+    """How a diagnosis was produced — every result's audit trail.
 
     Attributes
     ----------
     engine:
         The engine that produced the accepted posteriors.
     attempts:
-        Every attempt made, in order, including failed ones.
+        Every attempt made, in order, including failed ones (the sweep's
+        elapsed time is its equal share per admitted slot).
     wall_time:
-        Total serving wall time in seconds (all attempts plus overhead).
+        The result's equal share, in seconds, of its batch's wall time.
     degraded:
         True when the result did not come from the primary engine on the
         first try (fallback, retry) or carries reduced-precision notes.
@@ -320,12 +352,13 @@ class Diagnosis:
         Every internal variable ranked by fail probability (the naive
         ranking used as an ablation baseline).
     provenance:
-        Optional serving metadata (engine used, attempts, degradation);
-        populated by the robust serving layer, ``None`` for direct
-        :class:`DiagnosisEngine` calls.
+        How the result was produced (engine, attempts, wall time,
+        degradation).  Every engine result carries its own; ``None`` only
+        on a result constructed without one.
 
-    A batch result is a row view: ``posteriors``, ``fail_probabilities`` and
-    ``ranked_candidates`` are built on first read, then kept (see README).
+    A batch result is a row view: ``posteriors``, ``fail_probabilities``,
+    ``ranked_candidates`` and ``provenance`` are built on first read, then
+    kept (see README).
     """
 
     case_name: str
@@ -338,12 +371,13 @@ class Diagnosis:
 
     @classmethod
     def _of_row(cls, layout, row, order, suspects, case_name, evidence,
-                provenance=None) -> "Diagnosis":
-        """The view of one posterior matrix row, its ranking ``order``."""
+                record) -> "Diagnosis":
+        """The view of one posterior matrix row, its ranking ``order`` and
+        its provenance's field values ``record`` (views may share one)."""
         view = cls.__new__(cls)
         view.__dict__.update(case_name=case_name, evidence=evidence,
-                             suspects=list(suspects), provenance=provenance,
-                             _layout=layout, _row=row, _order=order)
+                             suspects=list(suspects), _layout=layout,
+                             _row=row, _order=order, _provenance=record)
         return view
 
     @property
@@ -411,8 +445,72 @@ class _RowField:
 
 
 Diagnosis.posteriors, Diagnosis.fail_probabilities, \
-    Diagnosis.ranked_candidates = map(_RowField, (
-        "posteriors", "fail_probabilities", "ranked_candidates"))
+    Diagnosis.ranked_candidates, Diagnosis.provenance = map(_RowField, (
+        "posteriors", "fail_probabilities", "ranked_candidates", "provenance"))
+
+
+@dataclasses.dataclass(frozen=True)
+class FallbackPolicy:
+    """How a :class:`DiagnosisEngine` admits evidence and degrades.
+
+    The fallback chain keeps answering, at reduced precision, scoped to what
+    the evidence supports: the graceful degradation the model-based
+    diagnosis literature motivates (Roos's efficient compiled diagnosis;
+    Srinivas's hierarchical diagnosis — see PAPERS.md).
+
+    Attributes
+    ----------
+    chain:
+        Engine names tried in order; the first is the primary, which
+        answers every sweep.  Exact engines (``"jt"``, ``"ve"``) should
+        precede the approximate ones (``"lw"``, ``"gibbs"``) so precision
+        only ever degrades.
+    attempts_per_engine:
+        How often each engine is retried before degrading to the next.
+    backoff:
+        Base sleep in seconds between retries of the same engine, doubled
+        per retry (``backoff * 2**retry_index``).  Zero disables sleeping.
+    num_samples:
+        Sample budget handed to the approximate engines (their own
+        defaults when ``None``).
+    seed:
+        Sampler seed for the approximate engines, so sampled and degraded
+        answers stay reproducible.
+    min_effective_sample_size:
+        Sampled posteriors whose effective sample size falls below this
+        are still returned but flagged with a low-ESS degradation note.
+    on_invalid_evidence:
+        ``"raise"`` (strict: malformed evidence is a permanent structured
+        failure) or ``"sanitize"`` (repair what is repairable, drop the
+        rest, and record every issue in the provenance).
+    """
+
+    chain: tuple[str, ...] = ("ve", "lw", "gibbs")
+    attempts_per_engine: int = 1
+    backoff: float = 0.0
+    num_samples: int | None = None
+    seed: int | None = 0
+    min_effective_sample_size: float = 50.0
+    on_invalid_evidence: str = "raise"
+
+    def __post_init__(self) -> None:
+        if not self.chain:
+            raise DiagnosisError("fallback chain must name at least one engine")
+        unknown = [name for name in self.chain if name not in ENGINE_NAMES]
+        if unknown:
+            raise DiagnosisError(
+                f"unknown engines in fallback chain: {unknown}; "
+                f"use names from {ENGINE_NAMES}")
+        if len(set(self.chain)) != len(self.chain):
+            raise DiagnosisError(f"fallback chain repeats engines: {self.chain}")
+        if self.attempts_per_engine < 1:
+            raise DiagnosisError("attempts_per_engine must be at least 1")
+        if self.backoff < 0:
+            raise DiagnosisError(f"backoff must be >= 0, got {self.backoff}")
+        if self.on_invalid_evidence not in ("raise", "sanitize"):
+            raise DiagnosisError(
+                f"unknown on_invalid_evidence mode {self.on_invalid_evidence!r}; "
+                "use 'raise' or 'sanitize'")
 
 
 class DiagnosisEngine:
@@ -422,17 +520,13 @@ class DiagnosisEngine:
     ----------
     built_model:
         The model produced by :class:`~repro.core.model_builder.Dlog2BBN`.
-    inference:
-        ``"ve"`` for variable elimination (default), ``"jt"`` for
-        junction-tree belief propagation (the Netica-style engine),
-        ``"lw"`` for likelihood weighting or ``"gibbs"`` for Gibbs
-        sampling (the approximate engines the robust serving layer
-        degrades to).
-    num_samples:
-        Sample budget for the approximate engines (their own defaults when
-        omitted); ignored by the exact engines.
-    seed:
-        Seed for the approximate engines' samplers.
+    policy:
+        The :class:`FallbackPolicy`: evidence mode, fallback chain (its
+        first engine answers every sweep), retries and sampler settings.
+        ``None`` is ``FallbackPolicy(chain=("ve",))``: variable elimination
+        alone with strict evidence, a chain of one.  ``"jt"`` is
+        junction-tree belief propagation (the Netica-style engine), ``"lw"``
+        likelihood weighting and ``"gibbs"`` Gibbs sampling.
     abnormal_threshold:
         Fail probability above which an internal block counts as *abnormal*
         (clearly not in its healthy state).
@@ -441,11 +535,10 @@ class DiagnosisEngine:
         (suspicious enough to absorb the blame of its abnormal children).
     """
 
-    def __init__(self, built_model: BuiltModel, inference: str = "ve",
+    def __init__(self, built_model: BuiltModel,
+                 policy: FallbackPolicy | None = None,
                  abnormal_threshold: float = 0.5,
-                 ambiguous_threshold: float = 0.4, *,
-                 num_samples: int | None = None,
-                 seed: int | None = None) -> None:
+                 ambiguous_threshold: float = 0.4) -> None:
         if not 0.0 < ambiguous_threshold <= abnormal_threshold <= 1.0:
             raise DiagnosisError(
                 "thresholds must satisfy 0 < ambiguous <= abnormal <= 1, got "
@@ -454,25 +547,13 @@ class DiagnosisEngine:
         self.model = built_model.description
         self.network = built_model.network
         self.healthy_states = built_model.healthy_states
+        self.policy = policy or FallbackPolicy(chain=("ve",))
         self.abnormal_threshold = float(abnormal_threshold)
         self.ambiguous_threshold = float(ambiguous_threshold)
-        self.inference_name = inference
-        sampler_options = {} if num_samples is None \
-            else {"num_samples": int(num_samples)}
-        if inference == "ve":
-            self._engine = VariableElimination(self.network)
-        elif inference == "jt":
-            self._engine = JunctionTree(self.network)
-        elif inference == "lw":
-            self._engine = LikelihoodWeighting(self.network, seed=seed,
-                                               **sampler_options)
-        elif inference == "gibbs":
-            self._engine = GibbsSampling(self.network, seed=seed,
-                                         **sampler_options)
-        else:
-            raise DiagnosisError(
-                f"unknown inference engine {inference!r}; "
-                f"use one of {ENGINE_NAMES}")
+        # The chain's inference engines by name, each built on first use:
+        # a healthy batch never builds a fallback engine.
+        self._rungs: dict[str, object] = {}
+        self._engine = self._rung(self.policy.chain[0])
         self._layout = _RowLayout(self.model, self.network,
                                   self.healthy_states)
         # Model order of the internal variables, the tie-break of suspects.
@@ -488,6 +569,20 @@ class DiagnosisEngine:
             tuple(self._internal_parents.items()), self.abnormal_threshold,
             self.ambiguous_threshold), {})
 
+    def _rung(self, name: str):
+        """The chain's inference engine ``name``, built on first use; the
+        samplers take the policy's seed and sample budget."""
+        engine = self._rungs.get(name)
+        if engine is None:
+            options = {}
+            if name in ("lw", "gibbs"):
+                options["seed"] = self.policy.seed
+                if self.policy.num_samples is not None:
+                    options["num_samples"] = self.policy.num_samples
+            engine = self._rungs[name] = _ENGINES[name](self.network,
+                                                        **options)
+        return engine
+
     # --------------------------------------------------------------- posteriors
     def initial_probabilities(self) -> dict[str, dict[str, float]]:
         """Return the prior marginals of every variable (the Init.% column)."""
@@ -502,12 +597,12 @@ class DiagnosisEngine:
         """
         return self.diagnose_batch([evidence])[0].posteriors
 
-    def _update(self, evidence: dict[str, str]) -> np.ndarray:
-        """One ``posteriors`` query on checked evidence, as a matrix row."""
+    def _update(self, engine, evidence: dict[str, str]) -> np.ndarray:
+        """One ``posteriors`` query of ``engine`` on checked evidence, as a
+        matrix row."""
         free = [variable for variable in self.model.variable_names
                 if variable not in evidence]
-        return self._layout.fill(evidence,
-                                 self._engine.posteriors(free, evidence))
+        return self._layout.fill(evidence, engine.posteriors(free, evidence))
 
     def fail_probability(self, variable: str,
                          posteriors: Mapping[str, Mapping[str, float]]) -> float:
@@ -644,16 +739,20 @@ class DiagnosisEngine:
 
         The one diagnosis pipeline; :meth:`diagnose`,
         :meth:`diagnose_evidence` and :meth:`update` are batches of one.
-        Each slot's evidence is checked once (admission); the distinct
-        evidence rows then run as ONE sweep of the engine into one
-        posterior matrix, and each slot's result is a view of its row.
+        Each slot's evidence is checked once (:meth:`_admit`); the distinct
+        evidence rows then run as ONE sweep of the primary engine into one
+        posterior matrix (:meth:`_sweep`; a sweep that raises fails every
+        slot), and each slot settles into a view of its row or walks the
+        fallback chain (:meth:`_settle`).  Each result's wall time is its
+        equal share of the batch's.
 
         Parameters
         ----------
         cases:
             :class:`DiagnosticCase` instances, or raw evidence mappings
             (variable -> observed state), read as they are like
-            :meth:`diagnose_evidence` does.
+            :meth:`diagnose_evidence` does.  Any other slot fails with an
+            :class:`~repro.exceptions.EvidenceError`.
         names:
             Optional case names, aligned with ``cases``; only used for raw
             evidence mappings (defaults to ``case-<i>``).
@@ -667,11 +766,11 @@ class DiagnosisEngine:
         deadline:
             Optional total wall-clock budget in seconds shared by the whole
             batch, checked between the pipeline's stages: before each
-            slot's admission and before and after the sweep (and, on a
-            robust engine, before and after each fallback attempt).  A slot
-            that meets a spent budget, or whose sweep ended past it, fails
-            with a :class:`~repro.exceptions.DeadlineExceededError`
-            (handled per ``on_error``).  Nothing running is interrupted.
+            slot's admission, before and after the sweep, and before and
+            after each fallback attempt.  A slot that meets a spent budget,
+            or whose sweep ended past it, fails with a
+            :class:`~repro.exceptions.DeadlineExceededError` (handled per
+            ``on_error``).  Nothing running is interrupted.
         """
         if on_error not in ("raise", "skip", "collect"):
             raise DiagnosisError(
@@ -681,19 +780,8 @@ class DiagnosisEngine:
         if names is not None and len(names) != len(cases):
             raise DiagnosisError(
                 f"got {len(names)} names for {len(cases)} cases")
-        budget = None if deadline is None \
-            else Budget(deadline, time.perf_counter())
-        results = self._diagnose_batch_swept(cases, names, on_error, budget)
-        if on_error == "skip":
-            return [result for result in results if result.ok]
-        return results
-
-    def _diagnose_batch_swept(self, cases, names, on_error, budget):
-        """The pipeline of :meth:`diagnose_batch`: admit each slot
-        (:meth:`_admit`), sweep the distinct rows (:meth:`_sweep`; one that
-        raises fails every slot), settle each slot (:meth:`_settle`).
-        ``"skip"`` filtering is left to the caller.
-        """
+        started = time.perf_counter()
+        budget = None if deadline is None else Budget(deadline, started)
         results: list[Diagnosis | DiagnosisFailure | None] = [None] * len(cases)
         admitted = []
         rows: dict[frozenset, int] = {}
@@ -703,15 +791,15 @@ class DiagnosisEngine:
             try:
                 if budget is not None and budget.left() <= 0:
                     raise budget.exceeded(name)
-                evidence, context = self._admit(name, item)
+                evidence, issues = self._admit(item)
             except Exception as error:
                 results[index] = _slot_failure(name, item, error, on_error)
                 continue
             row = rows.setdefault(frozenset(evidence.items()), len(distinct))
             if row == len(distinct):
                 distinct.append(evidence)
-            admitted.append((index, item, name, evidence, context, row))
-        started = time.perf_counter()
+            admitted.append((index, item, name, evidence, issues, row))
+        swept_at = time.perf_counter()
         swept = budget is None or budget.left() > 0
         answers: list = [None] * len(distinct)
         if swept:
@@ -719,33 +807,51 @@ class DiagnosisEngine:
                 answers = self._sweep(distinct)
             except Exception as error:  # noqa: BLE001 - fails every slot
                 answers = [error] * len(distinct)
-        elapsed = (time.perf_counter() - started) / max(len(admitted), 1)
+        elapsed = (time.perf_counter() - swept_at) / max(len(admitted), 1)
         spent = budget is not None and budget.left() <= 0
-        for index, item, name, evidence, context, row in admitted:
+        primary = self.policy.chain[0]
+        # The provenance fields every slot the sweep answered cleanly shares;
+        # each result's wall time is set when the batch ends.
+        clean = [primary, (AttemptRecord(primary, "ok", elapsed),), 0.0,
+                 False, None, (), ()]
+        for index, item, name, evidence, issues, row in admitted:
             try:
                 if spent:  # before the sweep, or the sweep ended late
                     raise budget.exceeded(name, late=(
-                        self.inference_name, elapsed) if swept else None)
-                results[index] = self._settle(name, evidence, context,
-                                              answers[row], elapsed, budget)
+                        primary, elapsed) if swept else None)
+                results[index] = self._settle(name, evidence, issues,
+                                              answers[row], elapsed, budget,
+                                              clean)
             except Exception as error:
                 results[index] = _slot_failure(name, item, error, on_error)
+        share = (time.perf_counter() - started) / max(len(cases), 1)
+        for result in results:
+            if result.ok:
+                result._provenance[2] = share
+            else:
+                result.wall_time = share
+        if on_error == "skip":
+            return [result for result in results if result.ok]
         return results
 
-    def _admit(self, name: str, case):
-        """Admit one slot to the batched sweep: ``(evidence, context)``.
+    def _admit(self, case) -> tuple[dict[str, str], tuple]:
+        """Admit one slot to the batched sweep: ``(evidence, issues)``.
 
-        The slot's one evidence check; a bad entry fails this slot alone,
-        so the shared sweep sees checked labels only.
+        The slot's one evidence check, strict or sanitising per
+        ``policy.on_invalid_evidence``: a bad entry fails this slot alone
+        (or is repaired or dropped, each an issue), so the shared sweep
+        sees checked labels only.
         """
-        return validate_evidence(self.model, case), None
+        if self.policy.on_invalid_evidence == "raise":
+            return validate_evidence(self.model, case), ()
+        return sanitize_evidence(self.model, case)
 
     def _sweep(self, evidences: list[dict[str, str]]) -> list:
-        """Answer every distinct row in one sweep of the engine: per row,
-        ``(posterior row, ranking order, suspects, sampler effective sample
-        size)`` or the error it alone fails with.  Variable elimination
-        answers in one ``posteriors_batch`` call; the other engines fill
-        the matrix one ``posteriors`` query per row."""
+        """Answer every distinct row in one sweep of the primary engine:
+        per row, ``(posterior row, ranking order, suspects, sampler
+        effective sample size)`` or the error it alone fails with.
+        Variable elimination answers in one ``posteriors_batch`` call; the
+        other engines fill the matrix one ``posteriors`` query per row."""
         count = len(evidences)
         errors, ess = [None] * count, [None] * count  # per row
         if isinstance(self._engine, VariableElimination):
@@ -758,11 +864,12 @@ class DiagnosisEngine:
             matrix = np.zeros((count, self._layout.width))
             for row, evidence in enumerate(evidences):
                 try:
-                    matrix[row] = self._update(evidence)
+                    matrix[row] = self._update(self._engine, evidence)
                     ess[row] = getattr(self._engine,
                                        "last_effective_sample_size", None)
                 except Exception as error:  # noqa: BLE001 - fails this row
                     errors[row] = error
+            matrix.flags.writeable = False
         ranked = self._rank_rows(matrix)
         for row, error in enumerate(errors):
             if isinstance(error, ImpossibleEvidenceError):
@@ -773,12 +880,113 @@ class DiagnosisEngine:
         return [(matrix[row], *ranked[row], ess[row]) if error is None
                 else error for row, error in enumerate(errors)]
 
-    def _settle(self, name: str, evidence: dict[str, str], context,
-                answer, elapsed: float, budget: Budget | None) -> Diagnosis:
-        """Turn one slot's answer into its Diagnosis view, or raise."""
+    def _settle(self, name: str, evidence: dict[str, str], issues: tuple,
+                answer, elapsed: float, budget: Budget | None,
+                clean: list) -> Diagnosis:
+        """Turn one slot's answer into its view, walk the chain, or raise.
+
+        A clean answer shares the batch's ``clean`` provenance record.  A
+        sweep error is the primary's first attempt: a permanent failure, or
+        one with no attempt left in the chain, fails the slot at once with
+        that trail; any other walks the chain.
+        """
         if isinstance(answer, Exception):
-            raise answer
-        return Diagnosis._of_row(self._layout, *answer[:3], name, evidence)
+            policy = self.policy
+            attempt = AttemptRecord(policy.chain[0], "error", elapsed,
+                                    f"{type(answer).__name__}: {answer}")
+            if isinstance(answer, PERMANENT_FAILURES) \
+                    or len(policy.chain) * policy.attempts_per_engine == 1:
+                answer.attempts, answer.wall_time = (attempt,), elapsed
+                raise answer
+            return self._run_chain(name, evidence, issues, budget, attempt,
+                                   answer)
+        row, order, suspects, ess = answer
+        if issues or ess is not None:
+            return self._accept(name, evidence, (row, order, suspects), 0,
+                                clean[1], issues, ess)
+        return Diagnosis._of_row(self._layout, row, order, suspects, name,
+                                 evidence, clean)
+
+    def _run_chain(self, name: str, evidence: dict[str, str], issues: tuple,
+                   budget: Budget | None, attempt: AttemptRecord,
+                   last_error: BaseException) -> Diagnosis:
+        """Walk the fallback chain for one slot the sweep could not answer.
+
+        The failed sweep (``attempt``) is the primary's first attempt and
+        is not repeated.  The budget is checked before and after each
+        attempt; a backoff sleep is clamped to what is left of it.
+        """
+        policy = self.policy
+        start = time.perf_counter()
+        attempts = [attempt]
+        for position, engine_name in enumerate(policy.chain):
+            for retry in range(position == 0, policy.attempts_per_engine):
+                if retry and policy.backoff > 0:
+                    sleep = policy.backoff * (2 ** (retry - 1))
+                    if budget is not None:
+                        sleep = min(sleep, max(budget.left(), 0.0))
+                    if sleep > 0:
+                        time.sleep(sleep)
+                if budget is not None and budget.left() <= 0:
+                    raise budget.exceeded(name, tuple(attempts), last_error)
+                attempt_start = time.perf_counter()
+                engine = self._rung(engine_name)
+                try:
+                    row = self._update(engine, evidence)
+                except Exception as error:  # noqa: BLE001 - recorded below
+                    row, last_error = None, error
+                elapsed = time.perf_counter() - attempt_start
+                if budget is not None and budget.left() <= 0:
+                    raise budget.exceeded(name, tuple(attempts),
+                                          late=(engine_name, elapsed))
+                if row is not None:
+                    attempts.append(AttemptRecord(engine_name, "ok", elapsed))
+                    row.flags.writeable = False
+                    return self._accept(
+                        name, evidence, (row, *self._rank_rows(row[None])[0]),
+                        position, tuple(attempts), issues,
+                        getattr(engine, "last_effective_sample_size", None))
+                attempts.append(AttemptRecord(
+                    engine_name, "error", elapsed,
+                    f"{type(last_error).__name__}: {last_error}"))
+                if isinstance(last_error, PERMANENT_FAILURES):
+                    last_error.attempts = tuple(attempts)
+                    last_error.wall_time = time.perf_counter() - start
+                    raise last_error
+        raise FallbackExhaustedError(
+            f"all {len(policy.chain)} engine(s) of the fallback chain failed "
+            f"for case {name!r}; last error: "
+            f"{type(last_error).__name__}: {last_error}",
+            attempts=tuple(attempts),
+            wall_time=time.perf_counter() - start) from last_error
+
+    def _accept(self, name: str, evidence: dict[str, str], answer: tuple,
+                position: int, attempts: tuple[AttemptRecord, ...],
+                issues: tuple, ess: float | None) -> Diagnosis:
+        """The view of an answer with a provenance record of its own, from
+        the chain's engine at ``position``; notes say what degraded it."""
+        policy = self.policy
+        engine = policy.chain[position]
+        notes = []
+        if issues:
+            dropped = sum(issue.kind != "repaired-state" for issue in issues)
+            notes.append(f"evidence sanitised: {len(issues)} issue(s), "
+                         f"{dropped} entry(ies) dropped")
+        notes += [f"engine {exhausted!r} exhausted "
+                  f"{policy.attempts_per_engine} attempt(s)"
+                  for exhausted in policy.chain[:position]]
+        if ess is not None and ess < policy.min_effective_sample_size:
+            notes.append(f"low effective sample size ({ess:.1f} < "
+                         f"{policy.min_effective_sample_size:g})")
+        if position:
+            notes.append(f"degraded from {policy.chain[0]!r} to {engine!r}")
+        degraded = len(attempts) > 1 or bool(notes)
+        if degraded:
+            warnings.warn(f"case {name!r} served degraded by {engine!r}: "
+                          + "; ".join(notes), DegradedResultWarning,
+                          stacklevel=4)
+        return Diagnosis._of_row(self._layout, *answer, name, evidence, [
+            engine, attempts, 0.0, degraded, ess, issues, tuple(notes)])
 
     def diagnose_measurements(self, conditions: Mapping[str, float],
                               measurements: Mapping[str, float],
@@ -855,6 +1063,10 @@ class _RowLayout:
     def ranked_candidates(self, view: Diagnosis) -> list[tuple[str, float]]:
         fail = (1.0 - view._row[self.healthy]).tolist()
         return [(self.internal[i], fail[i]) for i in view._order]
+
+    @staticmethod
+    def provenance(view: Diagnosis) -> DiagnosisProvenance:
+        return DiagnosisProvenance(*view._provenance)
 
     def fill(self, evidence: Mapping[str, str],
              computed: Mapping[str, Mapping[str, float]]) -> np.ndarray:

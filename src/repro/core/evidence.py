@@ -43,10 +43,11 @@ class EvidenceIssue:
     ----------
     kind:
         One of ``"unknown-variable"``, ``"unknown-state"``,
-        ``"conflicting-entry"`` or ``"repaired-state"`` (the latter only
-        from :func:`sanitize_evidence`, recording a successful repair).
+        ``"conflicting-entry"``, ``"repaired-state"`` (only from
+        :func:`sanitize_evidence`, recording a successful repair) or
+        ``"not-a-record"`` (the whole slot is neither a mapping nor a case).
     variable:
-        The offending evidence key as supplied.
+        The offending evidence key as supplied (empty for a whole slot).
     state:
         The offending state value as supplied (``None`` for conflicts).
     detail:
@@ -66,13 +67,22 @@ def _read(model: CircuitModelDescription, evidence, mode: str
           ) -> tuple[dict[str, str], list[Defect]]:
     """Read a mapping, or a case's two sections, with the model's codec.
 
-    Returns the good entries as labels and the codec's defects.
+    Returns the good entries as labels and the codec's defects.  Anything
+    else (``None``, a number, a string, a list of pairs) cannot be read
+    in any mode: it raises an :class:`EvidenceError` with one issue.
     """
     codec = model.evidence_codec
     if isinstance(evidence, Mapping):
         return codec.read(evidence, mode=mode)
-    return codec.read(evidence.controllable_states,
-                      evidence.observable_states, mode=mode)
+    sections = (getattr(evidence, "controllable_states", None),
+                getattr(evidence, "observable_states", None))
+    if not all(isinstance(section, Mapping) for section in sections):
+        detail = ("not an evidence mapping or a DiagnosticCase: got "
+                  f"{type(evidence).__name__}")
+        raise EvidenceError(
+            f"evidence for {model.name!r} is {detail}",
+            issues=(EvidenceIssue("not-a-record", "", None, detail),))
+    return codec.read(*sections, mode=mode)
 
 
 def _issue(model: CircuitModelDescription | None, defect: Defect,
@@ -133,7 +143,8 @@ def sanitize_evidence(model: CircuitModelDescription,
     state index) and dropped otherwise.  Every drop *and* every repair is
     recorded as an :class:`EvidenceIssue`, so callers can attach the list to
     a diagnosis' provenance and distinguish a clean case from a salvaged
-    one.
+    one.  A slot that is neither a mapping nor a case has nothing to salvage
+    and raises, as :func:`validate_evidence` does.
     """
     labels, defects = _read(model, evidence, REPAIR)
     return labels, tuple(_issue(model, defect, False) for defect in defects)

@@ -218,11 +218,28 @@ class EvidenceError(DiagnosisError):
         self.issues = tuple(issues)
 
 
+class FallbackExhaustedError(DiagnosisError):
+    """Every engine of the fallback chain failed for one case.
+
+    Raised only after the chain tried an engine beyond the failed sweep;
+    carries the full attempt trail so batch isolation can surface *how* the
+    case failed, not just that it did.
+    """
+
+    def __init__(self, message: str, attempts: tuple = (),
+                 wall_time: float = 0.0) -> None:
+        super().__init__(message)
+        self.attempts = attempts
+        self.wall_time = wall_time
+
+
 class DegradedResultWarning(UserWarning):
     """A diagnosis was produced in degraded mode.
 
-    Emitted (via :mod:`warnings`) when the robust serving layer fell back
-    from an exact engine to an approximate one, retried after transient
-    failures, or produced a posterior with a low effective sample size.  The
-    result is still usable — the warning flags the reduced precision.
+    Emitted (via :mod:`warnings`) when a
+    :class:`~repro.core.diagnosis.DiagnosisEngine` fell back along its
+    fallback chain, retried after transient failures, repaired or dropped
+    evidence entries, or produced a posterior with a low effective sample
+    size.  The result is still usable — the warning flags the reduced
+    precision.
     """

@@ -3,8 +3,9 @@
 :class:`DiagnosisService` shards ``diagnose_batch`` workloads into chunks
 (:func:`~repro.core.diagnosis.chunk_slices`) and runs them on a pool of
 worker processes, each hosting its own
-:class:`~repro.core.robust.RobustDiagnosisEngine`, which answers a chunk in
-one sweep and replies with planes.  The supervisor thread owns every
+:class:`~repro.core.diagnosis.DiagnosisEngine` under the service's
+:class:`~repro.core.diagnosis.FallbackPolicy`, which answers a chunk in one
+sweep and replies with planes.  The supervisor thread owns every
 robustness guarantee the pool needs to survive real traffic:
 
 * **Crash isolation** — a worker death (segfault, OOM-kill, injected
@@ -59,12 +60,11 @@ from multiprocessing import connection as mp_connection
 from repro.core.diagnosis import (
     Diagnosis,
     DiagnosisFailure,
-    DiagnosisProvenance,
     DiagnosticCase,
+    FallbackPolicy,
     chunk_slices,
 )
 from repro.core.model_builder import BuiltModel
-from repro.core.robust import FallbackPolicy
 from repro.exceptions import (
     DeadlineExceededError,
     DiagnosisError,
@@ -284,8 +284,9 @@ class DiagnosisService:
         The :class:`~repro.core.model_builder.BuiltModel` every worker's
         engine is built from (pickled to workers under ``spawn``).
     policy:
-        The :class:`~repro.core.robust.FallbackPolicy` for the per-worker
-        robust engines.
+        The :class:`~repro.core.diagnosis.FallbackPolicy` of every worker's
+        :class:`~repro.core.diagnosis.DiagnosisEngine`; ``None`` is
+        ``FallbackPolicy()``, the ``ve -> lw -> gibbs`` chain.
     config:
         The :class:`ServiceConfig`.
     abnormal_threshold / ambiguous_threshold:
@@ -936,7 +937,7 @@ class DiagnosisService:
 def _views(reply) -> list:
     """A ``done`` reply as ``[(slot, result)]``: each answered slot a view
     of its row of the read-only matrix, in the worker's layout, owning its
-    provenance, evidence dict and suspect list."""
+    evidence dict and suspect list, and its provenance once read."""
     planes, results = reply
     if planes is None:
         return results
@@ -947,9 +948,7 @@ def _views(reply) -> list:
     for slot, name, admitted, row, order, mask, index in zip(
             slots, names, evidence, matrix, orders.tolist(), chosen.tolist(),
             which):
-        fields = provenances[index]
         results.append((slot, Diagnosis._of_row(
             layout, row, order, [internal[i] for i in order if mask[i]],
-            name, admitted,
-            None if fields is None else DiagnosisProvenance(*fields))))
+            name, admitted, provenances[index])))
     return results

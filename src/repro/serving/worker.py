@@ -1,9 +1,10 @@
 """The worker-process side of the diagnosis service.
 
-Each worker hosts its own :class:`~repro.core.robust.RobustDiagnosisEngine`
-(engines are deliberately not shared across processes: evidence caches,
-sampler states and lazily built fallback engines are all per-process) and
-runs a small message loop over a duplex pipe:
+Each worker hosts its own :class:`~repro.core.diagnosis.DiagnosisEngine`
+under the service's :class:`~repro.core.diagnosis.FallbackPolicy` (engines
+are deliberately not shared across processes: evidence caches, sampler
+states and lazily built fallback engines are all per-process) and runs a
+small message loop over a duplex pipe:
 
 parent -> worker
     ``("chunk", chunk_id, [(slot, DiagnosticCase), ...], budget)`` — run a
@@ -24,9 +25,10 @@ none): the worker's row layout once, then per answered slot its slot, name
 and admitted evidence, its posterior row in one ``(rows, width)`` float64
 matrix, its ranking order in one integer matrix, its suspects in one
 ``(rows, internal)`` boolean mask and an index into the distinct
-provenances (tuples of field values).  The parent rebuilds each view with
-``Diagnosis._of_row``.  Failures, and any result that is not a row view,
-travel whole in ``pairs`` as ``(slot, result)``.
+provenances (tuples of field values; the slots the sweep answered cleanly
+share one).  The parent rebuilds each view with ``Diagnosis._of_row``.
+Failures, and any result that is not a row view, travel whole in ``pairs``
+as ``(slot, result)``.
 
 With a ``persist_dir``, each worker opens the model registry under it.
 The registry is authoritative: when it holds a published model, the worker
@@ -37,7 +39,7 @@ worker keeps serving the model it has.
 
 Each chunk is one ``diagnose_batch(on_error="collect", deadline=...)``
 call on the engine: one primary sweep for the chunk, the fallback chain
-only for the slots it could not answer (see :mod:`repro.core.robust`).
+only for the slots it could not answer (see :mod:`repro.core.diagnosis`).
 The deadline is the request budget left since the chunk's receipt, checked
 at the pipeline's stage boundaries; the supervisor reaps a worker still
 busy at budget + ``deadline_grace``.  ``WorkerChaos.on_case`` runs for
@@ -58,9 +60,13 @@ import traceback
 
 import numpy as np
 
-from repro.core.diagnosis import Diagnosis, DiagnosisProvenance
+from repro.core.diagnosis import (
+    Diagnosis,
+    DiagnosisEngine,
+    DiagnosisProvenance,
+    FallbackPolicy,
+)
 from repro.core.model_builder import BuiltModel
-from repro.core.robust import FallbackPolicy, RobustDiagnosisEngine
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,8 +150,8 @@ class _PersistRuntime:
 
 
 def _build_engine(payload: WorkerPayload,
-                  model: BuiltModel) -> RobustDiagnosisEngine:
-    return RobustDiagnosisEngine(
+                  model: BuiltModel) -> DiagnosisEngine:
+    return DiagnosisEngine(
         model, payload.policy,
         abnormal_threshold=payload.abnormal_threshold,
         ambiguous_threshold=payload.ambiguous_threshold)
@@ -207,7 +213,7 @@ def worker_main(conn, payload: WorkerPayload) -> None:
         conn.close()
 
 
-def _run_chunk(engine: RobustDiagnosisEngine, pairs, budget, chaos):
+def _run_chunk(engine: DiagnosisEngine, pairs, budget, chaos):
     """Diagnose every ``(slot, case)`` pair, never letting one escape.
 
     The chaos hooks run first, then the chunk is one collect-mode
@@ -245,7 +251,9 @@ def _planes(results):
                  for name in view.suspects]] = True
     distinct, which = {}, []
     for _, view in views:
-        fields = view.provenance and _PROVENANCE_FIELDS(view.provenance)
+        own = vars(view)  # a provenance read (and maybe changed) wins
+        fields = _PROVENANCE_FIELDS(own["provenance"]) \
+            if "provenance" in own else tuple(view._provenance)
         which.append(distinct.setdefault(fields, len(distinct)))
     return (layout, [slot for slot, _ in views],
             [view.case_name for _, view in views],

@@ -21,7 +21,7 @@ import pytest
 from repro.ate import PopulationGenerator
 from repro.bayesnet.sampling import ForwardSampler
 from repro.circuits import BehavioralSimulator
-from repro.core import DiagnosisEngine, Dlog2BBN, RobustDiagnosisEngine
+from repro.core import DiagnosisEngine, Dlog2BBN, FallbackPolicy
 from repro.core.diagnosis import Diagnosis
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.testing import FaultInjector
@@ -143,13 +143,29 @@ def test_views_own_their_dicts_and_keep_what_they_build(engine):
     assert "changed" in pickle.loads(pickle.dumps(first)).posteriors[block]
 
 
+def test_views_are_read_only_whatever_the_cache_holds(regulator_built_model):
+    """Rows swept cold in one group, rows partly read from the evidence
+    cache and an empty batch's matrix are all read-only, as served rows
+    are; so are the rows of an engine that answers row by row."""
+    engine = DiagnosisEngine(regulator_built_model)
+    cases = list(PAPER_DIAGNOSTIC_CASES)
+    cold = engine.diagnose_batch(cases[:3])
+    mixed = engine.diagnose_batch(cases[:4])  # three rows from the cache
+    assert engine._engine.sweep_count == 2
+    jt = DiagnosisEngine(regulator_built_model, FallbackPolicy(chain=("jt",)))
+    for view in cold + mixed + jt.diagnose_batch(cases[:2]):
+        assert not view._row.flags.writeable
+    assert not engine._engine.posteriors_batch([]).matrix.flags.writeable
+
+
 def test_keyword_constructed_results_compare_with_views(engine):
     (view,) = engine.diagnose_batch([PAPER_DIAGNOSTIC_CASES[1]])
     plain = Diagnosis(case_name=view.case_name, evidence=dict(view.evidence),
                       posteriors=view.to_dict()["posteriors"],
                       fail_probabilities=dict(view.fail_probabilities),
                       suspects=list(view.suspects),
-                      ranked_candidates=list(view.ranked_candidates))
+                      ranked_candidates=list(view.ranked_candidates),
+                      provenance=view.provenance)
     assert plain == view and view == plain
     assert plain.to_dict() == view.to_dict()
     assert pickle.loads(pickle.dumps(plain)) == plain
@@ -178,9 +194,9 @@ def test_a_nan_row_fails_alone(regulator_circuit):
     with FaultInjector() as chaos:
         chaos.corrupt_cpd(built.network, "reg1", mode="nan")
         ve = DiagnosisEngine(built).diagnose_batch(cases, on_error="collect")
-        jt = DiagnosisEngine(built, inference="jt").diagnose_batch(
-            cases, on_error="collect")
-        robust = RobustDiagnosisEngine(built).diagnose_batch(
+        jt = DiagnosisEngine(built, FallbackPolicy(
+            chain=("jt",))).diagnose_batch(cases, on_error="collect")
+        robust = DiagnosisEngine(built, FallbackPolicy()).diagnose_batch(
             cases, on_error="collect")
     assert [result.ok for result in ve] == [False] * 4 + [True]
     assert {result.error_type for result in ve[:4]} == {"InferenceError"}

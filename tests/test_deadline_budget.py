@@ -1,6 +1,6 @@
-"""Deadline-budget edge cases of the robust diagnosis pipeline.
+"""Deadline-budget edge cases of the diagnosis pipeline.
 
-The per-request wall-clock budget (``RobustDiagnosisEngine.diagnose(case,
+The per-request wall-clock budget (``DiagnosisEngine.diagnose(case,
 deadline=...)``, a batch of one, and ``diagnose_batch(..., deadline=...)``)
 is checked at the pipeline's stage boundaries and interacts with two other
 clocks: the retry backoff schedule, and the sweep or attempt itself.  These
@@ -19,10 +19,10 @@ import time
 import pytest
 
 from repro.core import (
+    DiagnosisEngine,
     DiagnosticCase,
     Dlog2BBN,
     FallbackPolicy,
-    RobustDiagnosisEngine,
 )
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import DeadlineExceededError, InferenceTimeoutError
@@ -41,10 +41,10 @@ def built_model(regulator_circuit):
     return builder.build()
 
 
-def make_engine(built_model, **policy_overrides) -> RobustDiagnosisEngine:
+def make_engine(built_model, **policy_overrides) -> DiagnosisEngine:
     defaults = dict(chain=("ve", "lw"), num_samples=500, seed=3)
     defaults.update(policy_overrides)
-    return RobustDiagnosisEngine(built_model, FallbackPolicy(**defaults))
+    return DiagnosisEngine(built_model, FallbackPolicy(**defaults))
 
 
 class TestExhaustedBeforeStart:
@@ -193,7 +193,7 @@ class TestStageBoundaries:
         engine = make_engine(built_model, chain=("ve", "lw"))
         with FaultInjector() as chaos:
             chaos.raise_on_call(engine._engine, "posteriors_batch")
-            chaos.add_latency(engine._engine_for("lw")._engine, "posteriors",
+            chaos.add_latency(engine._rung("lw"), "posteriors",
                               0.5)
             (failure,) = engine.diagnose_batch([CASE], on_error="collect",
                                                deadline=0.3)

@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import DiagnosisEngine, DiagnosisMetrics, DiagnosticCase, DiagnosticReport
+from repro.core import (
+    DiagnosisEngine,
+    DiagnosisMetrics,
+    DiagnosticCase,
+    DiagnosticReport,
+    FallbackPolicy,
+)
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.core.report import case_summary_table
 from repro.exceptions import DiagnosisError
@@ -52,8 +58,10 @@ class TestPosteriorUpdate:
             regulator_engine.update({"reg1": "99"})
 
     def test_ve_and_jt_engines_agree(self, regulator_built_model):
-        ve = DiagnosisEngine(regulator_built_model, inference="ve")
-        jt = DiagnosisEngine(regulator_built_model, inference="jt")
+        ve = DiagnosisEngine(regulator_built_model,
+                             FallbackPolicy(chain=("ve",)))
+        jt = DiagnosisEngine(regulator_built_model,
+                             FallbackPolicy(chain=("jt",)))
         case = PAPER_DIAGNOSTIC_CASES[4]
         left = ve.diagnose(case)
         right = jt.diagnose(case)
@@ -64,7 +72,8 @@ class TestPosteriorUpdate:
 
     def test_unknown_inference_engine_rejected(self, regulator_built_model):
         with pytest.raises(DiagnosisError):
-            DiagnosisEngine(regulator_built_model, inference="oracle")
+            DiagnosisEngine(regulator_built_model,
+                            FallbackPolicy(chain=("oracle",)))
 
     def test_bad_thresholds_rejected(self, regulator_built_model):
         with pytest.raises(DiagnosisError):

@@ -28,7 +28,7 @@ from hypothesis import given, strategies as st
 
 from repro.bayesnet import BayesianNetwork, TabularCPD
 from repro.bayesnet.inference import JunctionTree, VariableElimination
-from repro.core import DiagnosisEngine, RobustDiagnosisEngine
+from repro.core import DiagnosisEngine, FallbackPolicy
 from repro.core.blocks import BlockType, ModelVariable
 from repro.core.circuit_model import CircuitModelDescription
 from repro.core.model_builder import BuiltModel
@@ -340,9 +340,9 @@ def expected_diagnosis(net: RandomNetwork, joint: np.ndarray,
 
 @given(cases(min_card=2), st.data())
 def test_evidence_cache_round_trip(case, data):
-    """A batch with every row twice, diagnosed twice by one robust engine:
-    the second pass answers from the evidence cache, and no two results
-    share a posterior dict."""
+    """A batch with every row twice, diagnosed twice by one engine on the
+    default fallback chain: the second pass answers from the evidence
+    cache, and no two results share a posterior dict."""
     net, rows = case
     roles = [data.draw(st.sampled_from([BlockType.CONTROL, BlockType.OBSERVE,
                                         BlockType.INTERNAL]))
@@ -350,7 +350,7 @@ def test_evidence_cache_round_trip(case, data):
     joint = joint_table(net)
     batch = rows + [dict(row) for row in rows]
     expected = [expected_diagnosis(net, joint, evidence) for evidence in batch]
-    engine = RobustDiagnosisEngine(built_model(net, roles))
+    engine = DiagnosisEngine(built_model(net, roles), FallbackPolicy())
     swept = []
     for _ in range(2):
         results = engine.diagnose_batch(batch, on_error="collect")
@@ -387,11 +387,12 @@ def test_every_pipeline_entry_and_served_results(case, data):
     built = built_model(net, roles)
     single = DiagnosisEngine(built)
     paths = {
-        "jt": DiagnosisEngine(built, inference="jt").diagnose_batch(
-            rows, on_error="collect"),
+        "jt": DiagnosisEngine(built, FallbackPolicy(
+            chain=("jt",))).diagnose_batch(rows, on_error="collect"),
         "diagnose_evidence": [diagnose_alone(single, row) for row in rows],
-        "robust-deadline": RobustDiagnosisEngine(built).diagnose_batch(
-            rows, on_error="collect", deadline=60),
+        "robust-deadline": DiagnosisEngine(
+            built, FallbackPolicy()).diagnose_batch(
+                rows, on_error="collect", deadline=60),
     }
     with DiagnosisService(built,
                           config=ServiceConfig(num_workers=1)) as service:

@@ -18,10 +18,9 @@ from repro.core import (
     DiagnosisEngine,
     DiagnosisFailure,
     Dlog2BBN,
+    FallbackExhaustedError,
     FallbackPolicy,
-    RobustDiagnosisEngine,
 )
-from repro.core.robust import FallbackExhaustedError
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import (
     DegradedResultWarning,
@@ -35,6 +34,14 @@ pytestmark = pytest.mark.filterwarnings(
 
 CASE = PAPER_DIAGNOSTIC_CASES[0]
 
+#: Each exact engine's message for a row that a NaN CPD entry reaches.
+NAN_MESSAGES = {
+    "ve": "non-finite evidence probability; the network contains "
+          "corrupted (NaN/inf) CPD entries",
+    "jt": "non-finite calibration mass nan; the network contains "
+          "corrupted (NaN/inf) CPD entries",
+}
+
 
 @pytest.fixture(scope="module")
 def built_model(regulator_circuit):
@@ -46,7 +53,7 @@ def built_model(regulator_circuit):
 
 @pytest.fixture
 def engine(built_model):
-    return RobustDiagnosisEngine(
+    return DiagnosisEngine(
         built_model,
         FallbackPolicy(chain=("ve", "lw"), num_samples=500, seed=3))
 
@@ -65,7 +72,7 @@ def assert_valid_degraded(diagnosis: Diagnosis) -> None:
 
 class TestTransientEngineFault:
     def test_retry_recovers_on_same_engine(self, built_model):
-        engine = RobustDiagnosisEngine(
+        engine = DiagnosisEngine(
             built_model, FallbackPolicy(chain=("ve", "lw"),
                                         attempts_per_engine=2,
                                         num_samples=500, seed=3))
@@ -111,7 +118,7 @@ class TestHardEngineFault:
     def test_whole_chain_down_is_structured(self, engine):
         with FaultInjector() as chaos:
             chaos.raise_on_call(engine._engine, "posteriors_batch")
-            chaos.raise_on_call(engine._engine_for("lw")._engine, "posteriors")
+            chaos.raise_on_call(engine._rung("lw"), "posteriors")
             with pytest.raises(FallbackExhaustedError) as info:
                 engine.diagnose(CASE)
         error = info.value
@@ -119,13 +126,35 @@ class TestHardEngineFault:
         assert all(a.outcome == "error" for a in error.attempts)
         assert error.wall_time > 0
 
+    @pytest.mark.parametrize("attempts_per_engine", [1, 2])
+    def test_exhausted_only_after_an_attempt_beyond_the_sweep(
+            self, built_model, attempts_per_engine):
+        # A chain of one with one attempt (a plain engine) fails the slot
+        # with its sweep's own error; a retry makes the chain exhaust.
+        engine = DiagnosisEngine(built_model, FallbackPolicy(
+            chain=("ve",), attempts_per_engine=attempts_per_engine))
+        with FaultInjector() as chaos:
+            chaos.raise_on_call(engine._engine, "posteriors_batch",
+                                error=ChaosError("sweep down"))
+            chaos.raise_on_call(engine._engine, "posteriors",
+                                error=ChaosError("retry down"))
+            (failure,) = engine.diagnose_batch([CASE], on_error="collect")
+            with pytest.raises(ChaosError if attempts_per_engine == 1
+                               else FallbackExhaustedError):
+                engine.diagnose(CASE)
+        assert failure.error_type == ("ChaosError" if attempts_per_engine == 1
+                                      else "FallbackExhaustedError")
+        assert [(a.engine, a.outcome) for a in failure.attempts] == \
+            [("ve", "error")] * attempts_per_engine
+        assert list(engine._rungs) == ["ve"]
+
     def test_gibbs_is_the_last_resort(self, built_model):
-        engine = RobustDiagnosisEngine(
+        engine = DiagnosisEngine(
             built_model, FallbackPolicy(chain=("ve", "lw", "gibbs"),
                                         num_samples=100, seed=3))
         with FaultInjector() as chaos:
             chaos.raise_on_call(engine._engine, "posteriors_batch")
-            chaos.raise_on_call(engine._engine_for("lw")._engine, "posteriors")
+            chaos.raise_on_call(engine._rung("lw"), "posteriors")
             with pytest.warns(DegradedResultWarning):
                 diagnosis = engine.diagnose(CASE)
         assert_valid_degraded(diagnosis)
@@ -142,7 +171,7 @@ class TestImpossibleEvidence:
                 engine.diagnose(CASE)
         # No sampler can fix zero-probability evidence: the fallback engine
         # must never have been constructed.
-        assert "lw" not in engine._fallback_engines
+        assert "lw" not in engine._rungs
 
     def test_swept_permanent_failure_skips_fallback(self, engine):
         # The same rule for a collected batch slot the sweep answered.
@@ -154,7 +183,7 @@ class TestImpossibleEvidence:
         assert failure.error_type == "ImpossibleEvidenceError"
         assert [(a.engine, a.outcome) for a in failure.attempts] == \
             [("ve", "error")]
-        assert "lw" not in engine._fallback_engines
+        assert "lw" not in engine._rungs
 
     def test_zero_row_cpd_is_impossible_evidence(self, engine, built_model):
         with FaultInjector() as chaos:
@@ -168,7 +197,7 @@ class TestImpossibleEvidence:
 
 class TestCorruptedCPD:
     def test_nan_fails_both_exact_engines(self, built_model):
-        engine = RobustDiagnosisEngine(
+        engine = DiagnosisEngine(
             built_model, FallbackPolicy(chain=("ve", "jt")))
         with FaultInjector() as chaos:
             chaos.corrupt_cpd(built_model.network, "reg1", mode="nan")
@@ -185,7 +214,8 @@ class TestCorruptedCPD:
         cases = list(PAPER_DIAGNOSTIC_CASES)
         with FaultInjector() as chaos:
             chaos.corrupt_cpd(built_model.network, "reg1", mode="nan")
-            engine = DiagnosisEngine(built_model, inference=inference)
+            engine = DiagnosisEngine(built_model,
+                                     FallbackPolicy(chain=(inference,)))
             collected = engine.diagnose_batch(cases, on_error="collect")
             skipped = engine.diagnose_batch(cases, on_error="skip")
             with pytest.raises(InferenceError):
@@ -198,6 +228,16 @@ class TestCorruptedCPD:
             {"InferenceError"}
         assert [result.case_name for result in skipped] == \
             [result.case_name for result in collected if result.ok]
+        # The engines' own messages, the sweep as the one attempt of a
+        # chain of one, and each slot's equal share of the batch time.
+        assert {failure.message for failure in failures} == {NAN_MESSAGES[
+            inference]}
+        assert {tuple((attempt.engine, attempt.outcome)
+                      for attempt in failure.attempts)
+                for failure in failures} == {((inference, "error"),)}
+        shares = {result.provenance.wall_time if result.ok
+                  else result.wall_time for result in collected}
+        assert len(shares) == 1 and shares.pop() > 0
 
     def test_nan_never_leaks_from_sampler(self, built_model):
         from repro.bayesnet.inference import LikelihoodWeighting
@@ -278,7 +318,7 @@ class TestBatchUnderChaos:
         with FaultInjector() as chaos:
             chaos.raise_on_call(engine._engine, "posteriors")
             chaos.raise_on_call(engine._engine, "posteriors_batch")
-            chaos.raise_on_call(engine._engine_for("lw")._engine, "posteriors")
+            chaos.raise_on_call(engine._rung("lw"), "posteriors")
             results = engine.diagnose_batch(
                 [PAPER_DIAGNOSTIC_CASES[0], PAPER_DIAGNOSTIC_CASES[1]],
                 on_error="collect")

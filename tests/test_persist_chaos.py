@@ -23,9 +23,9 @@ import pytest
 
 from repro.core import (
     Diagnosis,
+    DiagnosisEngine,
     Dlog2BBN,
     FallbackPolicy,
-    RobustDiagnosisEngine,
 )
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import StoreCorruptionError
@@ -150,8 +150,7 @@ class TestServiceRestart:
             stats = service.stats()
         assert stats.respawns >= 1  # the kills actually happened
         assert all(isinstance(r, Diagnosis) for r in results)
-        engine = RobustDiagnosisEngine(regulator_built_model,
-                                       FallbackPolicy())
+        engine = DiagnosisEngine(regulator_built_model, FallbackPolicy())
         reference = {case.name: engine.diagnose(case).posteriors
                      for case in PAPER_DIAGNOSTIC_CASES}
         for case, result in zip(cases, results):
@@ -209,14 +208,14 @@ class TestServiceRestart:
 
     def test_fresh_service_prefers_the_registry_model(
             self, regulator_circuit, regulator_built_model, tmp_path):
-        from repro.core import Dlog2BBN, RobustDiagnosisEngine
+        from repro.core import Dlog2BBN
         designer = Dlog2BBN(regulator_circuit.model,
                             regulator_circuit.healthy_states).build()
         with ModelRegistry(tmp_path / "models") as registry:
             registry.publish(regulator_built_model, validate=False)
         case = PAPER_DIAGNOSTIC_CASES[1]
-        reference = RobustDiagnosisEngine(regulator_built_model,
-                                          FallbackPolicy()).diagnose(case)
+        reference = DiagnosisEngine(regulator_built_model,
+                                    FallbackPolicy()).diagnose(case)
         # The payload model is the designer prior, but the registry holds
         # the simulation-prior model: the registry must win.
         config = ServiceConfig(num_workers=1, chunk_size=2)

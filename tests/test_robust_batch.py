@@ -1,6 +1,6 @@
-"""The robust engine's batched path: one primary sweep per batch.
+"""The engine's batched path under a fallback chain: one primary sweep.
 
-``RobustDiagnosisEngine.diagnose_batch`` admits every slot (the evidence
+``DiagnosisEngine.diagnose_batch`` admits every slot (the evidence
 boundary), answers the admitted slots with ONE batched sweep of the primary
 engine, and sends only the slots that sweep could not answer down the
 fallback chain.  Every slot must come out exactly as
@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import pickle
 import time
 
 import pytest
 
+from repro.bayesnet.inference import LikelihoodWeighting
 from repro.core import (
     DiagnosisEngine,
     DiagnosticCase,
     Dlog2BBN,
     FallbackPolicy,
-    RobustDiagnosisEngine,
 )
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import DegradedResultWarning, EvidenceError
@@ -93,8 +94,8 @@ def diagnose_alone(engine, case):
 
 
 def test_each_slot_matches_diagnose(built_model, chunk):
-    batch_engine = RobustDiagnosisEngine(built_model, policy())
-    single_engine = RobustDiagnosisEngine(built_model, policy())
+    batch_engine = DiagnosisEngine(built_model, policy())
+    single_engine = DiagnosisEngine(built_model, policy())
     results = batch_engine.diagnose_batch(chunk, on_error="collect")
 
     assert [result.case_name for result in results] == \
@@ -127,11 +128,10 @@ def test_each_slot_matches_diagnose(built_model, chunk):
     assert kinds == {"ok", "EvidenceError", "ImpossibleEvidenceError"}
 
 
-@pytest.mark.parametrize("engine_type", [DiagnosisEngine,
-                                         RobustDiagnosisEngine])
-def test_duplicate_slots_own_their_posteriors(built_model, engine_type):
-    engine = engine_type(built_model) if engine_type is DiagnosisEngine \
-        else engine_type(built_model, policy())
+@pytest.mark.parametrize("engine_policy", [None, policy()],
+                         ids=["plain", "ve-lw"])
+def test_duplicate_slots_own_their_posteriors(built_model, engine_policy):
+    engine = DiagnosisEngine(built_model, engine_policy)
     case = PAPER_DIAGNOSTIC_CASES[0]
     first, twin = engine.diagnose_batch([case, case])
     expected = copy.deepcopy(twin.posteriors)
@@ -146,27 +146,56 @@ def test_duplicate_slots_own_their_posteriors(built_model, engine_type):
     assert again.posteriors == expected
 
 
+@pytest.mark.parametrize("engine_policy", [None, policy()],
+                         ids=["plain", "ve-lw"])
+def test_each_view_owns_its_provenance(built_model, engine_policy):
+    """Clean slots share one provenance record, never one provenance: a
+    change to one view's leaves its batch-mates', also after pickling."""
+    case = PAPER_DIAGNOSTIC_CASES[0]
+    batch = DiagnosisEngine(built_model, engine_policy).diagnose_batch(
+        [case, case, PAPER_DIAGNOSTIC_CASES[1]])
+    for first, *others in (batch, pickle.loads(pickle.dumps(batch))):
+        expected = [other.provenance.to_dict() for other in others]
+        assert first.provenance is not others[0].provenance
+        assert first.provenance == others[0].provenance
+        first.provenance.wall_time = -1.0
+        first.provenance.notes += ("changed",)
+        first.provenance.attempts = ()
+        assert [other.provenance.to_dict() for other in others] == expected
+        assert pickle.loads(pickle.dumps(first)).provenance.notes[-1] \
+            == "changed"
+
+
 def test_sampled_primary_slots_match_diagnose(built_model):
     """A sampler primary answers its sweep with one query per slot, in slot
     order: the same seed gives each slot the posteriors and the effective
     sample size of its own query, as case by case."""
     cases = [case for case in PAPER_DIAGNOSTIC_CASES
              if case.evidence().get(ZEROED) != impossible_state(built_model)]
-    results = RobustDiagnosisEngine(
+    results = DiagnosisEngine(
         built_model, policy(chain=("lw",))).diagnose_batch(cases)
-    single = RobustDiagnosisEngine(built_model, policy(chain=("lw",)))
+    single = DiagnosisEngine(built_model, policy(chain=("lw",)))
     alone = [single.diagnose(case) for case in cases]
     sizes = [result.provenance.effective_sample_size for result in results]
     assert sizes == [result.provenance.effective_sample_size
                      for result in alone]
     assert len(set(sizes)) > 1
+    # Each row's size is the bare sampler's for that row's own query.
+    bare = LikelihoodWeighting(built_model.network, num_samples=500, seed=3)
+    bare_sizes = []
+    for case in cases:
+        evidence = case.evidence()
+        bare.posteriors([variable for variable in built_model.network.nodes
+                         if variable not in evidence], evidence)
+        bare_sizes.append(bare.last_effective_sample_size)
+    assert sizes == bare_sizes
     for result, expected in zip(results, alone):
         assert result.provenance.engine == "lw"
         assert result.posteriors == expected.posteriors
 
 
 def test_on_error_modes(built_model, chunk):
-    engine = RobustDiagnosisEngine(built_model, policy())
+    engine = DiagnosisEngine(built_model, policy())
     with pytest.raises(EvidenceError):
         engine.diagnose_batch(chunk)
     collected = engine.diagnose_batch(chunk, on_error="collect")
@@ -176,8 +205,11 @@ def test_on_error_modes(built_model, chunk):
     assert all(result.ok for result in skipped)
 
 
-def test_wall_time_is_an_equal_share_of_the_batch(built_model, chunk):
-    engine = RobustDiagnosisEngine(built_model, policy())
+@pytest.mark.parametrize("engine_policy", [None, policy()],
+                         ids=["plain", "ve-lw"])
+def test_wall_time_is_an_equal_share_of_the_batch(built_model, chunk,
+                                                  engine_policy):
+    engine = DiagnosisEngine(built_model, engine_policy)
     started = time.perf_counter()
     results = engine.diagnose_batch(chunk, on_error="collect")
     elapsed = time.perf_counter() - started
@@ -190,7 +222,7 @@ def test_wall_time_is_an_equal_share_of_the_batch(built_model, chunk):
 def test_failed_sweep_walks_the_chain_per_slot(built_model):
     """Every slot of a failed sweep walks the chain on its own, a duplicate
     slot included."""
-    engine = RobustDiagnosisEngine(built_model, policy())
+    engine = DiagnosisEngine(built_model, policy())
     cases = [*PAPER_DIAGNOSTIC_CASES,
              dataclasses.replace(PAPER_DIAGNOSTIC_CASES[0], name="duplicate")]
     with FaultInjector() as chaos:
@@ -210,7 +242,7 @@ def test_failed_sweep_walks_the_chain_per_slot(built_model):
 
 
 def test_sanitised_slots_still_warn(built_model):
-    engine = RobustDiagnosisEngine(
+    engine = DiagnosisEngine(
         built_model, policy(on_invalid_evidence="sanitize"))
     good = PAPER_DIAGNOSTIC_CASES[0]
     noisy = DiagnosticCase(
@@ -229,7 +261,7 @@ def test_evidence_key_order_does_not_change_the_answer(built_model):
     evidence = PAPER_DIAGNOSTIC_CASES[0].evidence()
     reordered = dict(reversed(evidence.items()))
     assert list(reordered) != list(evidence)
-    engine = RobustDiagnosisEngine(built_model, policy())
+    engine = DiagnosisEngine(built_model, policy())
     (first,) = engine.diagnose_batch([evidence])
     sweeps = engine._engine.sweep_count
     (again,) = engine.diagnose_batch([reordered])
@@ -249,7 +281,7 @@ class _Recorder:
 
 
 def test_worker_chunk_runs_chaos_hooks_then_one_sweep(built_model):
-    engine = RobustDiagnosisEngine(built_model, policy())
+    engine = DiagnosisEngine(built_model, policy())
     recorder = _Recorder()
     original = engine.diagnose_batch
 
@@ -267,7 +299,7 @@ def test_worker_chunk_runs_chaos_hooks_then_one_sweep(built_model):
 
 
 def test_budgeted_worker_chunk_is_one_batch_call(built_model):
-    engine = RobustDiagnosisEngine(built_model, policy())
+    engine = DiagnosisEngine(built_model, policy())
     recorder = _Recorder()
     original = engine.diagnose_batch
     deadlines = []
@@ -283,7 +315,7 @@ def test_budgeted_worker_chunk_is_one_batch_call(built_model):
     assert recorder.events == \
         [case.name for case in PAPER_DIAGNOSTIC_CASES] + ["sweep"]
     assert deadlines and 0 < deadlines[0] <= 60.0
-    free = _run_chunk(RobustDiagnosisEngine(built_model, policy()), pairs,
+    free = _run_chunk(DiagnosisEngine(built_model, policy()), pairs,
                       None, None)
     assert [slot for slot, _ in budgeted] == [slot for slot, _ in free]
     for (_, result), (_, expected) in zip(budgeted, free):

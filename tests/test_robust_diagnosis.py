@@ -1,4 +1,4 @@
-"""The robust serving layer: fallback chain, provenance, batch isolation."""
+"""The engine's fallback chain, provenance and batch isolation."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.core import (
     DiagnosticCase,
     Dlog2BBN,
     FallbackPolicy,
-    RobustDiagnosisEngine,
 )
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import (
@@ -32,11 +31,13 @@ def designer_built_model(regulator_circuit):
     return builder.build()
 
 
+#: The ``ve -> lw`` chain most tests here run on.
+POLICY = FallbackPolicy(chain=("ve", "lw"), num_samples=500, seed=3)
+
+
 @pytest.fixture
 def robust_engine(designer_built_model):
-    return RobustDiagnosisEngine(
-        designer_built_model,
-        FallbackPolicy(chain=("ve", "lw"), num_samples=500, seed=3))
+    return DiagnosisEngine(designer_built_model, POLICY)
 
 
 class TestFallbackPolicy:
@@ -66,8 +67,11 @@ class TestHealthyPath:
         assert robust.suspects == reference.suspects
         assert robust.posteriors == reference.posteriors
 
-    def test_healthy_provenance(self, robust_engine):
-        diagnosis = robust_engine.diagnose(PAPER_DIAGNOSTIC_CASES[0])
+    # A plain engine is a chain of one, with the same provenance.
+    @pytest.mark.parametrize("policy", [POLICY, None], ids=["ve-lw", "plain"])
+    def test_healthy_provenance(self, designer_built_model, policy):
+        engine = DiagnosisEngine(designer_built_model, policy)
+        diagnosis = engine.diagnose(PAPER_DIAGNOSTIC_CASES[0])
         provenance = diagnosis.provenance
         assert provenance.engine == "ve"
         assert not provenance.degraded
@@ -75,13 +79,14 @@ class TestHealthyPath:
         assert provenance.wall_time > 0
         assert provenance.effective_sample_size is None
         # No fallback engine was ever constructed on the healthy path.
-        assert "lw" not in {name for name in robust_engine._fallback_engines
-                            if name != "ve"}
+        assert "lw" not in {name for name in engine._rungs if name != "ve"}
+        assert list(engine._rungs) == ["ve"]
 
     def test_approximate_engines_usable_directly(self, designer_built_model):
         for inference in ("lw", "gibbs"):
-            engine = DiagnosisEngine(designer_built_model, inference=inference,
-                                     num_samples=300, seed=5)
+            engine = DiagnosisEngine(
+                designer_built_model,
+                FallbackPolicy(chain=(inference,), num_samples=300, seed=5))
             diagnosis = engine.diagnose(PAPER_DIAGNOSTIC_CASES[0])
             assert diagnosis.suspects
             for distribution in diagnosis.posteriors.values():
@@ -96,7 +101,7 @@ class TestEvidenceModes:
             robust_engine.diagnose(case)
 
     def test_sanitize_mode_salvages(self, designer_built_model):
-        engine = RobustDiagnosisEngine(
+        engine = DiagnosisEngine(
             designer_built_model,
             FallbackPolicy(chain=("ve",), on_invalid_evidence="sanitize"))
         good = PAPER_DIAGNOSTIC_CASES[0]
@@ -114,7 +119,7 @@ class TestEvidenceModes:
         assert diagnosis.provenance.degraded
 
     def test_sanitize_mode_drops_conflicts(self, designer_built_model):
-        engine = RobustDiagnosisEngine(
+        engine = DiagnosisEngine(
             designer_built_model,
             FallbackPolicy(chain=("ve",), on_invalid_evidence="sanitize"))
         good = PAPER_DIAGNOSTIC_CASES[0]
@@ -177,6 +182,30 @@ class TestBatchIsolation:
         assert isinstance(results[0], Diagnosis)
         assert isinstance(results[1], DiagnosisFailure)
         assert results[1].case_name == "bad"
+
+    # A slot that is neither a mapping nor a DiagnosticCase is one
+    # structured evidence failure, whatever the evidence mode.
+    @pytest.mark.parametrize("policy", [
+        None, FallbackPolicy(on_invalid_evidence="sanitize")],
+        ids=["strict", "sanitize"])
+    @pytest.mark.parametrize("slot", [None, 5, "vp1", [("vp1", "2")]],
+                             ids=["none", "int", "str", "pairs"])
+    def test_a_slot_that_is_not_a_record_fails_alone(
+            self, designer_built_model, policy, slot):
+        engine = DiagnosisEngine(designer_built_model, policy)
+        batch = [PAPER_DIAGNOSTIC_CASES[0], slot, PAPER_DIAGNOSTIC_CASES[1]]
+        collected = engine.diagnose_batch(batch, on_error="collect")
+        assert [result.ok for result in collected] == [True, False, True]
+        failure = collected[1]
+        assert (failure.case_name, failure.error_type, failure.evidence,
+                failure.attempts) == ("case-1", "EvidenceError", {}, ())
+        assert type(slot).__name__ in failure.message
+        skipped = engine.diagnose_batch(batch, on_error="skip")
+        assert [result.case_name for result in skipped] == [
+            PAPER_DIAGNOSTIC_CASES[0].name, PAPER_DIAGNOSTIC_CASES[1].name]
+        with pytest.raises(EvidenceError) as info:
+            engine.diagnose_batch(batch)
+        assert [issue.kind for issue in info.value.issues] == ["not-a-record"]
 
     def test_robust_batch_collect(self, robust_engine, poisoned_batch):
         results = robust_engine.diagnose_batch(poisoned_batch,

@@ -18,7 +18,7 @@ import pickle
 import pytest
 
 import repro.exceptions as exceptions_module
-from repro.core import Dlog2BBN, FallbackPolicy, RobustDiagnosisEngine
+from repro.core import DiagnosisEngine, Dlog2BBN, FallbackPolicy
 from repro.core.diagnosis import (
     AttemptRecord,
     Diagnosis,
@@ -26,10 +26,10 @@ from repro.core.diagnosis import (
     DiagnosisProvenance,
 )
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
-from repro.core.robust import FallbackExhaustedError
 from repro.exceptions import (
     DeadlineExceededError,
     EvidenceError,
+    FallbackExhaustedError,
     ImpossibleEvidenceError,
     InferenceTimeoutError,
     ReproError,
@@ -94,7 +94,7 @@ class TestExceptionPickling:
             assert clone.__dict__ == error.__dict__, type(error).__name__
 
     def test_dynamic_attributes_survive(self):
-        # The robust engine attaches the attempt trail to errors it did not
+        # The engine attaches the attempt trail to errors it did not
         # construct itself; the trail must ride through the pipe too.
         error = DeadlineExceededError("budget spent", remaining=-0.1,
                                       deadline=1.0)
@@ -138,7 +138,7 @@ class TestResultPickling:
         assert clone == provenance
 
     def test_real_diagnosis_roundtrips(self, built_model):
-        engine = RobustDiagnosisEngine(built_model, FallbackPolicy())
+        engine = DiagnosisEngine(built_model, FallbackPolicy())
         diagnosis = engine.diagnose(CASE)
         clone = roundtrip(diagnosis)
         assert clone.case_name == diagnosis.case_name
@@ -153,7 +153,7 @@ class TestResultPickling:
 
 class TestToDict:
     def test_diagnosis_to_dict_is_json_safe(self, built_model):
-        engine = RobustDiagnosisEngine(built_model, FallbackPolicy())
+        engine = DiagnosisEngine(built_model, FallbackPolicy())
         payload = engine.diagnose(CASE).to_dict()
         decoded = json.loads(json.dumps(payload))
         assert decoded["ok"] is True

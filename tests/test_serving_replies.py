@@ -6,7 +6,7 @@ last), and a worker replies with planes: one posterior matrix, one
 ranking-order matrix and one suspect mask per chunk
 (:mod:`repro.serving.worker`).  The supervisor rebuilds each slot's view.  These tests pin the chunking rule
 and check every served slot against an in-process
-:class:`~repro.core.robust.RobustDiagnosisEngine` with the same policy:
+:class:`~repro.core.diagnosis.DiagnosisEngine` with the same policy:
 bit-identical answers, the same provenance and failure trails, and no
 object shared between two results.
 """
@@ -18,7 +18,7 @@ import pickle
 
 import pytest
 
-from repro.core import Dlog2BBN, FallbackPolicy, RobustDiagnosisEngine
+from repro.core import DiagnosisEngine, Dlog2BBN, FallbackPolicy
 from repro.core.diagnosis import Diagnosis, DiagnosticCase, chunk_slices
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.serving import DiagnosisService, ServiceConfig
@@ -130,7 +130,7 @@ def test_served_slots_equal_in_process(built_model, slots, mode, workers,
                                        chunk_size):
     cases, names = slots
     policy = FallbackPolicy(on_invalid_evidence=mode)
-    expected = RobustDiagnosisEngine(built_model, policy).diagnose_batch(
+    expected = DiagnosisEngine(built_model, policy).diagnose_batch(
         cases, names=names, on_error="collect")
     with DiagnosisService(built_model, policy,
                           ServiceConfig(num_workers=workers,
@@ -150,7 +150,7 @@ def test_reply_round_trip_keeps_what_is_not_a_row_view(built_model, slots):
     """Row views travel as planes; failures and any result that is not a
     row view travel whole."""
     cases, names = slots
-    results = RobustDiagnosisEngine(built_model).diagnose_batch(
+    results = DiagnosisEngine(built_model, FallbackPolicy()).diagnose_batch(
         cases, names=names, on_error="collect")
     plain = Diagnosis("plain", {"vp1": "2"}, {}, {}, ["hcbg"], [])
     pairs = [(slot + 7, result) for slot, result in enumerate(results)]
