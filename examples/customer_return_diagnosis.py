@@ -54,8 +54,9 @@ def main() -> None:
                                     process_variation=circuit.process_variation,
                                     seed=77)
     tester = ATETester(simulator, program)
-    result = tester.test_device("RETURN-0042",
-                                faults={HIDDEN_FAULT.block: HIDDEN_FAULT})
+    # One device is a population of one.
+    result = tester.test_devices(["RETURN-0042"],
+                                 [{HIDDEN_FAULT.block: HIDDEN_FAULT}])[0]
     datalog_path = Path(tempfile.gettempdir()) / "return_0042.log"
     write_datalog([result.to_datalog()], datalog_path)
     print(f"Re-tested RETURN-0042: {'FAIL' if result.failed else 'PASS'}; "

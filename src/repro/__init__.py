@@ -57,13 +57,23 @@ diagnosis, served diagnosis) end to end, scaled for host speed, and the
 Quickstart
 ----------
 
+Diagnose the paper's case d2 on the designer prior alone, simulated from the
+behavioural netlist as the examples do:
+
+>>> from repro.ate.programs import REGULATOR_CONDITION_SETS
 >>> from repro.circuits import build_voltage_regulator
 >>> from repro.core import Dlog2BBN, DiagnosisEngine
+>>> from repro.core.behavioral_prior import SimulationPriorBuilder
 >>> from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 >>> circuit = build_voltage_regulator()
+>>> prior = SimulationPriorBuilder(
+...     circuit.netlist, circuit.model,
+...     [cs.conditions for cs in REGULATOR_CONDITION_SETS],
+...     fault_probability=circuit.designer_fault_probabilities,
+...     process_variation=circuit.process_variation,
+...     samples=3000, seed=7).build()
 >>> builder = Dlog2BBN(circuit.model, circuit.healthy_states)
->>> built = builder.build()                      # designer prior only
->>> engine = DiagnosisEngine(built)
+>>> engine = DiagnosisEngine(builder.build(prior_network=prior))
 >>> diagnosis = engine.diagnose(PAPER_DIAGNOSTIC_CASES[1])   # case d2
 >>> diagnosis.suspects
 ['enb13']

@@ -158,7 +158,7 @@ class PopulationGenerator:
         self.block_weights = dict(block_weights or {})
         self.device_prefix = device_prefix
         self._rng = ensure_rng(seed)
-        self._tester = ATETester(simulator, program, stop_on_fail=False)
+        self._tester = ATETester(simulator, program)
         self._counter = 0
 
     def _next_device_id(self) -> str:
@@ -186,10 +186,9 @@ class PopulationGenerator:
         All faults of a round are sampled up-front and the whole round is
         simulated through the batched tester; only the devices whose fault
         was masked by the test conditions are re-drawn (again as one batch)
-        in the next round.  Per device the semantics match the scalar retry
-        loop: up to ``max_attempts_per_device`` fault draws, a fresh device
-        id per draw, and the masked fault is accepted once the attempts are
-        exhausted.
+        in the next round.  Each device gets up to
+        ``max_attempts_per_device`` fault draws, a fresh device id per draw,
+        and the masked fault is accepted once the attempts are exhausted.
 
         Parameters
         ----------

@@ -1,10 +1,11 @@
-"""The ATE tester: executes a test program against a simulated device.
+"""The ATE tester: executes a test program against simulated devices.
 
 The tester is deliberately ignorant of faults and process variation — it is
 handed a configured :class:`~repro.circuits.behavioral.BehavioralSimulator`
-plus the per-device fault/variation context and simply walks the test
+plus each device's fault map and simply walks the no-stop-on-fail test
 program, forcing conditions and recording measurements, exactly like a
-production tester walking a device under test.
+production tester walking a lot.  It tests a whole population at once; one
+device is a population of one (``tester.test_devices([id], [faults])[0]``).
 """
 
 from __future__ import annotations
@@ -100,7 +101,10 @@ class DeviceResult:
 
 
 class ATETester:
-    """Runs a :class:`TestProgram` on simulated devices.
+    """Runs a no-stop-on-fail :class:`TestProgram` on simulated devices.
+
+    Every device is measured on every specification test, as the paper's
+    diagnosis flow requires.
 
     Parameters
     ----------
@@ -108,13 +112,9 @@ class ATETester:
         The behavioural simulator of the device under test.
     program:
         The functional test program to execute.
-    stop_on_fail:
-        Production wafer sort often aborts at the first failure; the paper's
-        diagnosis flow requires *no-stop-on-fail* data, which is the default.
     """
 
-    def __init__(self, simulator: BehavioralSimulator, program: TestProgram,
-                 stop_on_fail: bool = False) -> None:
+    def __init__(self, simulator: BehavioralSimulator, program: TestProgram) -> None:
         if len(program) == 0:
             raise ATEError(f"test program {program.name!r} has no tests")
         for test in program:
@@ -124,44 +124,17 @@ class ATETester:
                     f"{test.measured_block!r}")
         self.simulator = simulator
         self.program = program
-        self.stop_on_fail = bool(stop_on_fail)
-
-    def test_device(self, device_id: str,
-                    faults: Mapping[str, BlockFault] | None = None,
-                    device_multipliers: Mapping[str, float] | None = None
-                    ) -> DeviceResult:
-        """Execute the whole program on one (possibly faulty) device."""
-        multipliers = device_multipliers
-        if multipliers is None:
-            multipliers = self.simulator.sample_device()
-        # Validate the fault map once for the whole program, not per test.
-        context = self.simulator.device_context(faults, multipliers)
-        measurements: list[Measurement] = []
-        for test in self.program:
-            simulation = self.simulator.run_with_context(test.conditions, context)
-            value = simulation.voltage(test.measured_block)
-            passed = test.evaluate(value)
-            measurements.append(Measurement(
-                test_number=test.number, test_name=test.name,
-                block=test.measured_block, value=value,
-                lower=test.limit.lower, upper=test.limit.upper,
-                passed=passed, conditions=dict(test.conditions)))
-            if self.stop_on_fail and not passed:
-                break
-        return DeviceResult(device_id=device_id, measurements=measurements,
-                            faults=dict(context.faults))
 
     def test_devices(self, device_ids: Sequence[str],
                      faults_per_device: Sequence[Mapping[str, BlockFault] | None] | None = None,
-                     device_multipliers=None) -> list[DeviceResult]:
+                     device_multipliers: np.ndarray | None = None
+                     ) -> list[DeviceResult]:
         """Execute the whole program on a population of devices at once.
 
         The program is walked once; every test measures all devices through
-        the batched simulator, and the per-device
-        :class:`DeviceResult`/:class:`Measurement` rows are materialised from
-        the resulting ``(tests, devices, blocks)`` voltage array.  With the
-        same seeds and explicit multipliers this reproduces sequential
-        :meth:`test_device` calls bit-for-bit (the equivalence tests pin it).
+        the simulator, and the per-device :class:`DeviceResult` /
+        :class:`Measurement` rows are materialised from the resulting
+        ``(tests, devices, blocks)`` voltage array.
 
         Parameters
         ----------
@@ -172,12 +145,8 @@ class ATETester:
             all-defect-free population.
         device_multipliers:
             ``None`` to sample process variation for the whole population in
-            one draw, a ``(devices, blocks)`` array, or per-device mappings.
+            one draw, or a ``(devices, blocks)`` array.
         """
-        if self.stop_on_fail:
-            raise ATEError(
-                "test_devices requires a no-stop-on-fail program; batch "
-                "testing always measures every specification test")
         if len(device_ids) == 0:
             return []
         return self.test_devices_store(
@@ -185,22 +154,18 @@ class ATETester:
 
     def test_devices_store(self, device_ids: Sequence[str],
                            faults_per_device: Sequence[Mapping[str, BlockFault] | None] | None = None,
-                           device_multipliers=None):
+                           device_multipliers: np.ndarray | None = None):
         """Batch-test a population into a columnar :class:`DeviceResultStore`.
 
         The ``(tests, devices)`` value/verdict planes are gathered directly
-        from the batched simulator's voltage array — no per-measurement
-        Python objects are created, so this is the entry point for
-        ATE-scale training populations.  :meth:`test_devices` is this plus
+        from the simulator's voltage array — no per-measurement Python
+        objects are created, so this is the entry point for ATE-scale
+        training populations.  :meth:`test_devices` is this plus
         :meth:`DeviceResultStore.to_results`.
         """
         # Imported here: repro.ate.store needs the row classes defined above.
         from repro.ate.store import DeviceResultStore
 
-        if self.stop_on_fail:
-            raise ATEError(
-                "test_devices requires a no-stop-on-fail program; batch "
-                "testing always measures every specification test")
         device_ids = list(device_ids)
         count = len(device_ids)
         if count == 0:

@@ -10,7 +10,8 @@ behavioural simulator that produces exactly that kind of data:
 * :mod:`repro.circuits.netlist` — block-level netlists (directed connections
   between named blocks).
 * :mod:`repro.circuits.behavioral` — the DC block-level solver that
-  propagates voltages through a netlist.
+  propagates voltages through a netlist for a whole device population at
+  once (one device is a population of one).
 * :mod:`repro.circuits.faults` — block-level fault models and injection.
 * :mod:`repro.circuits.process_variation` — Monte-Carlo parameter spread.
 * :mod:`repro.circuits.hypothetical` — the four-block hypothetical circuit of
@@ -32,13 +33,7 @@ from repro.circuits.components import (
     PowerSwitch,
 )
 from repro.circuits.netlist import BlockNetlist
-from repro.circuits.behavioral import (
-    BatchSimulationResult,
-    BehavioralSimulator,
-    DeviceContext,
-    SimulationPlan,
-    SimulationResult,
-)
+from repro.circuits.behavioral import BehavioralSimulator, SimulationPlan
 from repro.circuits.faults import FaultMode, BlockFault, FaultUniverse
 from repro.circuits.process_variation import ProcessVariation
 from repro.circuits.hypothetical import build_hypothetical_circuit
@@ -59,11 +54,8 @@ __all__ = [
     "LinearRegulator",
     "PowerSwitch",
     "BlockNetlist",
-    "BatchSimulationResult",
     "BehavioralSimulator",
-    "DeviceContext",
     "SimulationPlan",
-    "SimulationResult",
     "FaultMode",
     "BlockFault",
     "FaultUniverse",

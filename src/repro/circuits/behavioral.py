@@ -6,34 +6,23 @@ measurement noise.  One evaluation corresponds to one DC operating point of
 the circuit under one test condition — exactly what a functional
 specification test on the ATE measures.
 
-Two evaluation paths share one compiled :class:`SimulationPlan`:
-
-* the scalar path (:meth:`BehavioralSimulator.run`) evaluates one device at
-  one operating point, and
-* the batched path (:meth:`BehavioralSimulator.run_batch` /
-  :meth:`BehavioralSimulator.run_program`) evaluates a whole device
-  population as ``(devices, blocks)`` float arrays with one vectorised noise
-  draw per block.
-
-The two paths consume the random stream identically (noise is drawn
-device-major, exactly the order the scalar loop uses), so a batched run with
-the same seed reproduces the scalar results bit-for-bit — the equivalence
-tests pin that contract.
+There is one evaluation path.  :meth:`BehavioralSimulator.run_program`
+evaluates a whole device population under every condition set of a program
+as ``(conditions, devices, blocks)`` float arrays, and one device is a
+population of one.  Noise is drawn device-major (each device's whole program,
+block by block in evaluation order, before the next device's), so with the
+same multipliers one run over N devices draws what N one-device runs in turn
+would.  The scalar reference that pins this path lives with the tests, as
+their oracle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.circuits.components import (
-    FAULT_MODE_CODES,
-    HEALTHY,
-    BehaviouralBlock,
-    BlockHealth,
-)
+from repro.circuits.components import FAULT_MODE_CODES, BehaviouralBlock
 from repro.circuits.faults import BlockFault
 from repro.circuits.netlist import BlockNetlist
 from repro.circuits.process_variation import ProcessVariation
@@ -41,78 +30,14 @@ from repro.exceptions import CircuitError
 from repro.utils.rng import ensure_rng
 
 
-@dataclasses.dataclass
-class SimulationResult:
-    """The outcome of one DC operating-point evaluation.
-
-    Attributes
-    ----------
-    voltages:
-        Output voltage of every block (net), including internal nets.
-    conditions:
-        The forced values of the controllable nets for this evaluation.
-    faults:
-        The faults that were injected, keyed by block name.
-    """
-
-    voltages: dict[str, float]
-    conditions: dict[str, float]
-    faults: dict[str, BlockFault]
-
-    def voltage(self, block: str) -> float:
-        """Return the simulated output voltage of ``block``."""
-        if block not in self.voltages:
-            raise CircuitError(f"no simulated voltage for block {block!r}")
-        return self.voltages[block]
-
-
-@dataclasses.dataclass
-class BatchSimulationResult:
-    """The outcome of one batched DC evaluation: N devices, one condition.
-
-    Attributes
-    ----------
-    voltages:
-        ``(devices, blocks)`` float array of block output voltages, columns
-        in :attr:`columns` order (the netlist evaluation order).
-    columns:
-        Block name per voltage column.
-    conditions:
-        The forced values of the controllable nets for this evaluation.
-    """
-
-    voltages: np.ndarray
-    columns: list[str]
-    conditions: dict[str, float]
-
-    def __post_init__(self) -> None:
-        self._column_index = {name: i for i, name in enumerate(self.columns)}
-
-    @property
-    def device_count(self) -> int:
-        """Number of devices along the batch axis."""
-        return int(self.voltages.shape[0])
-
-    def voltage(self, block: str) -> np.ndarray:
-        """Return the ``(devices,)`` output voltages of ``block``."""
-        if block not in self._column_index:
-            raise CircuitError(f"no simulated voltage for block {block!r}")
-        return self.voltages[:, self._column_index[block]]
-
-    def device_voltages(self, device: int) -> dict[str, float]:
-        """Return one device's voltages as a ``{block: voltage}`` mapping."""
-        row = self.voltages[device]
-        return {name: float(row[i]) for i, name in enumerate(self.columns)}
-
-
 class SimulationPlan:
     """A netlist compiled for repeated evaluation.
 
-    The plan caches everything :meth:`BehavioralSimulator.run` used to
-    recompute per call: the topological evaluation order, each block's input
-    wiring as column indices, which blocks are primary inputs, and the
-    multiplier column per block (process-variation multipliers are drawn in
-    netlist insertion order, which may differ from evaluation order).
+    The plan holds what every evaluation reuses: the topological evaluation
+    order, each block's input wiring as column indices, which blocks are
+    primary inputs, and the multiplier column per block (process-variation
+    multipliers are drawn in netlist insertion order, which may differ from
+    evaluation order).
     """
 
     def __init__(self, netlist: BlockNetlist) -> None:
@@ -120,14 +45,12 @@ class SimulationPlan:
         self.blocks: list[BehaviouralBlock] = [netlist.block(name)
                                                for name in self.order]
         self.column: dict[str, int] = {name: i for i, name in enumerate(self.order)}
-        self.columns: list[str] = list(self.order)
-        #: Multiplier columns follow netlist insertion order (the order the
-        #: scalar ``sample_device`` draws them in).
+        #: Multiplier columns follow netlist insertion order (the order
+        #: :meth:`ProcessVariation.sample_devices` draws them in).
         self.multiplier_names: list[str] = list(netlist.block_names)
-        self._multiplier_index = {name: i
-                                  for i, name in enumerate(self.multiplier_names)}
+        multiplier_index = {name: i for i, name in enumerate(self.multiplier_names)}
         #: Position of each evaluation column in the multiplier array.
-        self.multiplier_column: list[int] = [self._multiplier_index[name]
+        self.multiplier_column: list[int] = [multiplier_index[name]
                                              for name in self.order]
         self.input_columns: list[list[int]] = [
             [self.column[net] for net in block.inputs] for block in self.blocks]
@@ -139,14 +62,13 @@ class SimulationPlan:
         return len(self.order)
 
     # --------------------------------------------------------------- encoding
-    def encode_faults(self, faults_per_device: Sequence[Mapping[str, BlockFault] | None],
-                      netlist: BlockNetlist
+    def encode_faults(self, faults_per_device: Sequence[Mapping[str, BlockFault] | None]
                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Encode per-device fault maps into ``(modes, severities)`` arrays.
 
-        Returns ``(None, None)`` when no device carries a fault.  Unknown
-        fault blocks raise :class:`CircuitError` exactly like the scalar
-        path; validation happens once here, not per operating point.
+        Returns ``(None, None)`` when no device carries a fault.  A fault on
+        a block the netlist does not have raises :class:`CircuitError`;
+        validation happens once here, not per operating point.
         """
         count = len(faults_per_device)
         modes: np.ndarray | None = None
@@ -155,49 +77,31 @@ class SimulationPlan:
             if not faults:
                 continue
             for block_name, fault in faults.items():
-                if block_name not in netlist:
+                column = self.column.get(block_name)
+                if column is None:
                     raise CircuitError(
                         f"cannot inject a fault into unknown block {block_name!r}")
-                code = FAULT_MODE_CODES.get(fault.mode.value)
-                if code is None:
-                    raise CircuitError(
-                        f"unknown fault mode {fault.mode.value!r} on block "
-                        f"{block_name!r}")
                 if modes is None:
                     modes = np.zeros((count, self.block_count), dtype=np.int8)
                     severities = np.ones((count, self.block_count))
-                modes[device, self.column[block_name]] = code
-                severities[device, self.column[block_name]] = fault.severity
+                modes[device, column] = FAULT_MODE_CODES[fault.mode.value]
+                severities[device, column] = fault.severity
         return modes, severities
 
-    def encode_multipliers(self, device_multipliers, count: int) -> np.ndarray:
-        """Normalise multipliers to a ``(devices, blocks)`` array.
+    def encode_multipliers(self, device_multipliers: np.ndarray | None,
+                           count: int) -> np.ndarray:
+        """Check multipliers as a ``(devices, blocks)`` array.
 
-        Accepts ``None`` (nominal), an array in netlist insertion order (the
-        layout :meth:`ProcessVariation.sample_devices` produces) or a
-        sequence of per-device ``{block: multiplier}`` mappings.
+        Accepts ``None`` (nominal) or an array in netlist insertion order
+        (the layout :meth:`ProcessVariation.sample_devices` produces).
         """
         if device_multipliers is None:
             return np.ones((count, len(self.multiplier_names)))
-        if isinstance(device_multipliers, np.ndarray):
-            array = np.asarray(device_multipliers, dtype=float)
-            if array.shape != (count, len(self.multiplier_names)):
-                raise CircuitError(
-                    f"device multipliers have shape {array.shape}, expected "
-                    f"{(count, len(self.multiplier_names))}")
-            return array
-        if len(device_multipliers) != count:
+        array = np.asarray(device_multipliers, dtype=float)
+        if array.shape != (count, len(self.multiplier_names)):
             raise CircuitError(
-                f"got {len(device_multipliers)} multiplier mappings for "
-                f"{count} devices")
-        array = np.ones((count, len(self.multiplier_names)))
-        for device, multipliers in enumerate(device_multipliers):
-            if not multipliers:
-                continue
-            for name, value in multipliers.items():
-                column = self._multiplier_index.get(name)
-                if column is not None:
-                    array[device, column] = float(value)
+                f"device multipliers have shape {array.shape}, expected "
+                f"{(count, len(self.multiplier_names))}")
         return array
 
     # -------------------------------------------------------------- evaluation
@@ -236,20 +140,6 @@ class SimulationPlan:
         return voltages
 
 
-@dataclasses.dataclass
-class DeviceContext:
-    """One device's validated simulation context (faults plus multipliers).
-
-    Built once per device by :meth:`BehavioralSimulator.device_context` so
-    that running the same device under many test conditions does not
-    re-validate the fault map on every operating point.
-    """
-
-    faults: dict[str, BlockFault]
-    health: dict[str, BlockHealth]
-    multipliers: dict[str, float]
-
-
 class BehavioralSimulator:
     """DC block-level simulator with fault injection and noise.
 
@@ -263,8 +153,7 @@ class BehavioralSimulator:
         block-level mismatch).
     process_variation:
         Optional :class:`ProcessVariation` describing lot-to-lot spread;
-        per-device multipliers are drawn via :meth:`sample_device` or, for a
-        whole population at once, :meth:`sample_devices`.
+        per-device multipliers are drawn via :meth:`sample_devices`.
     seed:
         Seed or generator for reproducible simulation.
     """
@@ -280,161 +169,54 @@ class BehavioralSimulator:
         self.process_variation = process_variation
         self._rng = ensure_rng(seed)
         self.plan = SimulationPlan(netlist)
-        self._order = self.plan.order
-
-    # ------------------------------------------------------------------ device
-    def sample_device(self) -> dict[str, float]:
-        """Draw per-block process-variation multipliers for one device."""
-        if self.process_variation is None:
-            return {name: 1.0 for name in self.netlist.block_names}
-        return self.process_variation.sample(self.netlist.block_names, self._rng)
 
     def sample_devices(self, count: int) -> np.ndarray:
         """Draw multipliers for ``count`` devices as a ``(devices, blocks)`` array.
 
-        Columns follow netlist insertion order; with the same generator
-        state this consumes the random stream exactly like ``count``
-        successive :meth:`sample_device` calls.
+        Columns follow netlist insertion order; all ones without process
+        variation.
         """
         if self.process_variation is None:
             return np.ones((count, len(self.netlist.block_names)))
         return self.process_variation.sample_devices(
             self.netlist.block_names, count, self._rng)
 
-    def device_context(self, faults: Mapping[str, BlockFault] | None = None,
-                       device_multipliers: Mapping[str, float] | None = None
-                       ) -> DeviceContext:
-        """Validate a device's faults once and return a reusable context."""
-        faults = dict(faults or {})
-        health: dict[str, BlockHealth] = {}
-        for block_name, fault in faults.items():
-            if block_name not in self.netlist:
-                raise CircuitError(
-                    f"cannot inject a fault into unknown block {block_name!r}")
-            health[block_name] = BlockHealth(healthy=False, mode=fault.mode.value,
-                                             severity=fault.severity)
-        return DeviceContext(faults=faults, health=health,
-                             multipliers=dict(device_multipliers or {}))
-
-    # -------------------------------------------------------------- evaluation
-    def run(self, conditions: Mapping[str, float],
-            faults: Mapping[str, BlockFault] | None = None,
-            device_multipliers: Mapping[str, float] | None = None,
-            noisy: bool = True) -> SimulationResult:
-        """Evaluate one DC operating point.
-
-        Parameters
-        ----------
-        conditions:
-            Forced voltages of the controllable (primary-input) blocks.
-        faults:
-            Optional per-block faults to inject.
-        device_multipliers:
-            Optional per-block process-variation multipliers (from
-            :meth:`sample_device`); defaults to nominal.
-        noisy:
-            Apply measurement noise when ``True``.
-        """
-        context = self.device_context(faults, device_multipliers)
-        return self.run_with_context(conditions, context, noisy)
-
-    def run_with_context(self, conditions: Mapping[str, float],
-                         context: DeviceContext,
-                         noisy: bool = True) -> SimulationResult:
-        """Evaluate one operating point of an already-validated device."""
-        voltages: dict[str, float] = {}
-        conditions_map = dict(conditions)
-        add_noise = noisy and self.measurement_noise > 0
-        health = context.health
-        multipliers = context.multipliers
-        plan = self.plan
-        for name, block, primary in zip(plan.order, plan.blocks, plan.is_primary):
-            if primary:
-                # Primary inputs read their forced value from the conditions.
-                block_inputs: Mapping[str, float] = conditions_map
-            else:
-                block_inputs = {net: voltages[net] for net in block.inputs}
-            value = block.evaluate(block_inputs, health.get(name, HEALTHY))
-            value *= multipliers.get(name, 1.0)
-            if add_noise:
-                value += float(self._rng.normal(0.0, self.measurement_noise))
-            voltages[name] = float(max(value, -1.0))
-        return SimulationResult(voltages=voltages,
-                                conditions=dict(conditions),
-                                faults=dict(context.faults))
-
-    def run_many(self, condition_sets: Mapping[str, Mapping[str, float]],
-                 faults: Mapping[str, BlockFault] | None = None,
-                 device_multipliers: Mapping[str, float] | None = None,
-                 noisy: bool = True) -> dict[str, SimulationResult]:
-        """Evaluate several named test conditions on the same (faulty) device."""
-        context = self.device_context(faults, device_multipliers)
-        return {label: self.run_with_context(conditions, context, noisy)
-                for label, conditions in condition_sets.items()}
-
-    # ------------------------------------------------------------- batched runs
-    def run_batch(self, conditions: Mapping[str, float],
-                  faults_per_device: Sequence[Mapping[str, BlockFault] | None] | None = None,
-                  device_multipliers=None, noisy: bool = True,
-                  size: int | None = None) -> BatchSimulationResult:
-        """Evaluate one DC operating point for a whole device population.
-
-        Parameters
-        ----------
-        conditions:
-            Forced voltages of the controllable blocks (shared by every
-            device — one operating point, many devices).
-        faults_per_device:
-            One fault map (or ``None``) per device; ``None`` means every
-            device is defect-free.
-        device_multipliers:
-            ``None`` (nominal), a ``(devices, blocks)`` array from
-            :meth:`sample_devices`, or a sequence of per-device mappings.
-        noisy:
-            Apply measurement noise when ``True``.  Noise is drawn as one
-            device-major ``(devices, blocks)`` array, so with the same seed
-            the batch reproduces sequential scalar :meth:`run` calls
-            bit-for-bit.
-        size:
-            Device count; required when both ``faults_per_device`` and
-            ``device_multipliers`` are ``None``.
-        """
-        count = self._batch_size(faults_per_device, device_multipliers, size)
-        modes, severities, multipliers = self._batch_context(
-            faults_per_device, device_multipliers, count)
-        noise = self._draw_noise(count, 1, noisy)
-        condition_arrays = {net: np.full(count, float(value))
-                            for net, value in conditions.items()}
-        voltages = self.plan.evaluate(condition_arrays, count, modes, severities,
-                                      multipliers,
-                                      None if noise is None else noise[:, 0, :])
-        return BatchSimulationResult(voltages=voltages,
-                                     columns=list(self.plan.columns),
-                                     conditions=dict(conditions))
-
     def run_program(self, condition_sets: Sequence[Mapping[str, float]],
-                    faults_per_device: Sequence[Mapping[str, BlockFault] | None] | None = None,
-                    device_multipliers=None, noisy: bool = True,
-                    size: int | None = None) -> np.ndarray:
+                    faults_per_device: Sequence[Mapping[str, BlockFault] | None],
+                    device_multipliers: np.ndarray | None = None) -> np.ndarray:
         """Evaluate every condition set for a whole device population.
 
+        Parameters
+        ----------
+        condition_sets:
+            Forced voltages of the controllable blocks, one mapping per
+            operating point.
+        faults_per_device:
+            One fault map (or ``None`` for a defect-free device) per device;
+            its length is the device count.
+        device_multipliers:
+            ``None`` (nominal) or a ``(devices, blocks)`` array from
+            :meth:`sample_devices`.
+
         Returns a ``(conditions, devices, blocks)`` voltage array (columns in
-        evaluation order, see ``plan.columns``).  Noise for the full program
-        is drawn as one ``(devices, conditions, blocks)`` array — the same
-        device-major order the scalar path consumes when a tester walks one
-        device through the whole program before the next device.
+        evaluation order; ``plan.column`` maps a block to its column).
+        Noise for the full program is drawn as one device-major
+        ``(devices, conditions, blocks)`` array.
 
         When every condition set forces the same nets (the normal functional
         program layout) all ``conditions × devices`` rows are evaluated in a
         single pass over the blocks — every block runs exactly once for the
         whole program.
         """
-        count = self._batch_size(faults_per_device, device_multipliers, size)
-        modes, severities, multipliers = self._batch_context(
-            faults_per_device, device_multipliers, count)
+        count = len(faults_per_device)
+        modes, severities = self.plan.encode_faults(faults_per_device)
+        multipliers = self.plan.encode_multipliers(device_multipliers, count)
         condition_count = len(condition_sets)
-        noise = self._draw_noise(count, condition_count, noisy)
         blocks = self.plan.block_count
+        noise = None
+        if self.measurement_noise > 0:
+            noise = self._rng.normal(0.0, self.measurement_noise,
+                                     size=(count, condition_count, blocks))
 
         forced_nets = set(condition_sets[0]) if condition_sets else set()
         if all(set(conditions) == forced_nets for conditions in condition_sets):
@@ -465,36 +247,3 @@ class BehavioralSimulator:
                 condition_arrays, count, modes, severities, multipliers,
                 None if noise is None else noise[:, index, :])
         return voltages
-
-    # ---------------------------------------------------------------- internals
-    @staticmethod
-    def _batch_size(faults_per_device, device_multipliers, size: int | None) -> int:
-        if faults_per_device is not None:
-            return len(faults_per_device)
-        if device_multipliers is not None:
-            return len(device_multipliers)
-        if size is None:
-            raise CircuitError(
-                "run_batch needs faults_per_device, device_multipliers or an "
-                "explicit size to determine the device count")
-        return int(size)
-
-    def _batch_context(self, faults_per_device, device_multipliers, count: int):
-        if faults_per_device is not None and len(faults_per_device) != count:
-            raise CircuitError(
-                f"got {len(faults_per_device)} fault maps for {count} devices")
-        if faults_per_device is None:
-            modes = severities = None
-        else:
-            modes, severities = self.plan.encode_faults(faults_per_device,
-                                                        self.netlist)
-        multipliers = self.plan.encode_multipliers(device_multipliers, count)
-        return modes, severities, multipliers
-
-    def _draw_noise(self, count: int, condition_count: int,
-                    noisy: bool) -> np.ndarray | None:
-        if not noisy or self.measurement_noise <= 0:
-            return None
-        return self._rng.normal(
-            0.0, self.measurement_noise,
-            size=(count, condition_count, self.plan.block_count))

@@ -8,34 +8,30 @@ block-level diagnosis only ever sees *functional* (specification) test data,
 never transistor-level waveforms, so a DC block-level model exercises the
 same code path as the authors' silicon.
 
-All blocks share the :class:`BehaviouralBlock` interface:
+A block works on a whole device axis at once, and one device is an axis of
+length one.  Every block shares the :class:`BehaviouralBlock` interface:
 
-``evaluate(inputs, health)``
-    map input net voltages to the block's output voltage, where ``health``
-    scales/overrides the behaviour according to the injected fault.
+``nominal_output_batch(inputs, size)``
+    the defect-free output: every input net carries a ``(devices,)`` float
+    array and the result is a ``(devices,)`` array.  This numpy expression is
+    the one method a block class must implement.
 
 ``evaluate_batch(inputs, modes, severities, size)``
-    the same computation over a whole device population at once: every input
-    net carries a ``(devices,)`` float array, faults are encoded as integer
-    mode codes (see :data:`FAULT_MODE_CODES`) and the output is a
-    ``(devices,)`` array.  Subclasses override :meth:`nominal_output_batch`
-    with numpy expressions; the base-class fallback loops over the device
-    axis with the scalar :meth:`nominal_output`, so custom blocks stay
-    batch-compatible without writing any array code.
+    the nominal output with each device's injected fault applied (faults are
+    integer mode codes, see :data:`FAULT_MODE_CODES`) and clamped to the
+    block's output range.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import CircuitError
 
-#: Integer encoding of fault modes used by the batched evaluation path
-#: (0 is reserved for "healthy").  The codes are an implementation detail of
-#: the device axis: scalar callers keep passing :class:`BlockHealth`.
+#: Integer encoding of fault modes on the device axis (0 is reserved for
+#: "healthy"); one entry per :class:`~repro.circuits.faults.FaultMode` value.
 FAULT_MODE_CODES: dict[str, int] = {
     "dead": 1,
     "stuck_high": 2,
@@ -43,30 +39,6 @@ FAULT_MODE_CODES: dict[str, int] = {
     "degraded": 4,
     "drift": 5,
 }
-
-
-@dataclasses.dataclass(frozen=True)
-class BlockHealth:
-    """The health of a block during one simulation.
-
-    Attributes
-    ----------
-    healthy:
-        ``True`` for a defect-free block.
-    mode:
-        Name of the fault mode when not healthy (``"dead"``, ``"stuck_high"``,
-        ``"degraded"``, ``"short_to_supply"``, ``"drift"``).
-    severity:
-        Fault severity in ``[0, 1]``; used by the ``degraded`` and ``drift``
-        modes to scale the output error.
-    """
-
-    healthy: bool = True
-    mode: str = "none"
-    severity: float = 1.0
-
-
-HEALTHY = BlockHealth()
 
 
 class BehaviouralBlock:
@@ -91,29 +63,11 @@ class BehaviouralBlock:
         self.vmax = float(vmax)
 
     # ------------------------------------------------------------------ faults
-    def _apply_fault(self, nominal: float, inputs: Mapping[str, float],
-                     health: BlockHealth) -> float:
-        """Transform the nominal output according to the block's health."""
-        if health.healthy:
-            return nominal
-        if health.mode == "dead":
-            return 0.0
-        if health.mode == "stuck_high":
-            return self.vmax
-        if health.mode == "short_to_supply":
-            supply = max((inputs.get(net, 0.0) for net in self.inputs), default=self.vmax)
-            return max(supply, nominal)
-        if health.mode == "degraded":
-            return nominal * max(0.0, 1.0 - 0.7 * health.severity)
-        if health.mode == "drift":
-            return nominal * (1.0 + 0.5 * health.severity)
-        raise CircuitError(f"unknown fault mode {health.mode!r} on block {self.name!r}")
-
     def _apply_fault_batch(self, nominal: np.ndarray,
                            inputs: Mapping[str, np.ndarray],
                            modes: np.ndarray,
                            severities: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_apply_fault` over a device axis.
+        """Transform the nominal output according to each device's fault.
 
         ``modes`` holds one :data:`FAULT_MODE_CODES` entry (or 0 = healthy)
         per device; ``severities`` the matching severity.  Mode validation
@@ -144,36 +98,11 @@ class BehaviouralBlock:
         return value
 
     # --------------------------------------------------------------- behaviour
-    def nominal_output(self, inputs: Mapping[str, float]) -> float:
-        """Return the defect-free output voltage for the given input voltages."""
-        raise NotImplementedError
-
     def nominal_output_batch(self, inputs: Mapping[str, np.ndarray],
                              size: int) -> np.ndarray:
-        """Return the defect-free output for ``size`` devices at once.
-
-        The generic fallback evaluates the scalar :meth:`nominal_output` per
-        device, so any custom block works on the batched path; built-in
-        blocks override it with numpy expressions.
-        """
-        out = np.empty(size, dtype=float)
-        scalar_inputs: dict[str, float] = {}
-        for index in range(size):
-            for net, values in inputs.items():
-                scalar_inputs[net] = float(values[index])
-            out[index] = self.nominal_output(scalar_inputs)
-        return out
-
-    def evaluate(self, inputs: Mapping[str, float],
-                 health: BlockHealth = HEALTHY) -> float:
-        """Return the block's output voltage under ``health``."""
-        for net in self.inputs:
-            if net not in inputs:
-                raise CircuitError(
-                    f"block {self.name!r} is missing input net {net!r}")
-        nominal = self.nominal_output(inputs)
-        return float(min(max(self._apply_fault(nominal, inputs, health), -1.0),
-                         self.vmax))
+        """Return the defect-free output for ``size`` devices at once."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement nominal_output_batch")
 
     def evaluate_batch(self, inputs: Mapping[str, np.ndarray],
                        modes: np.ndarray | None = None,
@@ -218,20 +147,12 @@ class SupplyInput(BehaviouralBlock):
         super().__init__(name, inputs=[], vmax=vmax)
         self.default = float(default)
 
-    def nominal_output(self, inputs: Mapping[str, float]) -> float:
-        return float(inputs.get(self.name, self.default))
-
     def nominal_output_batch(self, inputs: Mapping[str, np.ndarray],
                              size: int) -> np.ndarray:
         forced = inputs.get(self.name)
         if forced is None:
             return np.full(size, self.default)
         return np.asarray(forced, dtype=float)
-
-    def evaluate(self, inputs: Mapping[str, float],
-                 health: BlockHealth = HEALTHY) -> float:
-        # Controllable nets are forced by the tester; health is ignored.
-        return float(min(max(self.nominal_output(inputs), -1.0), self.vmax))
 
     def evaluate_batch(self, inputs: Mapping[str, np.ndarray],
                        modes: np.ndarray | None = None,
@@ -267,13 +188,6 @@ class BandgapReference(BehaviouralBlock):
         self.headroom = float(headroom)
         self.enable_threshold = float(enable_threshold)
 
-    def nominal_output(self, inputs: Mapping[str, float]) -> float:
-        if inputs[self.supply] < self.headroom:
-            return 0.05 * inputs[self.supply]
-        if self.enable is not None and inputs[self.enable] < self.enable_threshold:
-            return 0.1
-        return self.reference
-
     def nominal_output_batch(self, inputs: Mapping[str, np.ndarray],
                              size: int) -> np.ndarray:
         supply = np.asarray(inputs[self.supply], dtype=float)
@@ -296,9 +210,6 @@ class OrNode(BehaviouralBlock):
         if not pins:
             raise CircuitError(f"OrNode {name!r} requires at least one pin")
         super().__init__(name, inputs=list(pins), vmax=vmax)
-
-    def nominal_output(self, inputs: Mapping[str, float]) -> float:
-        return max(inputs[pin] for pin in self.inputs)
 
     def nominal_output_batch(self, inputs: Mapping[str, np.ndarray],
                              size: int) -> np.ndarray:
@@ -324,13 +235,6 @@ class EnableSense(BehaviouralBlock):
         self.active_level = float(active_level)
         self.or_threshold = float(or_threshold)
         self.reference_window = (float(reference_window[0]), float(reference_window[1]))
-
-    def nominal_output(self, inputs: Mapping[str, float]) -> float:
-        low, high = self.reference_window
-        reference_ok = low <= inputs[self.reference_net] <= high
-        if inputs[self.or_net] >= self.or_threshold and reference_ok:
-            return self.active_level
-        return 0.1
 
     def nominal_output_batch(self, inputs: Mapping[str, np.ndarray],
                              size: int) -> np.ndarray:
@@ -366,16 +270,6 @@ class SupplyMonitor(BehaviouralBlock):
         self.primary_window = (float(primary_window[0]), float(primary_window[1]))
         self.secondary_threshold = float(secondary_threshold)
 
-    def nominal_output(self, inputs: Mapping[str, float]) -> float:
-        low, high = self.primary_window
-        primary_ok = low <= inputs[self.primary_reference] <= high
-        secondary_ok = inputs[self.secondary_reference] >= self.secondary_threshold
-        supply_ok = (self.supply is None
-                     or inputs[self.supply] >= self.supply_threshold)
-        if primary_ok and secondary_ok and supply_ok:
-            return self.on_level
-        return 0.1
-
     def nominal_output_batch(self, inputs: Mapping[str, np.ndarray],
                              size: int) -> np.ndarray:
         low, high = self.primary_window
@@ -406,16 +300,6 @@ class EnableGate(BehaviouralBlock):
         self.active_level = float(active_level)
         self.pin_windows = [(float(low), float(high)) for low, high in pin_windows]
         self.monitor_threshold = float(monitor_threshold)
-
-    def _pin_request_valid(self, voltage: float) -> bool:
-        return any(low <= voltage <= high for low, high in self.pin_windows)
-
-    def nominal_output(self, inputs: Mapping[str, float]) -> float:
-        if not self._pin_request_valid(inputs[self.pin]):
-            return 0.1
-        if inputs[self.monitor] < self.monitor_threshold:
-            return 0.1
-        return self.active_level
 
     def nominal_output_batch(self, inputs: Mapping[str, np.ndarray],
                              size: int) -> np.ndarray:
@@ -455,20 +339,6 @@ class LinearRegulator(BehaviouralBlock):
         self.nominal_reference = float(nominal_reference)
         self.enable_threshold = float(enable_threshold)
 
-    def nominal_output(self, inputs: Mapping[str, float]) -> float:
-        if self.enable is not None and inputs[self.enable] < self.enable_threshold:
-            return 0.05
-        reference = inputs[self.reference]
-        if reference < self.reference_threshold:
-            return 0.05
-        # The output tracks the reference through the feedback divider.
-        regulated = self.target * (reference / self.nominal_reference)
-        supply = inputs[self.supply]
-        if supply < regulated + self.dropout:
-            # Low supply: the output follows the supply minus the dropout.
-            return max(0.0, supply - self.dropout)
-        return regulated
-
     def nominal_output_batch(self, inputs: Mapping[str, np.ndarray],
                              size: int) -> np.ndarray:
         reference = np.asarray(inputs[self.reference], dtype=float)
@@ -503,14 +373,6 @@ class PowerSwitch(BehaviouralBlock):
         self.clamp_level = float(clamp_level)
         self.ignition_on_threshold = float(ignition_on_threshold)
         self.enable_threshold = float(enable_threshold)
-
-    def nominal_output(self, inputs: Mapping[str, float]) -> float:
-        if inputs[self.enable] < self.enable_threshold:
-            return 0.05
-        if inputs[self.ignition] < self.ignition_on_threshold:
-            return 0.05
-        output = inputs[self.supply] - self.drop
-        return min(output, self.clamp_level)
 
     def nominal_output_batch(self, inputs: Mapping[str, np.ndarray],
                              size: int) -> np.ndarray:

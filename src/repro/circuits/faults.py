@@ -62,6 +62,12 @@ class BlockFault:
     def __post_init__(self) -> None:
         if not self.block:
             raise FaultError("fault block name must be non-empty")
+        try:
+            mode = FaultMode(self.mode)
+        except ValueError:
+            raise FaultError(
+                f"unknown fault mode {self.mode!r} on block {self.block!r}") from None
+        object.__setattr__(self, "mode", mode)
         if not 0.0 < self.severity <= 1.0:
             raise FaultError(
                 f"fault severity must be in (0, 1], got {self.severity}")
@@ -119,53 +125,18 @@ class FaultUniverse:
             raise FaultError(f"block {block!r} is not in the fault universe")
         return [fault for fault in self.enumerate() if fault.block == block]
 
-    def sample(self, rng: int | np.random.Generator | None = None,
-               block_weights: dict[str, float] | None = None) -> BlockFault:
-        """Draw one fault at random.
-
-        Parameters
-        ----------
-        rng:
-            Seed or generator.
-        block_weights:
-            Optional relative likelihood of each block failing (defects are
-            rarely uniform across blocks — large power devices fail more
-            often than small logic).  Missing blocks default to weight 1.
-        """
-        generator = ensure_rng(rng)
-        weights = np.array([
-            (block_weights or {}).get(block, 1.0) for block in self.faultable_blocks
-        ], dtype=float)
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise FaultError("block weights must be non-negative and not all zero")
-        block = self.faultable_blocks[
-            int(generator.choice(len(self.faultable_blocks), p=weights / weights.sum()))]
-        mode = self.modes[int(generator.integers(len(self.modes)))]
-        if mode in (FaultMode.DEGRADED, FaultMode.DRIFT):
-            severity = self.severities[int(generator.integers(len(self.severities)))]
-        else:
-            severity = 1.0
-        return BlockFault(block, mode, severity)
-
-    def sample_many(self, count: int,
-                    rng: int | np.random.Generator | None = None,
-                    block_weights: dict[str, float] | None = None
-                    ) -> list[BlockFault]:
-        """Draw ``count`` independent faults (scalar reference path)."""
-        generator = ensure_rng(rng)
-        return [self.sample(generator, block_weights) for _ in range(count)]
-
     def sample_batch(self, count: int,
                      rng: int | np.random.Generator | None = None,
                      block_weights: dict[str, float] | None = None
                      ) -> list[BlockFault]:
-        """Draw ``count`` independent faults with vectorised random draws.
+        """Draw ``count`` independent faults.
 
-        Same distribution as :meth:`sample_many`, but blocks, modes and
-        severities are drawn as whole arrays (three generator calls total
-        instead of two-to-three per device), which is what the population
-        generator uses.  The random stream differs from the scalar path, so
-        the two are interchangeable per-population, not per-draw.
+        Each fault's block is drawn with probability proportional to its
+        weight in ``block_weights`` (missing blocks weigh 1: defects are
+        rarely uniform across blocks, and large power devices fail more
+        often than small logic), its mode uniformly, and the severity of a
+        parametric mode uniformly from :attr:`severities`.  Blocks, modes and
+        severities are drawn as whole arrays, three generator calls in all.
         """
         if count <= 0:
             return []

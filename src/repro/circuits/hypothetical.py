@@ -41,12 +41,6 @@ class _GainStage(BehaviouralBlock):
         self.saturation = float(saturation)
         self.threshold = float(threshold)
 
-    def nominal_output(self, inputs: Mapping[str, float]) -> float:
-        drive = inputs[self.driver]
-        if drive < self.threshold:
-            return 0.05
-        return min(self.gain * drive, self.saturation)
-
     def nominal_output_batch(self, inputs: Mapping[str, np.ndarray],
                              size: int) -> np.ndarray:
         drive = np.asarray(inputs[self.driver], dtype=float)

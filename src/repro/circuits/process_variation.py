@@ -51,26 +51,16 @@ class ProcessVariation:
         """Return the relative sigma used for ``block``."""
         return self.per_block_sigma.get(block, self.default_sigma)
 
-    def sample(self, blocks: Sequence[str],
-               rng: int | np.random.Generator | None = None) -> dict[str, float]:
-        """Draw one multiplier per block for a single device."""
-        generator = ensure_rng(rng)
-        multipliers: dict[str, float] = {}
-        for block in blocks:
-            sigma = self.sigma_of(block)
-            value = 1.0 if sigma == 0 else float(generator.normal(1.0, sigma))
-            multipliers[block] = float(np.clip(value, 1.0 - self.clip, 1.0 + self.clip))
-        return multipliers
-
     def sample_devices(self, blocks: Sequence[str], count: int,
                        rng: int | np.random.Generator | None = None
                        ) -> np.ndarray:
         """Draw multipliers for ``count`` devices as a ``(count, blocks)`` array.
 
-        The draws are made device-major over the non-zero-sigma blocks, which
-        is exactly the order ``count`` successive :meth:`sample` calls
-        consume, so with the same generator state the batched and scalar
-        paths produce identical multipliers.
+        Each multiplier is Gaussian around 1 with the block's sigma, clipped
+        to ``[1 - clip, 1 + clip]``; a zero-sigma block is exactly 1 and
+        draws nothing.  The draws are made device-major over the
+        non-zero-sigma blocks, so drawing ``count`` devices at once gives
+        what ``count`` one-device draws in turn would.
         """
         blocks = list(blocks)
         sigmas = np.array([self.sigma_of(block) for block in blocks], dtype=float)

@@ -34,15 +34,72 @@ from repro.bayesnet.learning.bayesian_estimator import BayesianEstimator
 from repro.bayesnet.learning.case_matrix import CaseMatrix
 from repro.bayesnet.network import BayesianNetwork
 from repro.circuits.behavioral import BehavioralSimulator
-from repro.circuits.components import FAULT_MODE_CODES, HEALTHY, BlockHealth
+from repro.circuits.components import FAULT_MODE_CODES
 from repro.circuits.faults import FaultMode
 from repro.circuits.netlist import BlockNetlist
 from repro.core.circuit_model import CircuitModelDescription
-from repro.exceptions import CircuitError, ModelBuildError
+from repro.exceptions import ModelBuildError
 from repro.utils.rng import ensure_rng
 
+#: The fault modes both builders mix in unless told otherwise.
+DEFAULT_FAULT_MODES = (FaultMode.DEAD, FaultMode.STUCK_HIGH, FaultMode.DEGRADED)
 
-class BehavioralPriorBuilder:
+
+class _DesignerInputs:
+    """The designer's inputs that both prior builders take, checked once.
+
+    ``netlist`` must have a behavioural block for every variable of
+    ``model``.  ``fault_probability`` is the prior probability that a block
+    is itself defective: one float for every block, or a
+    ``{block: probability}`` mapping over model variables, with
+    ``default_fault_probability`` for the blocks it leaves out.  Every
+    probability must lie in (0, 1), and at least one fault mode is required,
+    each a :class:`FaultMode` or its value.  Anything else raises
+    :class:`ModelBuildError`.
+    """
+
+    def __init__(self, netlist: BlockNetlist, model: CircuitModelDescription,
+                 fault_probability: float | Mapping[str, float],
+                 default_fault_probability: float,
+                 fault_modes: Sequence[FaultMode]) -> None:
+        for variable in model.variable_names:
+            if variable not in netlist:
+                raise ModelBuildError(
+                    f"model variable {variable!r} has no behavioural block in the netlist")
+        self.netlist = netlist
+        self.model = model
+        if isinstance(fault_probability, Mapping):
+            self._fault_probabilities = {block: float(p)
+                                         for block, p in fault_probability.items()}
+            unknown = sorted(set(fault_probability) - set(model.variable_names))
+            if unknown:
+                raise ModelBuildError(
+                    f"fault probabilities given for unknown blocks {unknown}")
+        else:
+            default_fault_probability = fault_probability
+            self._fault_probabilities = {}
+        self.default_fault_probability = float(default_fault_probability)
+        checked = {"default": self.default_fault_probability,
+                   **{f"block {block!r}": probability for block, probability
+                      in self._fault_probabilities.items()}}
+        for what, probability in checked.items():
+            if not 0.0 < probability < 1.0:
+                raise ModelBuildError(
+                    f"{what} fault probability must be in (0, 1), "
+                    f"got {probability}")
+        if not fault_modes:
+            raise ModelBuildError("at least one fault mode is required")
+        try:
+            self.fault_modes = [FaultMode(mode) for mode in fault_modes]
+        except ValueError as error:
+            raise ModelBuildError(str(error)) from None
+
+    def fault_probability_of(self, block: str) -> float:
+        """Return the prior probability that ``block`` itself is defective."""
+        return self._fault_probabilities.get(block, self.default_fault_probability)
+
+
+class BehavioralPriorBuilder(_DesignerInputs):
     """Derives designer-prior CPTs from a behavioural netlist.
 
     Parameters
@@ -74,79 +131,16 @@ class BehavioralPriorBuilder:
     def __init__(self, netlist: BlockNetlist, model: CircuitModelDescription,
                  fault_probability: float | Mapping[str, float] = 0.15,
                  default_fault_probability: float = 0.15,
-                 fault_modes: Sequence[FaultMode] = (FaultMode.DEAD,
-                                                     FaultMode.STUCK_HIGH,
-                                                     FaultMode.DEGRADED),
+                 fault_modes: Sequence[FaultMode] = DEFAULT_FAULT_MODES,
                  smoothing: float = 0.02,
                  root_priors: Mapping[str, Mapping[str, float]] | None = None) -> None:
-        if isinstance(fault_probability, Mapping):
-            self._fault_probabilities = {block: float(p)
-                                         for block, p in fault_probability.items()}
-        else:
-            default_fault_probability = float(fault_probability)
-            self._fault_probabilities = {}
-        if not 0.0 < default_fault_probability < 1.0:
-            raise ModelBuildError(
-                "default_fault_probability must be in (0, 1), got "
-                f"{default_fault_probability}")
-        for block, probability in self._fault_probabilities.items():
-            if not 0.0 < probability < 1.0:
-                raise ModelBuildError(
-                    f"fault probability of {block!r} must be in (0, 1), got {probability}")
+        super().__init__(netlist, model, fault_probability,
+                         default_fault_probability, fault_modes)
         if not 0.0 <= smoothing < 0.5:
             raise ModelBuildError(f"smoothing must be in [0, 0.5), got {smoothing}")
-        if not fault_modes:
-            raise ModelBuildError("at least one fault mode is required")
-        self.netlist = netlist
-        self.model = model
-        self.default_fault_probability = float(default_fault_probability)
-        self.fault_modes = list(fault_modes)
         self.smoothing = float(smoothing)
         self.root_priors = {variable: dict(distribution)
                             for variable, distribution in (root_priors or {}).items()}
-        for variable in model.variable_names:
-            if variable not in netlist:
-                raise ModelBuildError(
-                    f"model variable {variable!r} has no behavioural block in the netlist")
-
-    def fault_probability_of(self, block: str) -> float:
-        """Return the prior probability that ``block`` itself is defective."""
-        return self._fault_probabilities.get(block, self.default_fault_probability)
-
-    # ----------------------------------------------------------------- columns
-    def _representative_voltages(self, parents: Sequence[str],
-                                 indices: Sequence[int]) -> dict[str, float]:
-        voltages: dict[str, float] = {}
-        for parent, index in zip(parents, indices):
-            table = self.model.state_table(parent)
-            voltages[parent] = table.representative_value(table.labels[index])
-        return voltages
-
-    def _column(self, node: str, parents: Sequence[str],
-                indices: Sequence[int]) -> np.ndarray:
-        table = self.model.state_table(node)
-        labels = table.labels
-        block = self.netlist.block(node)
-        voltages = self._representative_voltages(parents, indices)
-        # Blocks may read nets that are not BBN parents (there are none in the
-        # shipped circuits, but be defensive): default any missing input to 0.
-        inputs = {net: voltages.get(net, 0.0) for net in block.inputs}
-
-        fault_probability = self.fault_probability_of(node)
-        column = np.full(len(labels), self.smoothing / len(labels))
-        healthy_value = block.evaluate(inputs, HEALTHY)
-        healthy_state = table.classify(healthy_value)
-        healthy_mass = (1.0 - self.smoothing) * (1.0 - fault_probability)
-        column[labels.index(healthy_state)] += healthy_mass
-
-        faulty_mass = (1.0 - self.smoothing) * fault_probability
-        per_mode = faulty_mass / len(self.fault_modes)
-        for mode in self.fault_modes:
-            health = BlockHealth(healthy=False, mode=mode.value, severity=1.0)
-            faulty_value = block.evaluate(inputs, health)
-            faulty_state = table.classify(faulty_value)
-            column[labels.index(faulty_state)] += per_mode
-        return column / column.sum()
 
     def _root_cpd(self, node: str) -> TabularCPD:
         table = self.model.state_table(node)
@@ -164,7 +158,12 @@ class BehavioralPriorBuilder:
                           state_names={node: labels})
 
     def build_cpd(self, network: BayesianNetwork, node: str) -> TabularCPD:
-        """Return the behaviour-informed prior CPD of ``node``."""
+        """Return the behaviour-informed prior CPD of ``node``.
+
+        Every parent configuration is one device of a batch: each parent sits
+        at its state's representative voltage, and the child block is
+        evaluated once healthy and once per fault mode over all of them.
+        """
         parents = network.parents(node)
         if not parents:
             return self._root_cpd(node)
@@ -172,14 +171,33 @@ class BehavioralPriorBuilder:
         parent_cards = [t.cardinality for t in parent_tables]
         child_table = self.model.state_table(node)
         columns = int(np.prod(parent_cards))
-        matrix = np.empty((child_table.cardinality, columns))
-        for column in range(columns):
-            remainder = column
-            indices = [0] * len(parents)
-            for position in range(len(parents) - 1, -1, -1):
-                indices[position] = remainder % parent_cards[position]
-                remainder //= parent_cards[position]
-            matrix[:, column] = self._column(node, parents, indices)
+        every = np.arange(columns)
+        # Column c is the parent configuration np.unravel_index(c, cards):
+        # the last parent's state varies fastest.
+        states = np.unravel_index(every, parent_cards)
+        voltages = {
+            parent: np.array([table.representative_value(label)
+                              for label in table.labels])[indices]
+            for parent, table, indices in zip(parents, parent_tables, states)}
+        block = self.netlist.block(node)
+        # Blocks may read nets that are not BBN parents (there are none in the
+        # shipped circuits, but be defensive): default any missing input to 0.
+        inputs = {net: voltages.get(net, np.zeros(columns))
+                  for net in block.inputs}
+
+        fault_probability = self.fault_probability_of(node)
+        cardinality = child_table.cardinality
+        matrix = np.full((cardinality, columns), self.smoothing / cardinality)
+        healthy = block.evaluate_batch(inputs, size=columns)
+        matrix[child_table.classify_indices(healthy), every] += (
+            (1.0 - self.smoothing) * (1.0 - fault_probability))
+        per_mode = (1.0 - self.smoothing) * fault_probability / len(self.fault_modes)
+        severities = np.ones(columns)
+        for mode in self.fault_modes:
+            modes = np.full(columns, FAULT_MODE_CODES[mode.value], dtype=np.int8)
+            faulty = block.evaluate_batch(inputs, modes, severities, size=columns)
+            matrix[child_table.classify_indices(faulty), every] += per_mode
+        matrix /= matrix.sum(axis=0)
         state_names = {node: child_table.labels}
         state_names.update({p: t.labels for p, t in zip(parents, parent_tables)})
         return TabularCPD(node, child_table.cardinality, matrix, parents,
@@ -197,7 +215,7 @@ class BehavioralPriorBuilder:
         return network
 
 
-class SimulationPriorBuilder:
+class SimulationPriorBuilder(_DesignerInputs):
     """Derives designer-prior CPTs from Monte-Carlo behavioural simulation.
 
     Where :class:`BehavioralPriorBuilder` evaluates each block in isolation
@@ -231,8 +249,9 @@ class SimulationPriorBuilder:
         Forced-voltage dictionaries (one per test condition) cycled through
         during simulation; typically the condition sets of the functional
         test program.
-    fault_probability:
-        Per-block (or scalar) prior probability that a block is defective.
+    fault_probability / default_fault_probability:
+        Per-block (or scalar) prior probability that a block is defective,
+        as for :class:`BehavioralPriorBuilder`.
     fault_modes:
         Fault modes sampled for defective blocks.
     samples:
@@ -248,9 +267,7 @@ class SimulationPriorBuilder:
                  condition_sets: Sequence[Mapping[str, float]],
                  fault_probability: float | Mapping[str, float] = 0.15,
                  default_fault_probability: float = 0.15,
-                 fault_modes: Sequence[FaultMode] = (FaultMode.DEAD,
-                                                     FaultMode.STUCK_HIGH,
-                                                     FaultMode.DEGRADED),
+                 fault_modes: Sequence[FaultMode] = DEFAULT_FAULT_MODES,
                  samples: int = 2000,
                  equivalent_sample_size: float = 4.0,
                  measurement_noise: float = 0.01,
@@ -260,27 +277,15 @@ class SimulationPriorBuilder:
             raise ModelBuildError("at least one condition set is required")
         if samples < 1:
             raise ModelBuildError("samples must be at least 1")
-        if isinstance(fault_probability, Mapping):
-            self._fault_probabilities = {block: float(p)
-                                         for block, p in fault_probability.items()}
-            self.default_fault_probability = float(default_fault_probability)
-        else:
-            self._fault_probabilities = {}
-            self.default_fault_probability = float(fault_probability)
-        self.netlist = netlist
-        self.model = model
+        super().__init__(netlist, model, fault_probability,
+                         default_fault_probability, fault_modes)
         self.condition_sets = [dict(c) for c in condition_sets]
-        self.fault_modes = list(fault_modes)
         self.samples = int(samples)
         self.equivalent_sample_size = float(equivalent_sample_size)
         self._rng = ensure_rng(seed)
         self._simulator = BehavioralSimulator(
             netlist, measurement_noise=measurement_noise,
             process_variation=process_variation, seed=self._rng)
-
-    def fault_probability_of(self, block: str) -> float:
-        """Return the prior probability that ``block`` itself is defective."""
-        return self._fault_probabilities.get(block, self.default_fault_probability)
 
     def _draw_modes(self, count: int) -> np.ndarray:
         """Draw every device's block faults as a ``(devices, blocks)`` plane.
@@ -293,14 +298,7 @@ class SimulationPriorBuilder:
         plan = self._simulator.plan
         faultable = [variable for variable in self.model.variable_names
                      if not self.model.variable(variable).is_controllable]
-        for variable in faultable:
-            if variable not in plan.column:
-                raise CircuitError(
-                    f"cannot inject a fault into unknown block {variable!r}")
-        codes = [FAULT_MODE_CODES.get(mode.value) for mode in self.fault_modes]
-        for mode, code in zip(self.fault_modes, codes):
-            if code is None:
-                raise CircuitError(f"unknown fault mode {mode.value!r}")
+        codes = [FAULT_MODE_CODES[mode.value] for mode in self.fault_modes]
         probabilities = np.array([self.fault_probability_of(variable)
                                   for variable in faultable])
         faulty = self._rng.random((count, len(faultable))) < probabilities

@@ -78,7 +78,7 @@ class TestTester:
             regulator_circuit.netlist,
             process_variation=regulator_circuit.process_variation, seed=21)
         tester = ATETester(simulator, regulator_program)
-        result = tester.test_device("GOLD")
+        result, = tester.test_devices(["GOLD"])
         assert not result.failed
 
     def test_faulty_device_fails(self, regulator_circuit, regulator_program):
@@ -87,17 +87,9 @@ class TestTester:
             process_variation=regulator_circuit.process_variation, seed=22)
         tester = ATETester(simulator, regulator_program)
         fault = BlockFault("hcbg", FaultMode.DEAD)
-        result = tester.test_device("BAD", faults={"hcbg": fault})
+        result, = tester.test_devices(["BAD"], [{"hcbg": fault}])
         assert result.failed
         assert any(m.block == "reg1" for m in result.failing_measurements())
-
-    def test_stop_on_fail_truncates(self, regulator_circuit, regulator_program):
-        simulator = BehavioralSimulator(regulator_circuit.netlist, seed=23)
-        tester = ATETester(simulator, regulator_program, stop_on_fail=True)
-        result = tester.test_device("BAD", faults={
-            "lcbg": BlockFault("lcbg", FaultMode.DEAD)})
-        assert result.failed
-        assert len(result.measurements) < len(regulator_program)
 
     def test_unknown_measured_block_rejected(self, regulator_circuit):
         simulator = BehavioralSimulator(regulator_circuit.netlist, seed=24)
@@ -130,8 +122,8 @@ class TestDatalog:
     def test_file_round_trip(self, tmp_path, regulator_circuit, regulator_program):
         simulator = BehavioralSimulator(regulator_circuit.netlist, seed=25)
         tester = ATETester(simulator, regulator_program)
-        result = tester.test_device("DEV-7", faults={
-            "reg1": BlockFault("reg1", FaultMode.DEAD)})
+        result, = tester.test_devices(
+            ["DEV-7"], [{"reg1": BlockFault("reg1", FaultMode.DEAD)}])
         path = write_datalog([result.to_datalog()], tmp_path / "log.txt")
         parsed = parse_datalog(path)
         assert len(parsed) == 1

@@ -1,23 +1,36 @@
-"""Batched-vs-scalar equivalence suite for the device-population pipeline.
+"""The array simulation pipeline against the scalar oracle.
 
-The batched simulate→test→discretise→case path must be a drop-in replacement
-for the scalar one: with the same seeds (and explicit multipliers, so both
-paths consume the random stream in the same order) the batch reproduces the
-scalar results to 1e-12, populations are deterministic under a fixed seed,
-and masked-fault re-draws keep the scalar retry semantics.
+The simulate→test→discretise→case path runs on arrays only.  With the same
+seeds (and explicit multipliers, drawn once and handed to both sides) it
+must reproduce :mod:`circuit_oracle`, which walks one device, one operating
+point and one block at a time, to 1e-12 on every fault mode, with and
+without noise; populations are deterministic under a fixed seed, and
+masked-fault re-draws keep their retry semantics.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import circuit_oracle as oracle
 from repro.ate import ATETester, PopulationGenerator
 from repro.bayesnet import VariableElimination
-from repro.circuits import BehavioralSimulator, BlockFault, FaultMode
+from repro.circuits import (
+    BehavioralSimulator,
+    BlockFault,
+    FaultMode,
+    ProcessVariation,
+)
 from repro.circuits.components import BehaviouralBlock
 from repro.core import CaseGenerator
 from repro.exceptions import ATEError
+
+#: Measurement noise with and without which the two paths must agree.
+NOISES = [0.0, 0.01]
 
 
 def make_simulator(circuit, seed, noise=0.01):
@@ -37,52 +50,63 @@ def all_mode_faults(circuit):
     return fault_maps
 
 
-class TestRunBatchEquivalence:
-    def test_noiseless_batch_matches_scalar(self, regulator_circuit):
-        simulator = make_simulator(regulator_circuit, seed=1, noise=0.0)
+def per_device(circuit, multipliers):
+    """The ``(devices, blocks)`` multiplier array as per-device mappings."""
+    names = circuit.netlist.block_names
+    return [dict(zip(names, row)) for row in multipliers]
+
+
+class TestSimulatorAgainstOracle:
+    def test_the_oracle_reaches_no_array_code(self):
+        """An oracle that called the array path would check it against itself."""
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        names = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        array_code = {"run_program", "sample_devices", "plan", "SimulationPlan",
+                      "BehavioralSimulator", "ATETester", "PopulationGenerator"}
+        assert sorted(name for name in names
+                      if name.endswith("_batch") or name in array_code) == []
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_one_condition(self, regulator_circuit, noise):
         fault_maps = all_mode_faults(regulator_circuit)
-        count = len(fault_maps)
-        multipliers = simulator.sample_devices(count)
+        multipliers = make_simulator(regulator_circuit, 3).sample_devices(
+            len(fault_maps))
         conditions = regulator_circuit.nominal_conditions
-        batch = simulator.run_batch(conditions, fault_maps, multipliers,
-                                    noisy=False)
-        names = simulator.netlist.block_names
-        for device, faults in enumerate(fault_maps):
-            per_block = dict(zip(names, multipliers[device]))
-            scalar = simulator.run(conditions, faults, per_block, noisy=False)
-            assert batch.device_voltages(device) == pytest.approx(
-                scalar.voltages, abs=1e-12)
+        simulator = make_simulator(regulator_circuit, seed=5, noise=noise)
+        voltages = simulator.run_program([conditions], fault_maps,
+                                         multipliers)[0]
+        rng = np.random.default_rng(5)
+        for device, (faults, device_multipliers) in enumerate(
+                zip(fault_maps, per_device(regulator_circuit, multipliers))):
+            expected = oracle.simulate(regulator_circuit.netlist, conditions,
+                                       faults, device_multipliers, rng, noise)
+            got = {name: voltages[device, column]
+                   for name, column in simulator.plan.column.items()}
+            assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_noisy_batch_matches_scalar_stream(self, regulator_circuit):
-        """Same seed + explicit multipliers: bit-compatible noise draws."""
-        fault_maps = all_mode_faults(regulator_circuit)
-        count = len(fault_maps)
-        multipliers = make_simulator(regulator_circuit, 3).sample_devices(count)
-        conditions = regulator_circuit.nominal_conditions
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_sample_devices_matches_the_per_device_draw(self, regulator_circuit,
+                                                        wide):
+        # The wide spread makes the clip bind and mixes in zero-sigma blocks.
+        variation = (ProcessVariation(default_sigma=0.3, clip=0.2,
+                                      per_block_sigma={"vp1": 0.0, "lcbg": 0.0})
+                     if wide else regulator_circuit.process_variation)
+        simulator = BehavioralSimulator(regulator_circuit.netlist,
+                                        process_variation=variation, seed=7)
+        multipliers = simulator.sample_devices(10)
+        rng = np.random.default_rng(7)
+        names = regulator_circuit.netlist.block_names
+        for row in per_device(regulator_circuit, multipliers):
+            expected = oracle.sample_multipliers(variation, names, rng)
+            assert row == pytest.approx(expected, abs=1e-12)
+        assert np.isclose(multipliers, 1.2).any() == wide
 
-        batch_sim = make_simulator(regulator_circuit, seed=5)
-        batch = batch_sim.run_batch(conditions, fault_maps, multipliers)
-
-        scalar_sim = make_simulator(regulator_circuit, seed=5)
-        names = scalar_sim.netlist.block_names
-        for device, faults in enumerate(fault_maps):
-            per_block = dict(zip(names, multipliers[device]))
-            scalar = scalar_sim.run(conditions, faults, per_block)
-            assert batch.device_voltages(device) == pytest.approx(
-                scalar.voltages, abs=1e-12)
-
-    def test_sample_devices_matches_sample_device(self, regulator_circuit):
-        batch_sim = make_simulator(regulator_circuit, seed=7)
-        multipliers = batch_sim.sample_devices(10)
-        scalar_sim = make_simulator(regulator_circuit, seed=7)
-        names = scalar_sim.netlist.block_names
-        for device in range(10):
-            scalar = scalar_sim.sample_device()
-            assert dict(zip(names, multipliers[device])) == pytest.approx(
-                scalar, abs=1e-12)
-
-    def test_generic_block_fallback_matches_scalar(self):
-        """Custom blocks without a numpy override use the per-device loop."""
+    def test_custom_block_needs_only_nominal_output_batch(self):
+        """A block class implements one array method; faults come for free."""
         from repro.circuits import BlockNetlist, SupplyInput
 
         class Doubler(BehaviouralBlock):
@@ -90,66 +114,53 @@ class TestRunBatchEquivalence:
                 super().__init__(name, inputs=[driver], vmax=20.0)
                 self.driver = driver
 
-            def nominal_output(self, inputs):
+            def nominal_output_batch(self, inputs, size):
                 return 2.0 * inputs[self.driver] + 0.25
 
         netlist = BlockNetlist("custom")
         netlist.add_blocks([SupplyInput("vin", default=1.0, vmax=20.0),
                             Doubler("out", "vin")])
         simulator = BehavioralSimulator(netlist, measurement_noise=0.0, seed=9)
-        faults = [None, {"out": BlockFault("out", FaultMode.DEGRADED, 0.5)}]
-        batch = simulator.run_batch({"vin": 3.0}, faults, noisy=False)
-        for device, fault in enumerate(faults):
-            scalar = simulator.run({"vin": 3.0}, fault, noisy=False)
-            assert batch.device_voltages(device) == pytest.approx(
-                scalar.voltages, abs=1e-12)
-
-    def test_batch_size_required_without_context(self, regulator_circuit):
-        simulator = make_simulator(regulator_circuit, seed=11)
-        from repro.exceptions import CircuitError
-        with pytest.raises(CircuitError):
-            simulator.run_batch(regulator_circuit.nominal_conditions)
-        batch = simulator.run_batch(regulator_circuit.nominal_conditions, size=4)
-        assert batch.device_count == 4
+        faults = [None, {"out": BlockFault("out", FaultMode.DEGRADED, 0.5)},
+                  {"out": BlockFault("out", FaultMode.STUCK_HIGH)}]
+        voltages = simulator.run_program([{"vin": 3.0}], faults)[0]
+        out = voltages[:, simulator.plan.column["out"]]
+        assert out.tolist() == pytest.approx([6.25, 6.25 * 0.65, 20.0],
+                                             abs=1e-12)
+        with pytest.raises(NotImplementedError, match="nominal_output_batch"):
+            BehaviouralBlock("bare", inputs=["vin"]).evaluate_batch(
+                {"vin": np.ones(1)}, size=1)
 
 
-class TestTesterEquivalence:
-    def test_test_devices_matches_test_device(self, regulator_circuit,
-                                              regulator_program):
+class TestTesterAgainstOracle:
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_full_program(self, regulator_circuit, regulator_program, noise):
         fault_maps = all_mode_faults(regulator_circuit)
         count = len(fault_maps)
         multipliers = make_simulator(regulator_circuit, 13).sample_devices(count)
-        names = regulator_circuit.netlist.block_names
         device_ids = [f"EQ-{index}" for index in range(count)]
+        tester = ATETester(make_simulator(regulator_circuit, seed=17,
+                                          noise=noise), regulator_program)
+        results = tester.test_devices(device_ids, fault_maps, multipliers)
 
-        batch_sim = make_simulator(regulator_circuit, seed=17)
-        batch_tester = ATETester(batch_sim, regulator_program)
-        batch_results = batch_tester.test_devices(device_ids, fault_maps,
-                                                  multipliers)
-
-        scalar_sim = make_simulator(regulator_circuit, seed=17)
-        scalar_tester = ATETester(scalar_sim, regulator_program)
-        for device, (device_id, faults) in enumerate(zip(device_ids, fault_maps)):
-            per_block = dict(zip(names, multipliers[device]))
-            scalar = scalar_tester.test_device(device_id, faults, per_block)
-            batched = batch_results[device]
-            assert batched.device_id == scalar.device_id
-            assert batched.faults == scalar.faults
-            assert batched.failed == scalar.failed
-            assert len(batched.measurements) == len(scalar.measurements)
-            for got, expected in zip(batched.measurements, scalar.measurements):
-                assert got.test_number == expected.test_number
-                assert got.block == expected.block
-                assert got.value == pytest.approx(expected.value, abs=1e-12)
-                assert got.passed == expected.passed
-                assert dict(got.conditions) == dict(expected.conditions)
-
-    def test_stop_on_fail_rejects_batch(self, regulator_circuit,
-                                        regulator_program):
-        simulator = make_simulator(regulator_circuit, seed=19)
-        tester = ATETester(simulator, regulator_program, stop_on_fail=True)
-        with pytest.raises(ATEError):
-            tester.test_devices(["X-1"])
+        rng = np.random.default_rng(17)
+        for result, device_id, faults, device_multipliers in zip(
+                results, device_ids, fault_maps,
+                per_device(regulator_circuit, multipliers)):
+            expected = oracle.walk_program(
+                regulator_circuit.netlist, regulator_program, faults,
+                device_multipliers, rng, noise)
+            assert result.device_id == device_id
+            assert result.faults == dict(faults or {})
+            assert len(result.measurements) == len(regulator_program)
+            for got, test, (value, passed) in zip(
+                    result.measurements, regulator_program, expected):
+                assert got.test_number == test.number
+                assert got.block == test.measured_block
+                assert got.value == pytest.approx(value, abs=1e-12)
+                assert got.passed == passed
+                assert dict(got.conditions) == dict(test.conditions)
+            assert result.failed == (not all(passed for _, passed in expected))
 
     def test_mismatched_fault_count_rejected(self, regulator_circuit,
                                              regulator_program):

@@ -2,13 +2,58 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+import circuit_oracle as oracle
 from repro.ate import parse_datalog, write_datalog
+from repro.ate.programs import REGULATOR_CONDITION_SETS
+from repro.circuits import BlockNetlist
 from repro.core import CaseGenerator, Dlog2BBN
 from repro.core.behavioral_prior import BehavioralPriorBuilder, SimulationPriorBuilder
 from repro.exceptions import ModelBuildError
+
+
+def oracle_column(builder, node, parents, indices):
+    """One behaviour-informed CPT column, computed through the scalar oracle.
+
+    Each parent sits at the representative voltage of its state; the child
+    block is evaluated healthy and under each fault mode, one call each,
+    and every outcome's state takes its share of the column's mass.
+    """
+    table = builder.model.state_table(node)
+    labels = table.labels
+    block = builder.netlist.block(node)
+    voltages = {}
+    for parent, index in zip(parents, indices):
+        parent_table = builder.model.state_table(parent)
+        voltages[parent] = parent_table.representative_value(
+            parent_table.labels[index])
+    inputs = {net: voltages.get(net, 0.0) for net in block.inputs}
+    fault_probability = builder.fault_probability_of(node)
+    column = np.full(len(labels), builder.smoothing / len(labels))
+    healthy = table.classify(oracle.evaluate(block, inputs))
+    column[labels.index(healthy)] += ((1.0 - builder.smoothing)
+                                      * (1.0 - fault_probability))
+    per_mode = ((1.0 - builder.smoothing) * fault_probability
+                / len(builder.fault_modes))
+    for mode in builder.fault_modes:
+        faulty = table.classify(oracle.evaluate(block, inputs, mode.value))
+        column[labels.index(faulty)] += per_mode
+    return column / column.sum()
+
+
+def make_prior_builder(kind, circuit, **kwargs):
+    """A behaviour-informed or a simulation prior builder for ``circuit``."""
+    if kind is BehavioralPriorBuilder:
+        return BehavioralPriorBuilder(circuit.netlist, circuit.model, **kwargs)
+    return SimulationPriorBuilder(
+        circuit.netlist, circuit.model,
+        [cs.conditions for cs in REGULATOR_CONDITION_SETS], samples=50,
+        seed=1, **kwargs)
 
 
 class TestCaseGeneration:
@@ -126,11 +171,73 @@ class TestPriorBuilders:
         cpd = prior.get_cpd("block2")
         assert cpd.probability("1", {"block1": "2"}) > 0.6
 
-    def test_behavioral_prior_rejects_bad_probability(self, hypothetical_circuit):
+    @pytest.mark.parametrize("circuit_name", ["hypothetical_circuit",
+                                              "regulator_circuit"])
+    def test_behavioral_prior_matches_the_scalar_oracle(self, request,
+                                                        circuit_name):
+        circuit = request.getfixturevalue(circuit_name)
+        probabilities = getattr(circuit, "designer_fault_probabilities", 0.1)
+        builder = BehavioralPriorBuilder(circuit.netlist, circuit.model,
+                                         fault_probability=probabilities)
+        prior = builder.build()
+        checked = 0
+        for node in prior.nodes:
+            parents = prior.parents(node)
+            if not parents:
+                continue
+            cards = [circuit.model.state_table(p).cardinality for p in parents]
+            table = prior.get_cpd(node).table
+            for column, indices in enumerate(
+                    itertools.product(*(range(card) for card in cards))):
+                np.testing.assert_allclose(
+                    table[:, column],
+                    oracle_column(builder, node, parents, indices),
+                    rtol=0, atol=1e-12, err_msg=f"{node} column {column}")
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("kind", [BehavioralPriorBuilder,
+                                      SimulationPriorBuilder])
+    @pytest.mark.parametrize("bad", [
+        {"fault_probability": 1.5},
+        {"fault_probability": -0.2},
+        {"fault_probability": 0.0},
+        {"fault_probability": {"lcbg": 2.0}},
+        {"fault_probability": {"lcbg": 0.2}, "default_fault_probability": 1.0},
+        {"fault_probability": {"lcbgx": 0.2}},
+        {"fault_modes": ()},
+        {"fault_modes": ("dead", "gremlins")},
+    ], ids=["above-one", "negative", "zero", "block-above-one",
+            "default-one", "unknown-block", "no-modes", "unknown-mode"])
+    def test_prior_builders_reject_bad_designer_inputs(self, regulator_circuit,
+                                                       kind, bad):
         with pytest.raises(ModelBuildError):
-            BehavioralPriorBuilder(hypothetical_circuit.netlist,
-                                   hypothetical_circuit.model,
-                                   fault_probability=1.5)
+            make_prior_builder(kind, regulator_circuit, **bad)
+
+    @pytest.mark.parametrize("kind", [BehavioralPriorBuilder,
+                                      SimulationPriorBuilder])
+    def test_prior_builders_need_a_block_per_model_variable(
+            self, regulator_circuit, kind):
+        partial = BlockNetlist("partial")
+        partial.add_blocks(block for block in regulator_circuit.netlist.blocks
+                           if block.name not in ("vp1x", "sw"))
+        circuit = dataclasses.replace(regulator_circuit, netlist=partial)
+        with pytest.raises(ModelBuildError, match="vp1x"):
+            make_prior_builder(kind, circuit)
+
+    @pytest.mark.parametrize("kind", [BehavioralPriorBuilder,
+                                      SimulationPriorBuilder])
+    def test_prior_builders_read_designer_fault_probabilities(
+            self, regulator_circuit, kind):
+        builder = make_prior_builder(
+            kind, regulator_circuit, fault_probability={"lcbg": 0.25},
+            default_fault_probability=0.05, fault_modes=("dead", "drift"))
+        assert builder.fault_probability_of("lcbg") == 0.25
+        assert builder.fault_probability_of("hcbg") == 0.05
+        assert [mode.value for mode in builder.fault_modes] == ["dead", "drift"]
+        assert make_prior_builder(kind, regulator_circuit,
+                                  fault_probability=0.1
+                                  ).fault_probability_of("hcbg") == 0.1
 
     def test_simulation_prior_is_valid_model(self, regulator_prior,
                                              regulator_circuit):

@@ -32,11 +32,13 @@ class TestHypotheticalCircuit:
     def test_nominal_simulation_is_operational(self, hypothetical_circuit):
         simulator = BehavioralSimulator(hypothetical_circuit.netlist,
                                         measurement_noise=0.0, seed=1)
-        result = simulator.run(hypothetical_circuit.nominal_conditions, noisy=False)
+        voltages = simulator.run_program(
+            [hypothetical_circuit.nominal_conditions], [None])[0, 0]
         discretizer = hypothetical_circuit.model.discretizer()
         for block in ("block2", "block3", "block4"):
             healthy = hypothetical_circuit.healthy_states[block]
-            assert discretizer.classify(block, result.voltage(block)) == healthy
+            voltage = voltages[simulator.plan.column[block]]
+            assert discretizer.classify(block, voltage) == healthy
 
 
 class TestVoltageRegulator:
@@ -79,12 +81,14 @@ class TestVoltageRegulator:
     def test_nominal_simulation_all_blocks_healthy(self, regulator_circuit):
         simulator = BehavioralSimulator(regulator_circuit.netlist,
                                         measurement_noise=0.0, seed=2)
-        result = simulator.run(regulator_circuit.nominal_conditions, noisy=False)
+        voltages = simulator.run_program(
+            [regulator_circuit.nominal_conditions], [None])[0, 0]
         discretizer = regulator_circuit.model.discretizer()
         for block in ("lcbg", "hcbg", "warnvpst", "enb13", "enb4", "enbsw",
                       "reg1", "reg2", "reg3", "reg4", "sw"):
             healthy = regulator_circuit.healthy_states[block]
-            assert discretizer.classify(block, result.voltage(block)) == healthy, block
+            voltage = voltages[simulator.plan.column[block]]
+            assert discretizer.classify(block, voltage) == healthy, block
 
     def test_fault_universe_excludes_controllables(self, regulator_circuit):
         for block in regulator_circuit.fault_universe.faultable_blocks:

@@ -21,24 +21,34 @@ from repro.circuits import (
     SupplyInput,
     SupplyMonitor,
 )
-from repro.circuits.components import HEALTHY, BlockHealth
+from repro.circuits.components import FAULT_MODE_CODES
 from repro.exceptions import CircuitError, FaultError
+
+
+def evaluate(block, inputs, mode=None, severity=1.0):
+    """Evaluate ``block`` for one device: every input is an array of one."""
+    arrays = {net: np.array([value]) for net, value in inputs.items()}
+    modes = severities = None
+    if mode is not None:
+        modes = np.array([FAULT_MODE_CODES[mode]], dtype=np.int8)
+        severities = np.array([severity])
+    return float(block.evaluate_batch(arrays, modes, severities, size=1)[0])
 
 
 class TestComponents:
     def test_bandgap_needs_headroom(self):
         bandgap = BandgapReference("bg", supply="vp", headroom=3.0)
-        assert bandgap.evaluate({"vp": 2.0}) < 0.5
-        assert np.isclose(bandgap.evaluate({"vp": 10.0}), 1.2)
+        assert evaluate(bandgap, {"vp": 2.0}) < 0.5
+        assert np.isclose(evaluate(bandgap, {"vp": 10.0}), 1.2)
 
     def test_bandgap_enable_gating(self):
         bandgap = BandgapReference("bg", supply="vp", enable="en", headroom=3.0)
-        assert bandgap.evaluate({"vp": 10.0, "en": 0.0}) < 0.5
-        assert np.isclose(bandgap.evaluate({"vp": 10.0, "en": 3.3}), 1.2)
+        assert evaluate(bandgap, {"vp": 10.0, "en": 0.0}) < 0.5
+        assert np.isclose(evaluate(bandgap, {"vp": 10.0, "en": 3.3}), 1.2)
 
     def test_or_node_takes_maximum(self):
         node = OrNode("vx", pins=["p1", "p2"])
-        assert np.isclose(node.evaluate({"p1": 0.2, "p2": 3.1}), 3.1)
+        assert np.isclose(evaluate(node, {"p1": 0.2, "p2": 3.1}), 3.1)
 
     def test_or_node_requires_pins(self):
         with pytest.raises(CircuitError):
@@ -46,64 +56,64 @@ class TestComponents:
 
     def test_enable_sense_needs_reference_window(self):
         sense = EnableSense("sen", or_net="vx", reference_net="ref")
-        assert sense.evaluate({"vx": 3.0, "ref": 1.2}) > 2.5
-        assert sense.evaluate({"vx": 3.0, "ref": 0.4}) < 1.0
-        assert sense.evaluate({"vx": 0.2, "ref": 1.2}) < 1.0
+        assert evaluate(sense, {"vx": 3.0, "ref": 1.2}) > 2.5
+        assert evaluate(sense, {"vx": 3.0, "ref": 0.4}) < 1.0
+        assert evaluate(sense, {"vx": 0.2, "ref": 1.2}) < 1.0
 
     def test_supply_monitor_checks_supply_and_references(self):
         monitor = SupplyMonitor("warn", primary_reference="lc",
                                 secondary_reference="hc", supply="vp",
                                 supply_threshold=7.0)
         good = {"lc": 1.2, "hc": 1.2, "vp": 12.0}
-        assert monitor.evaluate(good) > 2.5
-        assert monitor.evaluate({**good, "vp": 5.0}) < 1.0
-        assert monitor.evaluate({**good, "hc": 0.2}) < 1.0
+        assert evaluate(monitor, good) > 2.5
+        assert evaluate(monitor, {**good, "vp": 5.0}) < 1.0
+        assert evaluate(monitor, {**good, "hc": 0.2}) < 1.0
 
     def test_enable_gate_requires_monitor_and_valid_pin(self):
         gate = EnableGate("en", pin="pin", monitor="warn")
-        assert gate.evaluate({"pin": 2.2, "warn": 5.0}) > 2.5
-        assert gate.evaluate({"pin": 2.2, "warn": 0.0}) < 1.0
-        assert gate.evaluate({"pin": 0.1, "warn": 5.0}) < 1.0
+        assert evaluate(gate, {"pin": 2.2, "warn": 5.0}) > 2.5
+        assert evaluate(gate, {"pin": 2.2, "warn": 0.0}) < 1.0
+        assert evaluate(gate, {"pin": 0.1, "warn": 5.0}) < 1.0
 
     def test_regulator_tracks_reference(self):
         regulator = LinearRegulator("reg", supply="vp", reference="ref",
                                     enable=None, target=5.0)
-        assert np.isclose(regulator.evaluate({"vp": 8.0, "ref": 1.2}), 5.0)
-        drifted = regulator.evaluate({"vp": 20.0, "ref": 1.5})
+        assert np.isclose(evaluate(regulator, {"vp": 8.0, "ref": 1.2}), 5.0)
+        drifted = evaluate(regulator, {"vp": 20.0, "ref": 1.5})
         assert drifted > 5.5
 
     def test_regulator_dropout(self):
         regulator = LinearRegulator("reg", supply="vp", reference="ref",
                                     enable=None, target=5.0, dropout=1.0)
-        assert np.isclose(regulator.evaluate({"vp": 4.0, "ref": 1.2}), 3.0)
+        assert np.isclose(evaluate(regulator, {"vp": 4.0, "ref": 1.2}), 3.0)
 
     def test_regulator_disabled(self):
         regulator = LinearRegulator("reg", supply="vp", reference="ref",
                                     enable="en", target=5.0)
-        assert regulator.evaluate({"vp": 8.0, "ref": 1.2, "en": 0.0}) < 0.5
+        assert evaluate(regulator, {"vp": 8.0, "ref": 1.2, "en": 0.0}) < 0.5
 
     def test_power_switch_clamps(self):
         switch = PowerSwitch("sw", supply="vp", ignition="ign", enable="en",
                              clamp_level=14.5)
-        assert np.isclose(switch.evaluate({"vp": 13.5, "ign": 13.5, "en": 5.0}), 12.8)
-        assert np.isclose(switch.evaluate({"vp": 20.0, "ign": 20.0, "en": 5.0}), 14.5)
-        assert switch.evaluate({"vp": 13.5, "ign": 13.5, "en": 0.0}) < 0.5
+        assert np.isclose(evaluate(switch, {"vp": 13.5, "ign": 13.5, "en": 5.0}),
+                          12.8)
+        assert np.isclose(evaluate(switch, {"vp": 20.0, "ign": 20.0, "en": 5.0}),
+                          14.5)
+        assert evaluate(switch, {"vp": 13.5, "ign": 13.5, "en": 0.0}) < 0.5
 
     def test_missing_input_raises(self):
         regulator = LinearRegulator("reg", supply="vp", reference="ref",
                                     enable=None, target=5.0)
         with pytest.raises(CircuitError):
-            regulator.evaluate({"vp": 8.0})
+            evaluate(regulator, {"vp": 8.0})
 
     def test_fault_modes(self):
         bandgap = BandgapReference("bg", supply="vp", vmax=40.0)
         inputs = {"vp": 10.0}
-        assert bandgap.evaluate(inputs, BlockHealth(False, "dead")) == 0.0
-        assert bandgap.evaluate(inputs, BlockHealth(False, "stuck_high")) == 40.0
-        assert bandgap.evaluate(inputs, BlockHealth(False, "degraded", 1.0)) < 0.5
-        assert bandgap.evaluate(inputs, BlockHealth(False, "short_to_supply")) >= 10.0
-        with pytest.raises(CircuitError):
-            bandgap.evaluate(inputs, BlockHealth(False, "gremlins"))
+        assert evaluate(bandgap, inputs, "dead") == 0.0
+        assert evaluate(bandgap, inputs, "stuck_high") == 40.0
+        assert evaluate(bandgap, inputs, "degraded", 1.0) < 0.5
+        assert evaluate(bandgap, inputs, "short_to_supply") >= 10.0
 
 
 class TestNetlist:
@@ -157,47 +167,41 @@ class TestSimulator:
         ])
         return BehavioralSimulator(netlist, **kwargs)
 
+    def run(self, simulator, conditions, faults=None, multipliers=None):
+        """One condition on one device (or one per multiplier row)."""
+        count = 1 if multipliers is None else len(multipliers)
+        voltages = simulator.run_program([conditions], [faults] * count,
+                                         multipliers)[0]
+        return [{name: float(row[column])
+                 for name, column in simulator.plan.column.items()}
+                for row in voltages]
+
     def test_noiseless_run_is_deterministic(self):
         simulator = self.make_simulator(measurement_noise=0.0, seed=1)
-        first = simulator.run({"vp": 10.0}, noisy=False)
-        second = simulator.run({"vp": 10.0}, noisy=False)
-        assert first.voltages == second.voltages
-        assert np.isclose(first.voltage("reg"), 5.0)
+        first, = self.run(simulator, {"vp": 10.0})
+        second, = self.run(simulator, {"vp": 10.0})
+        assert first == second
+        assert np.isclose(first["reg"], 5.0)
 
     def test_fault_injection_changes_output(self):
         simulator = self.make_simulator(measurement_noise=0.0)
-        faulty = simulator.run({"vp": 10.0},
-                               {"bg": BlockFault("bg", FaultMode.DEAD)},
-                               noisy=False)
-        assert faulty.voltage("reg") < 1.0
+        faulty, = self.run(simulator, {"vp": 10.0},
+                           {"bg": BlockFault("bg", FaultMode.DEAD)})
+        assert faulty["reg"] < 1.0
 
     def test_unknown_fault_block_raises(self):
         simulator = self.make_simulator()
         with pytest.raises(CircuitError):
-            simulator.run({"vp": 10.0}, {"nope": BlockFault("nope", FaultMode.DEAD)})
+            self.run(simulator, {"vp": 10.0},
+                     {"nope": BlockFault("nope", FaultMode.DEAD)})
 
     def test_process_variation_spreads_outputs(self):
         simulator = self.make_simulator(
             measurement_noise=0.0,
             process_variation=ProcessVariation(default_sigma=0.05), seed=3)
-        outputs = []
-        for _ in range(30):
-            multipliers = simulator.sample_device()
-            outputs.append(simulator.run({"vp": 10.0}, noisy=False,
-                                         device_multipliers=multipliers).voltage("reg"))
+        outputs = [voltages["reg"] for voltages in self.run(
+            simulator, {"vp": 10.0}, multipliers=simulator.sample_devices(30))]
         assert np.std(outputs) > 0.01
-
-    def test_run_many(self):
-        simulator = self.make_simulator(measurement_noise=0.0)
-        results = simulator.run_many({"lo": {"vp": 4.0}, "hi": {"vp": 10.0}},
-                                     noisy=False)
-        assert results["lo"].voltage("reg") < results["hi"].voltage("reg")
-
-    def test_missing_voltage_raises(self):
-        simulator = self.make_simulator()
-        result = simulator.run({"vp": 10.0})
-        with pytest.raises(CircuitError):
-            result.voltage("unknown")
 
 
 class TestFaultUniverse:
@@ -215,8 +219,8 @@ class TestFaultUniverse:
 
     def test_sampling_respects_weights(self):
         universe = FaultUniverse(["rare", "common"], modes=(FaultMode.DEAD,))
-        samples = universe.sample_many(300, rng=5,
-                                       block_weights={"rare": 0.01, "common": 1.0})
+        samples = universe.sample_batch(300, rng=5,
+                                        block_weights={"rare": 0.01, "common": 1.0})
         common = sum(1 for fault in samples if fault.block == "common")
         assert common > 250
 
@@ -227,16 +231,32 @@ class TestFaultUniverse:
     def test_fault_label(self):
         assert BlockFault("bg", FaultMode.DEAD).label == "bg:dead"
 
+    def test_string_mode_is_coerced(self):
+        fault = BlockFault("lcbg", "dead")
+        assert fault.mode is FaultMode.DEAD
+        assert fault == BlockFault("lcbg", FaultMode.DEAD)
+        assert fault.label == "lcbg:dead"
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(FaultError, match="gremlins"):
+            BlockFault("lcbg", "gremlins")
+
+    def test_every_mode_has_a_simulator_code(self):
+        assert set(FAULT_MODE_CODES) == {mode.value for mode in FaultMode}
+        assert 0 not in FAULT_MODE_CODES.values()
+        assert len(set(FAULT_MODE_CODES.values())) == len(FAULT_MODE_CODES)
+
 
 class TestProcessVariation:
     def test_multipliers_clipped(self):
         variation = ProcessVariation(default_sigma=0.5, clip=0.1)
-        multipliers = variation.sample(["a", "b"], rng=7)
-        assert all(0.9 <= value <= 1.1 for value in multipliers.values())
+        multipliers = variation.sample_devices(["a", "b"], 1, rng=7)
+        assert multipliers.shape == (1, 2)
+        assert np.all((0.9 <= multipliers) & (multipliers <= 1.1))
 
     def test_zero_sigma_is_exact(self):
         variation = ProcessVariation(default_sigma=0.0)
-        assert variation.sample(["a"], rng=8)["a"] == 1.0
+        assert variation.sample_devices(["a"], 1, rng=8)[0, 0] == 1.0
 
     def test_per_block_override(self):
         variation = ProcessVariation(default_sigma=0.0,

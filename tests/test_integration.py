@@ -59,7 +59,7 @@ class TestRegulatorEndToEnd:
             process_variation=regulator_circuit.process_variation, seed=51)
         tester = ATETester(simulator, regulator_program)
         fault = BlockFault("enb13", FaultMode.DEAD)
-        result = tester.test_device("RET-1", faults={"enb13": fault})
+        result, = tester.test_devices(["RET-1"], [{"enb13": fault}])
         assert result.failed
 
         # Route the device through the ASCII datalog (the Dlog2BBN path).

@@ -1,11 +1,12 @@
-"""The batched designer prior against the device-by-device draw it replaced.
+"""The batched designer prior against a device-by-device draw.
 
 :meth:`SimulationPriorBuilder.simulate_case_matrix` draws every device's
 faults, fault modes, process-variation multipliers and noise as whole
 arrays, so its random stream differs from drawing one device at a time.
-What must not differ is the distribution: the scalar draw is kept here as
-the oracle, and both are compared on each block's rate of each fault mode
-and on each variable's state frequencies under each condition set.
+What must not differ is the distribution: the device-by-device draw, run
+through the scalar simulator of :mod:`circuit_oracle`, is the oracle, and
+both are compared on each block's rate of each fault mode and on each
+variable's state frequencies under each condition set.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import circuit_oracle as oracle
 from repro.ate.programs import REGULATOR_CONDITION_SETS
-from repro.circuits import BehavioralSimulator
 from repro.circuits.behavioral import SimulationPlan
 from repro.circuits.components import FAULT_MODE_CODES
 from repro.circuits.faults import BlockFault
-from repro.core import behavioral_prior
 from repro.core.behavioral_prior import SimulationPriorBuilder
-from repro.exceptions import CircuitError
 
 SAMPLES = 2000
 #: Agreement bound, in standard errors of the two-sample difference of two
@@ -53,10 +52,8 @@ def scalar_draw(builder: SimulationPriorBuilder, seed: int):
     the ``(devices, variables)`` state codes.
     """
     rng = np.random.default_rng(seed)
-    simulator = BehavioralSimulator(
-        builder.netlist,
-        measurement_noise=builder._simulator.measurement_noise,
-        process_variation=builder._simulator.process_variation, seed=rng)
+    noise = builder._simulator.measurement_noise
+    variation = builder._simulator.process_variation
     model = builder.model
     variables = list(model.variable_names)
     faults_seen: Counter = Counter()
@@ -73,9 +70,11 @@ def scalar_draw(builder: SimulationPriorBuilder, seed: int):
                     int(rng.integers(len(builder.fault_modes)))]
                 faults[variable] = BlockFault(variable, mode)
                 faults_seen[variable, mode.value] += 1
-        multipliers = simulator.sample_device()
-        result = simulator.run(conditions, faults, multipliers)
-        voltages[index] = [result.voltage(variable) for variable in variables]
+        multipliers = oracle.sample_multipliers(
+            variation, builder.netlist.block_names, rng)
+        result = oracle.simulate(builder.netlist, conditions, faults,
+                                 multipliers, rng, noise)
+        voltages[index] = [result[variable] for variable in variables]
     codes = np.stack([model.state_table(variable).classify_indices(
         voltages[:, column]) for column, variable in enumerate(variables)],
         axis=1)
@@ -154,11 +153,3 @@ def test_a_fixed_seed_reproduces_the_prior(regulator_circuit):
     first = make_builder(regulator_circuit, 7).simulate_case_matrix()
     second = make_builder(regulator_circuit, 7).simulate_case_matrix()
     assert np.array_equal(first.codes, second.codes)
-
-
-def test_a_fault_mode_without_simulator_code_raises(regulator_circuit):
-    codes = {name: code for name, code in FAULT_MODE_CODES.items()
-             if name != "degraded"}
-    with mock.patch.object(behavioral_prior, "FAULT_MODE_CODES", codes):
-        with pytest.raises(CircuitError, match="degraded"):
-            make_builder(regulator_circuit, 7).simulate_case_matrix()
