@@ -26,6 +26,9 @@ class TestProgram:
         The specification tests, in execution order.
     """
 
+    #: Not a pytest test class, whatever its name says.
+    __test__ = False
+
     def __init__(self, name: str, tests: Sequence[SpecificationTest] = ()) -> None:
         if not name:
             raise ATEError("test program name must be non-empty")

@@ -28,6 +28,9 @@ class TestLimit:
         Unit string recorded in datalogs (volts throughout this library).
     """
 
+    #: Not a pytest test class, whatever its name says.
+    __test__ = False
+
     lower: float
     upper: float
     units: str = "V"

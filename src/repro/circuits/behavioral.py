@@ -67,8 +67,10 @@ class SimulationPlan:
         """Encode per-device fault maps into ``(modes, severities)`` arrays.
 
         Returns ``(None, None)`` when no device carries a fault.  A fault on
-        a block the netlist does not have raises :class:`CircuitError`;
-        validation happens once here, not per operating point.
+        a block the netlist does not have, or filed under another block's
+        name (the map is ``{fault.block: fault}``), raises
+        :class:`CircuitError`; validation happens once here, not per
+        operating point.
         """
         count = len(faults_per_device)
         modes: np.ndarray | None = None
@@ -77,6 +79,10 @@ class SimulationPlan:
             if not faults:
                 continue
             for block_name, fault in faults.items():
+                if block_name != fault.block:
+                    raise CircuitError(
+                        f"fault on block {fault.block!r} is filed under "
+                        f"{block_name!r}; key each fault by its own block")
                 column = self.column.get(block_name)
                 if column is None:
                     raise CircuitError(

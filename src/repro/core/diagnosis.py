@@ -14,22 +14,25 @@ a batch of one), run under the engine's :class:`FallbackPolicy`:
 
 1. **Admit** — each slot's evidence is checked once, strictly by
    :func:`~repro.core.evidence.validate_evidence` or repair-and-continue by
-   :func:`~repro.core.evidence.sanitize_evidence`; a bad slot fails alone.
-2. **Sweep** — the distinct admitted rows are answered as one posterior
-   matrix by ONE sweep of the chain's first engine.
-3. **Settle** — each slot becomes a lazy view of its row.  A slot the sweep
-   could not answer walks the rest of the chain, the sweep counted as the
-   primary's first attempt; malformed or zero-probability evidence fails
-   at once.
+   :func:`~repro.core.evidence.sanitize_evidence`, and mapped onto the
+   batch's distinct rows; a bad slot fails alone.
+2. **Sweep** — the distinct rows are answered as one posterior matrix by
+   ONE sweep of the chain's first engine; a row the sweep could not answer
+   walks the rest of the chain, the sweep counted as the primary's first
+   attempt (malformed or zero-probability evidence fails at once).
+3. **Settle** — each distinct row is ranked once, and each slot becomes a
+   lazy view of its row or its row's failure, under its own name.
 
-Every :class:`Diagnosis` carries a :class:`DiagnosisProvenance` (engine,
-attempts, its equal share of the batch's wall time, degradation), built on
-first read; a degraded result also emits a
-:class:`~repro.exceptions.DegradedResultWarning`.  A deadline is a budget
-checked between the stages; nothing running is interrupted (a served
-request's hard bound is the supervisor reaping its worker, see
-:mod:`repro.serving.service`).  An engine built without a policy is a chain
-of one, variable elimination.
+The sweep stage names no case, so a
+:class:`~repro.serving.DiagnosisService` runs admit and settle in its own
+process and only the sweep in its workers.  Every :class:`Diagnosis`
+carries a :class:`DiagnosisProvenance` (engine, attempts, its equal share
+of the batch's wall time, degradation), built on first read; a degraded
+result also emits a :class:`~repro.exceptions.DegradedResultWarning`.  A
+deadline is a budget checked between the stages; nothing running is
+interrupted (a served request's hard bound is the supervisor reaping its
+worker, see :mod:`repro.serving.service`).  An engine built without a
+policy is a chain of one, variable elimination.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import dataclasses
 import time
 import warnings
 from collections.abc import Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +99,24 @@ def chunk_slices(total: int, chunk_size: int) -> list[slice]:
             for start in range(0, total, size)]
 
 
+def merge_sweep(answer: tuple, rows: slice, swept) -> tuple:
+    """Fold the sweep of a slice of a batch's rows into the batch's answer.
+
+    ``answer`` is the sweep stage's ``(matrix, outcomes, seconds)`` for the
+    whole batch (from ``DiagnosisEngine._unswept``); ``swept`` is the
+    answer ``_sweep`` gave for ``rows`` alone, or an error every row of the
+    slice fails with.  Returns the merged answer.
+    """
+    matrix, outcomes, seconds = answer
+    if isinstance(swept, BaseException):
+        outcomes.update(dict.fromkeys(range(rows.start, rows.stop), swept))
+        return answer
+    matrix[rows], answered, elapsed = swept
+    outcomes.update((rows.start + row, outcome)
+                    for row, outcome in answered.items())
+    return matrix, outcomes, seconds + elapsed
+
+
 def _slot_name(case, index: int, names) -> str:
     """A batch slot's case name."""
     if isinstance(case, DiagnosticCase):
@@ -135,16 +157,17 @@ class Budget:
     def left(self) -> float:
         return self.start + self.seconds - time.perf_counter()
 
-    def exceeded(self, name: str, attempts: tuple = (),
+    def exceeded(self, attempts: tuple = (),
                  cause: BaseException | None = None,
                  late: tuple[str, float] | None = None
                  ) -> DeadlineExceededError:
-        """One slot's budget-spent error, with its attempt trail.
+        """The budget-spent error, with its attempt trail.
 
         ``late`` is the ``(engine, elapsed)`` of a sweep or attempt that
         ended past the budget: it joins the trail as a ``"timeout"``
         attempt, and its :class:`~repro.exceptions.InferenceTimeoutError`
-        becomes the cause.
+        becomes the cause.  The message names no case: every slot of the
+        rows it fails carries its own name.
         """
         if late is not None:
             engine, elapsed = late
@@ -154,13 +177,26 @@ class Budget:
             attempts = (*attempts, AttemptRecord(
                 engine, "timeout", elapsed, f"{type(cause).__name__}: {cause}"))
         error = DeadlineExceededError(
-            f"deadline budget of {self.seconds:g}s exhausted for case "
-            f"{name!r} after {len(attempts)} attempt(s)",
+            f"deadline budget of {self.seconds:g}s exhausted after "
+            f"{len(attempts)} attempt(s)",
             remaining=self.left(), deadline=self.seconds)
         error.attempts = attempts
         error.wall_time = time.perf_counter() - self.start
         error.__cause__ = cause
         return error
+
+
+class _Batch(NamedTuple):
+    """The admit stage's output: the batch's start, its results so far (a
+    slot that failed admission holds its failure), every admitted slot as
+    ``(index, case, name, evidence, issues, row)``, the distinct admitted
+    rows in first-seen order and how many admitted slots share each."""
+
+    started: float
+    results: list
+    slots: list
+    rows: list
+    counts: list
 
 
 @dataclasses.dataclass(frozen=True)
@@ -738,13 +774,15 @@ class DiagnosisEngine:
         """Diagnose a whole population of cases against one shared engine.
 
         The one diagnosis pipeline; :meth:`diagnose`,
-        :meth:`diagnose_evidence` and :meth:`update` are batches of one.
-        Each slot's evidence is checked once (:meth:`_admit`); the distinct
-        evidence rows then run as ONE sweep of the primary engine into one
-        posterior matrix (:meth:`_sweep`; a sweep that raises fails every
-        slot), and each slot settles into a view of its row or walks the
-        fallback chain (:meth:`_settle`).  Each result's wall time is its
-        equal share of the batch's.
+        :meth:`diagnose_evidence` and :meth:`update` are batches of one, and
+        a :class:`~repro.serving.DiagnosisService` runs the same stages with
+        the sweep in its workers.  Each slot's evidence is checked once and
+        the checked rows deduplicated (:meth:`_admit`); the distinct rows
+        then run as ONE sweep of the primary engine into one posterior
+        matrix, and a row the sweep could not answer walks the fallback
+        chain (:meth:`_sweep`); each slot settles into a view of its ranked
+        row or its row's failure (:meth:`_settle`).  Each result's wall time
+        is its equal share of the batch's.
 
         Parameters
         ----------
@@ -776,149 +814,153 @@ class DiagnosisEngine:
             raise DiagnosisError(
                 f"unknown on_error mode {on_error!r}; "
                 "use 'raise', 'skip' or 'collect'")
-        cases = list(cases)
-        if names is not None and len(names) != len(cases):
-            raise DiagnosisError(
-                f"got {len(names)} names for {len(cases)} cases")
-        started = time.perf_counter()
-        budget = None if deadline is None else Budget(deadline, started)
-        results: list[Diagnosis | DiagnosisFailure | None] = [None] * len(cases)
-        admitted = []
-        rows: dict[frozenset, int] = {}
-        distinct: list[dict[str, str]] = []
-        for index, item in enumerate(cases):
-            name = _slot_name(item, index, names)
-            try:
-                if budget is not None and budget.left() <= 0:
-                    raise budget.exceeded(name)
-                evidence, issues = self._admit(item)
-            except Exception as error:
-                results[index] = _slot_failure(name, item, error, on_error)
-                continue
-            row = rows.setdefault(frozenset(evidence.items()), len(distinct))
-            if row == len(distinct):
-                distinct.append(evidence)
-            admitted.append((index, item, name, evidence, issues, row))
-        swept_at = time.perf_counter()
-        swept = budget is None or budget.left() > 0
-        answers: list = [None] * len(distinct)
-        if swept:
-            try:
-                answers = self._sweep(distinct)
-            except Exception as error:  # noqa: BLE001 - fails every slot
-                answers = [error] * len(distinct)
-        elapsed = (time.perf_counter() - swept_at) / max(len(admitted), 1)
-        spent = budget is not None and budget.left() <= 0
-        primary = self.policy.chain[0]
-        # The provenance fields every slot the sweep answered cleanly shares;
-        # each result's wall time is set when the batch ends.
-        clean = [primary, (AttemptRecord(primary, "ok", elapsed),), 0.0,
-                 False, None, (), ()]
-        for index, item, name, evidence, issues, row in admitted:
-            try:
-                if spent:  # before the sweep, or the sweep ended late
-                    raise budget.exceeded(name, late=(
-                        primary, elapsed) if swept else None)
-                results[index] = self._settle(name, evidence, issues,
-                                              answers[row], elapsed, budget,
-                                              clean)
-            except Exception as error:
-                results[index] = _slot_failure(name, item, error, on_error)
-        share = (time.perf_counter() - started) / max(len(cases), 1)
-        for result in results:
-            if result.ok:
-                result._provenance[2] = share
-            else:
-                result.wall_time = share
+        budget = None if deadline is None \
+            else Budget(deadline, time.perf_counter())
+        batch = self._admit(cases, names, on_error, budget)
+        results = self._settle(batch, self._sweep(batch.rows, budget),
+                               on_error)
         if on_error == "skip":
             return [result for result in results if result.ok]
         return results
 
-    def _admit(self, case) -> tuple[dict[str, str], tuple]:
-        """Admit one slot to the batched sweep: ``(evidence, issues)``.
+    def _admit(self, cases, names, on_error: str,
+               budget: Budget | None) -> _Batch:
+        """The admit stage: check each slot's evidence once, then map it
+        onto the batch's distinct rows.
 
-        The slot's one evidence check, strict or sanitising per
-        ``policy.on_invalid_evidence``: a bad entry fails this slot alone
-        (or is repaired or dropped, each an issue), so the shared sweep
-        sees checked labels only.
+        The check is strict or sanitising per
+        ``policy.on_invalid_evidence``: a bad entry, or a spent budget,
+        fails this slot alone (raised under ``on_error="raise"``), so the
+        sweep sees checked labels only.
         """
-        if self.policy.on_invalid_evidence == "raise":
-            return validate_evidence(self.model, case), ()
-        return sanitize_evidence(self.model, case)
+        cases = list(cases)
+        if names is not None and len(names) != len(cases):
+            raise DiagnosisError(
+                f"got {len(names)} names for {len(cases)} cases")
+        started = time.perf_counter() if budget is None else budget.start
+        strict = self.policy.on_invalid_evidence == "raise"
+        results: list[Diagnosis | DiagnosisFailure | None] = [None] * len(cases)
+        slots = []
+        keys: dict[frozenset, int] = {}
+        rows: list[dict[str, str]] = []
+        counts: list[int] = []
+        for index, item in enumerate(cases):
+            name = _slot_name(item, index, names)
+            try:
+                if budget is not None and budget.left() <= 0:
+                    raise budget.exceeded()
+                if strict:
+                    evidence, issues = validate_evidence(self.model, item), ()
+                else:
+                    evidence, issues = sanitize_evidence(self.model, item)
+            except Exception as error:
+                results[index] = _slot_failure(name, item, error, on_error)
+                continue
+            row = keys.setdefault(frozenset(evidence.items()), len(rows))
+            if row == len(rows):
+                rows.append(evidence)
+                counts.append(0)
+            counts[row] += 1
+            slots.append((index, item, name, evidence, issues, row))
+        return _Batch(started, results, slots, rows, counts)
 
-    def _sweep(self, evidences: list[dict[str, str]]) -> list:
-        """Answer every distinct row in one sweep of the primary engine:
-        per row, ``(posterior row, ranking order, suspects, sampler
-        effective sample size)`` or the error it alone fails with.
-        Variable elimination answers in one ``posteriors_batch`` call; the
-        other engines fill the matrix one ``posteriors`` query per row."""
-        count = len(evidences)
-        errors, ess = [None] * count, [None] * count  # per row
+    def _sweep(self, rows: list[dict[str, str]],
+               budget: Budget | None = None) -> tuple:
+        """The sweep stage, the one a service worker runs: answer every
+        distinct admitted row.
+
+        Returns ``(matrix, outcomes, seconds)``: the ``(rows, width)``
+        posterior matrix, the outcome of each row the primary did not
+        answer cleanly, and the primary sweep's wall time.  An outcome is
+        a sampler primary's effective sample size, the ``(row, position,
+        attempts, ess)`` of the chain engine that answered a row the sweep
+        could not, or the error the row fails with, its trail on
+        ``attempts``.  The budget is checked before and after the sweep
+        and around each chain attempt.  Nothing here names a case.
+        """
+        count = len(rows)
+        if budget is not None and budget.left() <= 0:
+            return merge_sweep(self._unswept(count), slice(0, count),
+                               budget.exceeded())
+        start = time.perf_counter()
+        try:
+            matrix, errors, outcomes = self._answer(rows)
+        except Exception as error:  # noqa: BLE001 - fails every row
+            matrix, outcomes, _ = self._unswept(count)
+            errors = dict.fromkeys(range(count), error)
+        seconds = time.perf_counter() - start
+        if budget is not None and budget.left() <= 0:
+            late = budget.exceeded(late=(self.policy.chain[0], seconds))
+            return matrix, dict.fromkeys(range(count), late), seconds
+        share = seconds / max(count, 1)
+        for row, error in errors.items():
+            try:
+                outcomes[row] = self._walk(rows[row], error, share, budget)
+            except Exception as failure:  # noqa: BLE001 - fails this row
+                outcomes[row] = failure
+        return matrix, outcomes, seconds
+
+    def _unswept(self, count: int) -> tuple:
+        """The sweep stage's answer for ``count`` rows before any is swept:
+        what :func:`merge_sweep` folds the answers of a batch's chunks
+        into."""
+        return np.zeros((count, self._layout.width)), {}, 0.0
+
+    def _answer(self, rows: list[dict[str, str]]) -> tuple:
+        """One sweep of the primary engine: the read-only posterior matrix,
+        each failed row's error and each sampled row's effective sample
+        size.  Variable elimination answers in one ``posteriors_batch``
+        call; the other engines fill the matrix one ``posteriors`` query
+        per row."""
+        errors, sizes = {}, {}
         if isinstance(self._engine, VariableElimination):
-            answers = self._engine.posteriors_batch(evidences)
+            answers = self._engine.posteriors_batch(rows)
             matrix, probability = answers.matrix, answers.probability
             for row in np.flatnonzero(~(np.isfinite(probability)
                                         & (probability > 0.0))).tolist():
                 errors[row] = answers.error(row)
         else:
-            matrix = np.zeros((count, self._layout.width))
-            for row, evidence in enumerate(evidences):
+            matrix = np.zeros((len(rows), self._layout.width))
+            for row, evidence in enumerate(rows):
                 try:
                     matrix[row] = self._update(self._engine, evidence)
-                    ess[row] = getattr(self._engine,
-                                       "last_effective_sample_size", None)
                 except Exception as error:  # noqa: BLE001 - fails this row
                     errors[row] = error
+                    continue
+                size = getattr(self._engine, "last_effective_sample_size",
+                               None)
+                if size is not None:
+                    sizes[row] = size
             matrix.flags.writeable = False
-        ranked = self._rank_rows(matrix)
-        for row, error in enumerate(errors):
+        for row, error in errors.items():
             if isinstance(error, ImpossibleEvidenceError):
                 # Every engine's zero-probability row fails with one message.
                 errors[row] = ImpossibleEvidenceError(
                     "the evidence has zero probability under the model; "
-                    "posteriors are undefined", evidence=evidences[row])
-        return [(matrix[row], *ranked[row], ess[row]) if error is None
-                else error for row, error in enumerate(errors)]
+                    "posteriors are undefined", evidence=rows[row])
+        return matrix, errors, sizes
 
-    def _settle(self, name: str, evidence: dict[str, str], issues: tuple,
-                answer, elapsed: float, budget: Budget | None,
-                clean: list) -> Diagnosis:
-        """Turn one slot's answer into its view, walk the chain, or raise.
+    def _walk(self, evidence: dict[str, str], error: Exception,
+              elapsed: float, budget: Budget | None):
+        """Walk the fallback chain for a row the sweep could not answer.
 
-        A clean answer shares the batch's ``clean`` provenance record.  A
-        sweep error is the primary's first attempt: a permanent failure, or
-        one with no attempt left in the chain, fails the slot at once with
-        that trail; any other walks the chain.
-        """
-        if isinstance(answer, Exception):
-            policy = self.policy
-            attempt = AttemptRecord(policy.chain[0], "error", elapsed,
-                                    f"{type(answer).__name__}: {answer}")
-            if isinstance(answer, PERMANENT_FAILURES) \
-                    or len(policy.chain) * policy.attempts_per_engine == 1:
-                answer.attempts, answer.wall_time = (attempt,), elapsed
-                raise answer
-            return self._run_chain(name, evidence, issues, budget, attempt,
-                                   answer)
-        row, order, suspects, ess = answer
-        if issues or ess is not None:
-            return self._accept(name, evidence, (row, order, suspects), 0,
-                                clean[1], issues, ess)
-        return Diagnosis._of_row(self._layout, row, order, suspects, name,
-                                 evidence, clean)
-
-    def _run_chain(self, name: str, evidence: dict[str, str], issues: tuple,
-                   budget: Budget | None, attempt: AttemptRecord,
-                   last_error: BaseException) -> Diagnosis:
-        """Walk the fallback chain for one slot the sweep could not answer.
-
-        The failed sweep (``attempt``) is the primary's first attempt and
-        is not repeated.  The budget is checked before and after each
-        attempt; a backoff sleep is clamped to what is left of it.
+        The failed sweep (``error``, ``elapsed``) is the primary's first
+        attempt and is not repeated.  A permanent failure, or one with no
+        attempt left in the chain, fails the row at once.  Returns the
+        ``(row, position, attempts, ess)`` of the engine that answered, or
+        the error the row fails with.  The budget is checked before and
+        after each attempt; a backoff sleep is clamped to what is left of
+        it.
         """
         policy = self.policy
         start = time.perf_counter()
-        attempts = [attempt]
+        attempts = [AttemptRecord(policy.chain[0], "error", elapsed,
+                                  f"{type(error).__name__}: {error}")]
+        if isinstance(error, PERMANENT_FAILURES) \
+                or len(policy.chain) * policy.attempts_per_engine == 1:
+            error.attempts, error.wall_time = tuple(attempts), elapsed
+            return error
+        last_error = error
         for position, engine_name in enumerate(policy.chain):
             for retry in range(position == 0, policy.attempts_per_engine):
                 if retry and policy.backoff > 0:
@@ -928,37 +970,88 @@ class DiagnosisEngine:
                     if sleep > 0:
                         time.sleep(sleep)
                 if budget is not None and budget.left() <= 0:
-                    raise budget.exceeded(name, tuple(attempts), last_error)
+                    return budget.exceeded(tuple(attempts), last_error)
                 attempt_start = time.perf_counter()
                 engine = self._rung(engine_name)
                 try:
                     row = self._update(engine, evidence)
-                except Exception as error:  # noqa: BLE001 - recorded below
-                    row, last_error = None, error
+                except Exception as failure:  # noqa: BLE001 - recorded below
+                    row, last_error = None, failure
                 elapsed = time.perf_counter() - attempt_start
                 if budget is not None and budget.left() <= 0:
-                    raise budget.exceeded(name, tuple(attempts),
-                                          late=(engine_name, elapsed))
+                    return budget.exceeded(tuple(attempts),
+                                           late=(engine_name, elapsed))
                 if row is not None:
                     attempts.append(AttemptRecord(engine_name, "ok", elapsed))
                     row.flags.writeable = False
-                    return self._accept(
-                        name, evidence, (row, *self._rank_rows(row[None])[0]),
-                        position, tuple(attempts), issues,
-                        getattr(engine, "last_effective_sample_size", None))
+                    return row, position, tuple(attempts), getattr(
+                        engine, "last_effective_sample_size", None)
                 attempts.append(AttemptRecord(
                     engine_name, "error", elapsed,
                     f"{type(last_error).__name__}: {last_error}"))
                 if isinstance(last_error, PERMANENT_FAILURES):
                     last_error.attempts = tuple(attempts)
                     last_error.wall_time = time.perf_counter() - start
-                    raise last_error
-        raise FallbackExhaustedError(
-            f"all {len(policy.chain)} engine(s) of the fallback chain failed "
-            f"for case {name!r}; last error: "
-            f"{type(last_error).__name__}: {last_error}",
-            attempts=tuple(attempts),
-            wall_time=time.perf_counter() - start) from last_error
+                    return last_error
+        exhausted = FallbackExhaustedError(
+            f"all {len(policy.chain)} engine(s) of the fallback chain "
+            f"failed; last error: {type(last_error).__name__}: {last_error}",
+            attempts=tuple(attempts), wall_time=time.perf_counter() - start)
+        exhausted.__cause__ = last_error
+        return exhausted
+
+    def _settle(self, batch: _Batch, swept: tuple,
+                on_error: str) -> list[Diagnosis | DiagnosisFailure]:
+        """The settle stage: rank each distinct row once, then make each
+        admitted slot a view of its row or its row's failure.
+
+        A row the sweep answered cleanly gives its slots views that share
+        one provenance record; a sanitised slot, a sampled row or a row
+        the chain answered gets a record of its own (:meth:`_accept`).
+        Each result's wall time is its equal share of the batch's, from
+        admission to now.
+        """
+        matrix, outcomes, seconds = swept
+        matrix.flags.writeable = False
+        results = batch.results
+        primary = self.policy.chain[0]
+        # The provenance fields every slot the sweep answered cleanly shares;
+        # each result's wall time is set when the batch ends.
+        clean = [primary, (AttemptRecord(
+            primary, "ok", seconds / max(len(batch.slots), 1)),), 0.0, False,
+            None, (), ()]
+        # Each distinct row's view fields, built once for all its slots.
+        rows = [(vector, order, suspects) for vector, (order, suspects)
+                in zip(matrix, self._rank_rows(matrix))]
+        for index, item, name, evidence, issues, row in batch.slots:
+            outcome = outcomes.get(row)
+            try:
+                if outcome is None and not issues:
+                    results[index] = Diagnosis._of_row(
+                        self._layout, *rows[row], name, evidence, clean)
+                elif isinstance(outcome, BaseException):
+                    results[index] = _slot_failure(name, item, outcome,
+                                                   on_error)
+                elif isinstance(outcome, tuple):
+                    vector, position, attempts, ess = outcome
+                    vector.flags.writeable = False
+                    results[index] = self._accept(
+                        name, evidence,
+                        (vector, *self._rank_rows(vector[None])[0]),
+                        position, attempts, issues, ess)
+                else:
+                    results[index] = self._accept(
+                        name, evidence, rows[row], 0, clean[1], issues,
+                        outcome)
+            except Exception as error:
+                results[index] = _slot_failure(name, item, error, on_error)
+        share = (time.perf_counter() - batch.started) / max(len(results), 1)
+        for result in results:
+            if result.ok:
+                result._provenance[2] = share
+            else:
+                result.wall_time = share
+        return results
 
     def _accept(self, name: str, evidence: dict[str, str], answer: tuple,
                 position: int, attempts: tuple[AttemptRecord, ...],

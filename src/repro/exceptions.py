@@ -107,17 +107,18 @@ class ServiceShutdownError(ServingError):
 
 
 class WorkerCrashError(ServingError):
-    """A diagnosis chunk was lost to worker crashes past its retry budget.
+    """A served row was lost to worker crashes past its retry budget.
 
-    Surfaced per-slot as a structured
-    :class:`~repro.core.diagnosis.DiagnosisFailure` (never an unhandled
-    exception): the supervisor retried the chunk on healthy workers up to
-    the configured budget, and every attempt died.
+    Surfaced as a structured :class:`~repro.core.diagnosis.DiagnosisFailure`
+    (never an unhandled exception) in every slot that shares the row: the
+    supervisor retried it on healthy workers up to the configured budget,
+    and every attempt died.  ``crashes`` counts the worker deaths the row
+    caused alone; it is not an ``attempts`` trail (no engine answered).
     """
 
-    def __init__(self, message: str, attempts: int | None = None) -> None:
+    def __init__(self, message: str, crashes: int | None = None) -> None:
         super().__init__(message)
-        self.attempts = attempts
+        self.crashes = crashes
 
 
 class PersistError(ReproError):

@@ -1,48 +1,47 @@
 """Supervised parallel diagnosis service over a multiprocessing worker pool.
 
-:class:`DiagnosisService` shards ``diagnose_batch`` workloads into chunks
-(:func:`~repro.core.diagnosis.chunk_slices`) and runs them on a pool of
-worker processes, each hosting its own
-:class:`~repro.core.diagnosis.DiagnosisEngine` under the service's
-:class:`~repro.core.diagnosis.FallbackPolicy`, which answers a chunk in one
-sweep and replies with planes.  The supervisor thread owns every
-robustness guarantee the pool needs to survive real traffic:
+:class:`DiagnosisService` runs the pipeline of
+:meth:`~repro.core.diagnosis.DiagnosisEngine.diagnose_batch` with only its
+sweep farmed out.  The parent admits each request on the submitting
+thread (each slot's evidence checked once, then deduplicated into rows)
+and splits its distinct rows into chunks
+(:func:`~repro.core.diagnosis.chunk_slices`) for a pool of sweep servers
+(:mod:`repro.serving.worker`): rows in, posterior rows and row failures
+out, no case either way.  The supervisor thread only dispatches chunks
+and collects replies; once a request's rows are all answered, a settler
+thread settles it, each row ranked once and each slot a view of its row,
+bit for bit an in-process :class:`~repro.core.diagnosis.DiagnosisEngine`'s
+result.  The supervisor owns the pool's robustness guarantees:
 
-* **Crash isolation** — a worker death (segfault, OOM-kill, injected
-  ``SIGKILL``) is detected through its process sentinel; only its in-flight
-  chunk is lost.  A lost multi-case chunk is requeued as single-case
-  chunks, so one poisonous case is isolated after one crash instead of
-  failing its neighbours; its chunk is retried on a healthy worker until
-  the retry budget is spent, at which point its slot gets a structured
-  :class:`~repro.core.diagnosis.DiagnosisFailure` (``WorkerCrashError``).
-* **Bounded respawn** — dead workers are restarted up to
-  ``max_respawns_per_worker`` times; a slot that keeps dying goes dark
-  instead of crash-looping, and if the whole pool dies every outstanding
-  case is failed structurally — submitted work is never stranded.
-* **Deadlines: stage checks plus reaping** — a per-request ``deadline``
-  flows from :meth:`DiagnosisService.submit` into each chunk's dispatch
-  budget, which the worker's diagnosis pipeline checks at its stage
-  boundaries; queued chunks whose request expired fail fast without ever
-  occupying a worker.  Nothing in a worker is interrupted: the hard bound
-  is reaping a worker still busy at its budget plus ``deadline_grace``,
-  which stops the work with the process.
-* **Backpressure** — the submission queue is bounded
-  (``max_pending_cases``).  ``overload_policy="reject"`` sheds load
-  immediately with :class:`~repro.exceptions.ServiceOverloadedError`;
-  ``"block"`` waits up to ``submit_timeout`` for capacity before shedding.
-* **Circuit breaking** — each worker slot carries a
-  :class:`~repro.serving.breaker.CircuitBreaker`; repeated crashes/hangs
-  quarantine the slot, a cheap probe reinstates it, and probe failures back
-  off exponentially.
-* **Graceful drain** — ``shutdown(drain=True)`` stops intake, finishes
-  every queued and in-flight chunk, then stops the workers;
-  ``drain=False`` fails outstanding slots structurally and kills the pool.
-  Either way every submitted case's future completes.
+* **Crash isolation** — a worker death is seen through its process
+  sentinel and loses only its in-flight chunk.  A lost chunk of several
+  rows is requeued as single-row chunks; a single row is retried until
+  ``max_chunk_retries`` is spent, then every slot sharing it fails with a
+  structured ``WorkerCrashError`` under its own name.
+* **Bounded respawn** — a worker slot restarts up to
+  ``max_respawns_per_worker`` times, then goes dark; if the whole pool
+  dies every outstanding case fails structurally.
+* **Deadlines: stage checks plus reaping** — the parent checks a request's
+  budget before each slot's admission; a chunk carries what is left at
+  dispatch, which the worker checks around its sweep and each chain
+  attempt; queued rows of an expired request fail without reaching a
+  worker.  The hard bound is reaping a worker still busy at its budget
+  plus ``deadline_grace``.
+* **Hot swap** — with a ``persist_dir`` the parent admits and ranks under
+  the registry's model, resolved as a worker resolves it, and each chunk
+  names its version (an older worker reloads first).  A request a worker
+  swept under another version is admitted again under the registry's
+  current model, at most ``max_chunk_retries`` times, never settled.
+* **Backpressure, circuit breaking, graceful drain** — admitted cases
+  waiting for a worker are bounded (``max_pending_cases``; ``"reject"``
+  sheds at once, ``"block"`` waits up to ``submit_timeout``); a
+  :class:`~repro.serving.breaker.CircuitBreaker` per worker slot
+  quarantines repeated crashes and probes back; ``shutdown`` drains or
+  fails every outstanding slot, so every future completes.
 
-Health is a first-class output: :meth:`DiagnosisService.stats` returns a
-:class:`~repro.serving.stats.ServiceStats` snapshot (queue depth,
-in-flight, workers alive/quarantined, retries, shed requests, chunk
-latency percentiles) so degradation is observable, not silent.
+:meth:`DiagnosisService.stats` returns a
+:class:`~repro.serving.stats.ServiceStats` snapshot, so degradation is
+observable, not silent.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ import dataclasses
 import itertools
 import multiprocessing
 import os
+import queue
 import threading
 import time
 from collections import deque
@@ -58,11 +58,14 @@ from collections.abc import Mapping, Sequence
 from multiprocessing import connection as mp_connection
 
 from repro.core.diagnosis import (
+    Budget,
     Diagnosis,
+    DiagnosisEngine,
     DiagnosisFailure,
     DiagnosticCase,
     FallbackPolicy,
     chunk_slices,
+    merge_sweep,
 )
 from repro.core.model_builder import BuiltModel
 from repro.exceptions import (
@@ -75,7 +78,7 @@ from repro.exceptions import (
 )
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.stats import LatencyWindow, ServiceStats
-from repro.serving.worker import WorkerPayload, worker_main
+from repro.serving.worker import WorkerPayload, _PersistRuntime, worker_main
 
 #: Load-shedding policies for a full submission queue.
 OVERLOAD_POLICIES = ("reject", "block")
@@ -98,12 +101,14 @@ class ServiceConfig:
         Worker processes in the pool; defaults to the CPUs this process
         may run on.
     chunk_size:
-        The most cases one chunk holds (see ``chunk_slices``).  Larger
-        chunks amortise the sweep's fixed cost; smaller ones bound
-        head-of-line blocking and spread a request over more workers.
+        The most distinct rows one chunk holds (see ``chunk_slices``): a
+        request's admitted cases are deduplicated into rows first, and
+        only its distinct rows are chunked.  Larger chunks amortise the
+        sweep's fixed cost; smaller ones bound head-of-line blocking and
+        spread a request over more workers.
     max_pending_cases:
-        Bound on cases submitted but not yet dispatched — the backpressure
-        valve.
+        Bound on admitted cases whose rows are not yet dispatched — the
+        backpressure valve.
     overload_policy:
         ``"reject"`` (shed immediately) or ``"block"`` (wait up to
         ``submit_timeout`` for queue capacity, then shed).
@@ -118,9 +123,10 @@ class ServiceConfig:
         in-flight chunk's worker is reaped (lets the worker return its
         structured per-case deadline failures itself in the common case).
     max_chunk_retries:
-        Crash/hang retries for a single-case chunk before its slot fails
-        structurally.  (A lost multi-case chunk is split into single-case
-        chunks, which does not consume this budget.)
+        Crash/hang retries for a single-row chunk before the slots sharing
+        its row fail structurally (a lost multi-row chunk is split into
+        single-row chunks, which does not consume this budget); also the
+        most re-admissions of a request swept under another model.
     max_respawns_per_worker:
         Lifetime process restarts per worker slot before it goes dark.
     breaker_threshold / breaker_cooldown / breaker_max_cooldown:
@@ -225,29 +231,43 @@ class ServiceFuture:
 
 
 class _Request:
-    """One submitted batch: slot accounting + its future."""
+    """One submitted batch: its admitted rows, their answers, its future."""
 
-    __slots__ = ("results", "remaining", "deadline_end", "future")
+    __slots__ = ("cases", "names", "budget", "readmits", "engine",
+                 "version", "batch", "answers", "left", "stale", "future")
 
-    def __init__(self, size: int, deadline_end: float | None) -> None:
-        self.results: list = [None] * size
-        self.remaining = size
-        self.deadline_end = deadline_end
-        self.future = ServiceFuture(size)
+    def __init__(self, cases, names, deadline: float | None) -> None:
+        self.cases, self.names = list(cases), names
+        self.budget = None if deadline is None \
+            else Budget(deadline, time.perf_counter())
+        self.readmits = 0
+        self.future = ServiceFuture(len(self.cases))
+
+    def admit(self, pipeline: tuple) -> None:
+        """Run the admit stage under ``(engine, model version)``."""
+        self.engine, self.version = pipeline
+        self.batch = self.engine._admit(self.cases, self.names, "collect",
+                                        self.budget)
+        self.left, self.stale = len(self.batch.rows), False
+        self.answers = self.engine._unswept(self.left)
+
+    def answer(self, rows: slice, swept) -> bool:
+        """Take one chunk's sweep (or the error every row of it fails
+        with); True once every row is answered."""
+        self.answers = merge_sweep(self.answers, rows, swept)
+        self.left -= rows.stop - rows.start
+        return self.left == 0
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class _Chunk:
-    """A dispatchable shard of a request."""
+    """A dispatchable slice of a request's rows and the cases they answer."""
 
-    __slots__ = ("chunk_id", "request", "pairs", "attempts")
-
-    def __init__(self, chunk_id: int, request: _Request,
-                 pairs: list[tuple[int, DiagnosticCase]],
-                 attempts: int = 0) -> None:
-        self.chunk_id = chunk_id
-        self.request = request
-        self.pairs = pairs
-        self.attempts = attempts
+    chunk_id: int
+    request: _Request
+    rows: slice
+    weight: int
+    attempts: int = 0
 
 
 class _Worker:
@@ -294,10 +314,10 @@ class DiagnosisService:
         :class:`~repro.core.diagnosis.DiagnosisEngine`.
     persist_dir:
         Optional home of the :class:`~repro.persist.ModelRegistry`, under
-        ``<persist_dir>/models``.  When set, every worker watches the
-        registry — a :meth:`publish_model` call hot-swaps every worker's
-        engine between chunks, no restart — and a published registry
-        model takes precedence over ``built_model``.
+        ``<persist_dir>/models``.  When set, the parent and every worker
+        watch the registry — a :meth:`publish_model` call hot-swaps every
+        worker's engine between chunks, no restart — and a published
+        registry model takes precedence over ``built_model``.
     reload_poll_interval:
         Seconds between a worker's registry version-stamp polls.
 
@@ -335,7 +355,6 @@ class DiagnosisService:
         self._queue: deque[_Chunk] = deque()
         self._pending_cases = 0
         self._in_flight_cases = 0
-        self._deadline_requests = 0
         self._chunk_ids = itertools.count(1)
         self._probe_ids = itertools.count(1)
 
@@ -357,15 +376,31 @@ class DiagnosisService:
         self._model_reloads = 0
         self._start_time = time.monotonic()
 
+        # (engine, registry version): the parent admits and settles on it.
+        self._model_lock = threading.Lock()
+        self._persist = None if self.persist_dir is None \
+            else _PersistRuntime(self.persist_dir, 0.0)
+        model = built_model if self._persist is None \
+            else self._persist.resolve_model(built_model)
+        self._pipeline = (self._build_engine(model),
+                          0 if self._persist is None
+                          else self._persist.model_version)
+        # Requests with every row answered, for the settler thread (None
+        # stops it), and how many it has not finished with.
+        self._ready: queue.SimpleQueue[_Request | None] = queue.SimpleQueue()
+        self._unsettled = 0
+
         self._wakeup_r, self._wakeup_w = os.pipe()
         os.set_blocking(self._wakeup_w, False)
         self._supervisor = threading.Thread(
             target=self._supervise, name="diagnosis-supervisor", daemon=True)
+        self._settler = threading.Thread(
+            target=self._settle_loop, name="diagnosis-settler", daemon=True)
         self.start()
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Spawn the pool and the supervisor thread (idempotent)."""
+        """Spawn the pool, the supervisor and the settler (idempotent)."""
         with self._lock:
             if self._started:
                 return
@@ -378,6 +413,7 @@ class DiagnosisService:
                 self._spawn_process(worker)
                 self._workers.append(worker)
         self._supervisor.start()
+        self._settler.start()
 
     def __enter__(self) -> "DiagnosisService":
         return self
@@ -389,8 +425,6 @@ class DiagnosisService:
         """(Re)start the process behind a worker slot.  Caller holds lock."""
         payload = WorkerPayload(
             built_model=self.built_model, policy=self.policy,
-            abnormal_threshold=self._abnormal,
-            ambiguous_threshold=self._ambiguous,
             worker_index=worker.index, generation=worker.generation,
             chaos=self.config.chaos_for(worker.index),
             persist_dir=self.persist_dir,
@@ -409,52 +443,50 @@ class DiagnosisService:
         worker.probe_id = None
         worker.probe_deadline = None
 
+    def _build_engine(self, model: BuiltModel) -> DiagnosisEngine:
+        return DiagnosisEngine(model, self.policy,
+                               abnormal_threshold=self._abnormal,
+                               ambiguous_threshold=self._ambiguous)
+
     # ---------------------------------------------------------------- intake
     def submit(self, cases: Sequence[DiagnosticCase | Mapping[str, str]],
                names: Sequence[str] | None = None,
                deadline: float | None = None) -> ServiceFuture:
-        """Queue a batch for diagnosis; returns a :class:`ServiceFuture`.
+        """Admit a batch and queue its distinct rows; returns a
+        :class:`ServiceFuture` at once.
 
         ``cases`` may mix :class:`~repro.core.diagnosis.DiagnosticCase`
         instances and raw evidence mappings (named via ``names`` /
         ``case-<i>``).  ``deadline`` is a wall-clock budget in seconds for
-        the whole request; it propagates into every attempt made on its
-        behalf.  Raises :class:`~repro.exceptions.ServiceOverloadedError`
-        under backpressure shedding and
+        the whole request.  Raises
+        :class:`~repro.exceptions.ServiceOverloadedError` under
+        backpressure shedding and
         :class:`~repro.exceptions.ServiceShutdownError` once draining or
         stopped.
         """
         if deadline is not None and deadline <= 0:
             raise DiagnosisError(
                 f"deadline must be positive, got {deadline}")
-        normalized = self._normalize(cases, names)
+        request = _Request(cases, names, deadline)
+        request.admit(self._pipeline)
+        admitted, queued = len(request.batch.slots), bool(request.batch.rows)
         with self._capacity:
             self._check_intake_open()
-            if normalized and not self._reserve_capacity(len(normalized)):
+            if admitted and not self._reserve_capacity(admitted):
                 self._shed += 1
                 raise ServiceOverloadedError(
-                    f"submission of {len(normalized)} case(s) shed: "
+                    f"submission of {admitted} case(s) shed: "
                     f"{self._pending_cases} case(s) already pending against "
                     f"a bound of {self.config.max_pending_cases}",
                     pending=self._pending_cases,
                     limit=self.config.max_pending_cases)
-            deadline_end = None if deadline is None \
-                else time.monotonic() + deadline
-            request = _Request(len(normalized), deadline_end)
-            if not normalized:
-                request.future._complete([])
-                return request.future
-            if deadline_end is not None:
-                self._deadline_requests += 1
-            for piece in chunk_slices(len(normalized),
-                                      self.config.chunk_size):
-                pairs = [(slot, normalized[slot])
-                         for slot in range(piece.start, piece.stop)]
-                self._queue.append(_Chunk(next(self._chunk_ids), request,
-                                          pairs))
-            self._pending_cases += len(normalized)
-            self._submitted += len(normalized)
-        self._wake()
+            self._submitted += len(request.cases)
+            if queued:
+                self._enqueue(request)
+        if queued:  # it may be answered and settled before this line runs
+            self._wake()
+        else:
+            self._settle(request)  # no row to sweep: no other thread has it
         return request.future
 
     def diagnose_batch(self, cases: Sequence[DiagnosticCase | Mapping[str, str]],
@@ -471,21 +503,14 @@ class DiagnosisService:
         return self.submit(cases, names=names,
                            deadline=deadline).result(timeout)
 
-    def _normalize(self, cases, names) -> list[DiagnosticCase]:
-        """Name every slot as a :class:`DiagnosticCase` for the workers.
-
-        A raw mapping rides untouched as a one-section case, so the worker's
-        codec reads exactly what the caller sent.
-        """
-        cases = list(cases)
-        if names is not None and len(names) != len(cases):
-            raise DiagnosisError(
-                f"got {len(names)} names for {len(cases)} cases")
-        return [case if isinstance(case, DiagnosticCase) else DiagnosticCase(
-                    name=names[index] if names is not None
-                    else f"case-{index}",
-                    controllable_states={}, observable_states=dict(case))
-                for index, case in enumerate(cases)]
+    def _enqueue(self, request: _Request) -> None:
+        """Queue a request's rows in chunks.  Caller holds the lock."""
+        for rows in chunk_slices(len(request.batch.rows),
+                                 self.config.chunk_size):
+            chunk = _Chunk(next(self._chunk_ids), request, rows,
+                           sum(request.batch.counts[rows]))
+            self._queue.append(chunk)
+            self._pending_cases += chunk.weight
 
     def _check_intake_open(self) -> None:
         if self._draining or self._stopped:
@@ -542,18 +567,29 @@ class DiagnosisService:
 
         Requires ``persist_dir``.  The publish runs the full validation
         gate (:class:`~repro.persist.ModelRegistry`); once the version
-        stamp flips, every worker hot-swaps at its next between-chunk poll
-        — in-flight chunks finish on the old model, no case is dropped.
+        stamp flips, the parent admits new requests under the published
+        model and every worker hot-swaps before its next chunk — in-flight
+        chunks finish on the old model and are admitted again, no case is
+        dropped.
         """
-        if self.persist_dir is None:
+        if self._persist is None:
             raise ServingError(
                 "publish_model requires the service to be constructed "
                 "with persist_dir=...")
-        from pathlib import Path
+        with self._model_lock:
+            version = self._persist.registry.publish(built_model,
+                                                     validate=validate)
+        self._sync_model()
+        return version
 
-        from repro.persist import ModelRegistry
-        with ModelRegistry(Path(self.persist_dir) / "models") as registry:
-            return registry.publish(built_model, validate=validate)
+    def _sync_model(self) -> None:
+        """Move the parent's pipeline to the registry's current model when
+        it is newer, read the way a worker reads it."""
+        with self._model_lock:
+            fresh = self._persist.poll_reload()
+            if fresh is not None:
+                self._pipeline = (self._build_engine(fresh),
+                                  self._persist.model_version)
 
     # -------------------------------------------------------------- shutdown
     def shutdown(self, drain: bool = True,
@@ -586,10 +622,12 @@ class DiagnosisService:
         while True:
             with self._lock:
                 now = time.monotonic()
-                if self._abort:
-                    self._fail_outstanding("service shut down before "
-                                           "completion (drain=False)")
-                self._expire_queued(now)
+                if self._abort or self._pool_dead:
+                    self._fail_outstanding(
+                        "service shut down before completion (drain=False)"
+                        if self._abort else "every worker slot is dead "
+                        "(respawn budgets exhausted)")
+                self._expire_queued()
                 self._dispatch(now)
                 self._send_probes(now)
                 if self._finished():
@@ -614,6 +652,56 @@ class DiagnosisService:
                         self._on_worker_death(worker, "crashed", now)
                 self._reap_overdue(now)
         self._stop_workers()
+        self._ready.put(None)
+        self._settler.join()
+
+    # --------------------------------------------------------------- settler
+    def _settle_loop(self) -> None:
+        """The settler thread: settle each request whose rows are all
+        answered, or admit again one a worker swept under another model,
+        off the supervisor's thread and outside its lock, so dispatch never
+        waits on either."""
+        while (request := self._ready.get()) is not None:
+            if request.stale:
+                self._readmit(request)
+            else:
+                self._settle(request)
+            with self._lock:
+                self._unsettled -= 1
+                draining = self._draining
+            if draining:
+                self._wake()  # the supervisor may be finished now
+
+    def _settle(self, request: _Request) -> None:
+        """The settle stage of one request, then its accounting and
+        future."""
+        results = request.engine._settle(request.batch, request.answers,
+                                         "collect")
+        answered = sum(result.ok for result in results)
+        with self._lock:
+            self._completed += answered
+            self._failed += len(results) - answered
+        request.future._complete(results)
+
+    def _readmit(self, request: _Request) -> None:
+        """Admit a request again under the registry's current model and
+        queue its rows; past ``max_chunk_retries`` times, fail it."""
+        request.readmits += 1
+        if request.readmits > self.config.max_chunk_retries:
+            request.left = len(request.batch.rows)
+            request.answer(slice(0, request.left), ServingError(
+                f"a worker swept the rows admitted under model version "
+                f"{request.version} under another version "
+                f"{request.readmits} time(s)"))
+        else:
+            self._sync_model()
+            request.admit(self._pipeline)
+            if request.batch.rows:
+                with self._lock:
+                    self._enqueue(request)
+                self._wake()
+                return
+        self._settle(request)
 
     def _build_waiters(self):
         waiters: list = [self._wakeup_r]
@@ -648,10 +736,9 @@ class DiagnosisService:
                 transition = worker.breaker.next_transition()
                 if transition is not None:
                     deadlines.append(transition)
-        if self._deadline_requests:
-            for chunk in self._queue:
-                if chunk.request.deadline_end is not None:
-                    deadlines.append(chunk.request.deadline_end)
+        deadlines += [now + chunk.request.budget.left()
+                      for chunk in self._queue
+                      if chunk.request.budget is not None]
         if self._draining and not deadlines:
             return 0.1
         if not deadlines:
@@ -663,7 +750,7 @@ class DiagnosisService:
             return False
         busy = any(worker.state in ("busy", "probing")
                    for worker in self._workers)
-        return not self._queue and not busy
+        return not (self._queue or busy or self._unsettled)
 
     # ---------------------------------------------------------- worker events
     def _drain_conn(self, worker: _Worker, now: float) -> None:
@@ -696,7 +783,7 @@ class DiagnosisService:
                                   now)
 
     def _complete_chunk(self, worker: _Worker, message, now: float) -> None:
-        _, chunk_id, reply, elapsed, reloads = message
+        _, chunk_id, version, swept, elapsed, reloads = message
         chunk = worker.chunk
         if chunk is None or chunk.chunk_id != chunk_id:
             return  # stale (should not happen: one pipe per process)
@@ -706,11 +793,14 @@ class DiagnosisService:
         worker.breaker.record_success()
         self._latency.record(elapsed)
         self._model_reloads += reloads
-        self._in_flight_cases -= len(chunk.pairs)
-        # Dispatch first: the worker's next sweep overlaps this decode.
+        self._in_flight_cases -= chunk.weight
+        # Dispatch first: the worker's next sweep overlaps the settling.
         self._dispatch(now)
-        for slot, result in _views(reply):
-            self._write_slot(chunk.request, slot, result)
+        if version != chunk.request.version:
+            # Another model's rows are never settled: admit the request again.
+            chunk.request.stale = True
+            swept = ServingError(f"rows swept under model version {version}")
+        self._answer(chunk, swept)
 
     def _on_worker_death(self, worker: _Worker, reason: str,
                          now: float) -> None:
@@ -739,7 +829,7 @@ class DiagnosisService:
         worker.probe_id = None
         worker.probe_deadline = None
         if chunk is not None:
-            self._in_flight_cases -= len(chunk.pairs)
+            self._in_flight_cases -= chunk.weight
             self._requeue_crashed(chunk, reason, worker.index)
         if worker.respawns < self.config.max_respawns_per_worker:
             worker.respawns += 1
@@ -750,39 +840,38 @@ class DiagnosisService:
             worker.state = "dead"
             worker.process = None
             worker.conn = None
-            if not any(w.alive for w in self._workers):
-                self._pool_dead = True
-                self._fail_outstanding(
-                    "every worker slot is dead (respawn budgets exhausted)")
+            self._pool_dead = not any(w.alive for w in self._workers)
         self._dispatch(now)
 
     def _requeue_crashed(self, chunk: _Chunk, reason: str,
                          worker_index: int) -> None:
-        """Crash-retry policy: split multi-case chunks into singles, budget
-        singles; a poison case costs ``max_chunk_retries + 2`` crashes."""
+        """Crash-retry policy: split multi-row chunks into singles, budget
+        singles; a poison row costs ``max_chunk_retries + 2`` crashes."""
         self._retries += 1
         request = chunk.request
-        if request.deadline_end is not None \
-                and time.monotonic() >= request.deadline_end:
-            self._fail_chunk(chunk, DeadlineExceededError(
+        if request.budget is not None and request.budget.left() <= 0:
+            self._answer(chunk, DeadlineExceededError(
                 "request deadline expired while retrying a chunk lost to a "
                 f"worker failure ({reason})"))
             return
-        if len(chunk.pairs) > 1:
-            self._queue.extendleft(
-                _Chunk(next(self._chunk_ids), request, [pair], chunk.attempts)
-                for pair in reversed(chunk.pairs))
-            self._pending_cases += len(chunk.pairs)
+        if chunk.rows.stop - chunk.rows.start > 1:
+            singles = [_Chunk(next(self._chunk_ids), request,
+                              slice(row, row + 1), request.batch.counts[row],
+                              chunk.attempts)
+                       for row in range(chunk.rows.start, chunk.rows.stop)]
+            self._queue.extendleft(reversed(singles))
+            self._pending_cases += chunk.weight
             return
         if chunk.attempts >= self.config.max_chunk_retries:
-            self._fail_chunk(chunk, WorkerCrashError(
-                f"case lost to worker {worker_index} ({reason}) and retry "
-                f"budget of {self.config.max_chunk_retries} is spent",
-                attempts=chunk.attempts + 1))
+            self._answer(chunk, WorkerCrashError(
+                f"row lost to worker {worker_index} ({reason}) after "
+                f"{chunk.attempts + 1} crash(es); its retry budget of "
+                f"{self.config.max_chunk_retries} is spent",
+                crashes=chunk.attempts + 1))
             return
         chunk.attempts += 1
         self._queue.appendleft(chunk)
-        self._pending_cases += len(chunk.pairs)
+        self._pending_cases += chunk.weight
 
     def _reap_overdue(self, now: float) -> None:
         for worker in self._workers:
@@ -805,21 +894,23 @@ class DiagnosisService:
                 return
             chunk = self._queue.popleft()
             request = chunk.request
+            self._pending_cases -= chunk.weight
+            self._capacity.notify_all()
             budget = None
-            if request.deadline_end is not None:
-                budget = request.deadline_end - now
-                if budget <= 0:
-                    self._pending_cases -= len(chunk.pairs)
-                    self._capacity.notify_all()
-                    self._fail_chunk(chunk, DeadlineExceededError(
-                        "request deadline expired before the case reached "
-                        "a worker", remaining=budget), queued=False)
+            if request.budget is not None:
+                left = request.budget.left()
+                if left <= 0:
+                    self._answer(chunk, DeadlineExceededError(
+                        "request deadline expired before the row reached "
+                        "a worker", remaining=left))
                     continue
+                budget = (request.budget.seconds, left)
             try:
-                worker.conn.send(("chunk", chunk.chunk_id, chunk.pairs,
-                                  budget))
+                worker.conn.send(("sweep", chunk.chunk_id, request.version,
+                                  request.batch.rows[chunk.rows], budget))
             except (OSError, BrokenPipeError, ValueError):
                 self._queue.appendleft(chunk)
+                self._pending_cases += chunk.weight
                 self._on_worker_death(worker, "pipe broken at dispatch", now)
                 continue
             worker.state = "busy"
@@ -828,11 +919,9 @@ class DiagnosisService:
             if self.config.chunk_timeout is not None:
                 deadlines.append(self.config.chunk_timeout)
             if budget is not None:
-                deadlines.append(budget + self.config.deadline_grace)
+                deadlines.append(budget[1] + self.config.deadline_grace)
             worker.reap_at = now + min(deadlines) if deadlines else None
-            self._pending_cases -= len(chunk.pairs)
-            self._in_flight_cases += len(chunk.pairs)
-            self._capacity.notify_all()
+            self._in_flight_cases += chunk.weight
 
     def _send_probes(self, now: float) -> None:
         for worker in self._workers:
@@ -848,60 +937,40 @@ class DiagnosisService:
                 worker.probe_deadline = now + self.config.probe_timeout
                 self._probes += 1
 
-    def _expire_queued(self, now: float) -> None:
-        if not self._deadline_requests:
-            return
-        kept: deque[_Chunk] = deque()
-        expired: list[_Chunk] = []
-        for chunk in self._queue:
-            end = chunk.request.deadline_end
-            (expired if end is not None and now >= end else kept).append(chunk)
-        if expired:
-            self._queue = kept
-            for chunk in expired:
-                self._pending_cases -= len(chunk.pairs)
-                self._fail_chunk(chunk, DeadlineExceededError(
-                    "request deadline expired before the case reached a "
-                    "worker"), queued=False)
+    def _expire_queued(self) -> None:
+        for chunk in [chunk for chunk in self._queue
+                      if chunk.request.budget is not None
+                      and chunk.request.budget.left() <= 0]:
+            self._queue.remove(chunk)
+            self._pending_cases -= chunk.weight
             self._capacity.notify_all()
+            self._answer(chunk, DeadlineExceededError(
+                "request deadline expired before the row reached a worker"))
 
     # ------------------------------------------------------------ accounting
-    def _write_slot(self, request: _Request, slot: int, result) -> None:
-        if request.results[slot] is not None:
-            return  # defensive: a slot is only ever written once
-        request.results[slot] = result
-        request.remaining -= 1
-        if getattr(result, "ok", False):
-            self._completed += 1
-        else:
-            self._failed += 1
-        if request.remaining == 0:
-            if request.deadline_end is not None:
-                self._deadline_requests -= 1
-            request.future._complete(request.results)
-
-    def _fail_chunk(self, chunk: _Chunk, error: Exception,
-                    queued: bool = True) -> None:
-        for slot, case in chunk.pairs:
-            self._write_slot(chunk.request, slot,
-                             DiagnosisFailure.from_exception(
-                                 case.name, case.raw_evidence(), error))
+    def _answer(self, chunk: _Chunk, swept) -> None:
+        """Record a chunk's sweep, or the error its rows fail with; a
+        request with every row answered goes to the settler (every slot
+        sharing a failed row fails under its own name)."""
+        if chunk.request.answer(chunk.rows, swept):
+            self._unsettled += 1
+            self._ready.put(chunk.request)
 
     def _fail_outstanding(self, message: str) -> None:
-        """Fail every queued and in-flight slot structurally (abort path)."""
+        """Fail every queued and in-flight row structurally (abort path)."""
         error = ServiceShutdownError(message)
         while self._queue:
             chunk = self._queue.popleft()
-            self._pending_cases -= len(chunk.pairs)
-            self._fail_chunk(chunk, error)
+            self._pending_cases -= chunk.weight
+            self._answer(chunk, error)
         for worker in self._workers:
             if worker.state == "busy" and worker.chunk is not None:
                 chunk = worker.chunk
                 worker.chunk = None
                 worker.state = "idle"
                 worker.reap_at = None
-                self._in_flight_cases -= len(chunk.pairs)
-                self._fail_chunk(chunk, error)
+                self._in_flight_cases -= chunk.weight
+                self._answer(chunk, error)
         self._capacity.notify_all()
 
     def _stop_workers(self) -> None:
@@ -932,23 +1001,7 @@ class DiagnosisService:
                 os.close(descriptor)
             except OSError:
                 pass
+        if self._persist is not None:
+            with self._model_lock:
+                self._persist.registry.close()
 
-
-def _views(reply) -> list:
-    """A ``done`` reply as ``[(slot, result)]``: each answered slot a view
-    of its row of the read-only matrix, in the worker's layout, owning its
-    evidence dict and suspect list, and its provenance once read."""
-    planes, results = reply
-    if planes is None:
-        return results
-    layout, slots, names, evidence, matrix, orders, chosen, provenances, \
-        which = planes
-    matrix.flags.writeable = False
-    internal = layout.internal
-    for slot, name, admitted, row, order, mask, index in zip(
-            slots, names, evidence, matrix, orders.tolist(), chosen.tolist(),
-            which):
-        results.append((slot, Diagnosis._of_row(
-            layout, row, order, [internal[i] for i in order if mask[i]],
-            name, admitted, provenances[index])))
-    return results

@@ -1,71 +1,52 @@
-"""The worker-process side of the diagnosis service.
+"""The worker-process side of the diagnosis service: a sweep server.
 
-Each worker hosts its own :class:`~repro.core.diagnosis.DiagnosisEngine`
-under the service's :class:`~repro.core.diagnosis.FallbackPolicy` (engines
-are deliberately not shared across processes: evidence caches, sampler
-states and lazily built fallback engines are all per-process) and runs a
-small message loop over a duplex pipe:
+The parent runs the diagnosis pipeline's admit and settle stages
+(:mod:`repro.serving.service`); a worker runs only its sweep stage,
+``DiagnosisEngine._sweep``, on the distinct admitted rows it is sent,
+with its own engine under the service's
+:class:`~repro.core.diagnosis.FallbackPolicy` (evidence caches, sampler
+states and fallback engines are per process; the cache outlives requests).
+Its message loop over a duplex pipe:
 
 parent -> worker
-    ``("chunk", chunk_id, [(slot, DiagnosticCase), ...], budget)`` — run a
-    chunk; ``budget`` is the remaining request wall-clock budget in seconds
-    at dispatch (``None`` for no deadline).
-    ``("probe", probe_id)`` — circuit-breaker reinstatement probe.
-    ``("stop",)`` — graceful exit.
+    ``("sweep", chunk_id, version, rows, budget)`` — sweep ``rows``
+    (evidence mappings admitted under model ``version``); ``budget`` is
+    ``(seconds, left)``, the request's deadline and what was left of it at
+    dispatch, or ``None``.  ``("probe", probe_id)`` — circuit-breaker
+    reinstatement probe.  ``("stop",)`` — graceful exit.
 
 worker -> parent
-    ``("ready", pid)`` once the engine is built,
-    ``("done", chunk_id, (planes, pairs), elapsed, reloads)`` per chunk
-    (``reloads`` counts the hot model swaps since the last ``done``),
-    ``("probe-ok", probe_id)`` per probe, and ``("fatal", message)`` if the
-    engine cannot even be constructed.
+    ``("ready", pid)`` once the engine is built; per chunk
+    ``("done", chunk_id, version, (matrix, outcomes, seconds), elapsed,
+    reloads)``: the version the rows were swept under, the sweep stage's
+    answer (their posterior matrix; the outcome of each row it did not
+    answer cleanly, which is an effective sample size, the fallback
+    chain's answer or the row's error with its attempt trail; the sweep's
+    seconds), the chunk's wall time and the hot swaps since the last
+    ``done``; ``("probe-ok", probe_id)`` per probe; ``("fatal", message)``
+    if the engine cannot be built.
 
-A ``done`` carries the chunk's row views as ``planes`` (``None`` if it has
-none): the worker's row layout once, then per answered slot its slot, name
-and admitted evidence, its posterior row in one ``(rows, width)`` float64
-matrix, its ranking order in one integer matrix, its suspects in one
-``(rows, internal)`` boolean mask and an index into the distinct
-provenances (tuples of field values; the slots the sweep answered cleanly
-share one).  The parent rebuilds each view with ``Diagnosis._of_row``.
-Failures, and any result that is not a row view, travel whole in ``pairs``
-as ``(slot, result)``.
+No case crosses the pipe either way.  A row the sweep could not answer
+walks the fallback chain here, inside the supervisor's reaping boundary.
+The budget's clock starts at the chunk's receipt.  ``WorkerChaos.on_chunk``
+runs on each chunk's receipt and ``WorkerChaos.on_row`` on each of its
+rows before the sweep.
 
-With a ``persist_dir``, each worker opens the model registry under it.
-The registry is authoritative: when it holds a published model, the worker
-serves that instead of the payload's, and between chunks it polls the
-version stamp (throttled) — a bump hot-swaps a freshly built engine without
-dropping the chunk stream.  An unreadable registry is logged and the
-worker keeps serving the model it has.
-
-Each chunk is one ``diagnose_batch(on_error="collect", deadline=...)``
-call on the engine: one primary sweep for the chunk, the fallback chain
-only for the slots it could not answer (see :mod:`repro.core.diagnosis`).
-The deadline is the request budget left since the chunk's receipt, checked
-at the pipeline's stage boundaries; the supervisor reaps a worker still
-busy at budget + ``deadline_grace``.  ``WorkerChaos.on_case`` runs for
-every case before the call.
-
-Every per-case failure is converted to a structured
-:class:`~repro.core.diagnosis.DiagnosisFailure` *here*, so a chunk comes
-back incomplete only if the process dies (the supervisor sees its sentinel).
+With a ``persist_dir``, the registry's published model wins over the
+payload's; between chunks the worker polls its version stamp (throttled,
+but at once when a chunk names a newer version than its own), and a bump
+hot-swaps a freshly built engine.  An unreadable registry is logged and
+the worker keeps the model it has.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-import operator
 import time
 import traceback
 
-import numpy as np
-
-from repro.core.diagnosis import (
-    Diagnosis,
-    DiagnosisEngine,
-    DiagnosisProvenance,
-    FallbackPolicy,
-)
+from repro.core.diagnosis import Budget, DiagnosisEngine, FallbackPolicy
 from repro.core.model_builder import BuiltModel
 
 
@@ -82,8 +63,6 @@ class WorkerPayload:
 
     built_model: BuiltModel
     policy: FallbackPolicy
-    abnormal_threshold: float = 0.5
-    ambiguous_threshold: float = 0.4
     worker_index: int = 0
     generation: int = 0
     chaos: object | None = None
@@ -92,10 +71,10 @@ class WorkerPayload:
 
 
 class _PersistRuntime:
-    """Worker-side handle on the model registry.
+    """A worker's (or the service parent's) handle on the model registry.
 
-    Owns the worker's :class:`~repro.persist.ModelRegistry` and throttles
-    the between-chunk version poll.
+    Owns a :class:`~repro.persist.ModelRegistry` and throttles the
+    between-chunk version poll.
     """
 
     def __init__(self, persist_dir: str, poll_interval: float) -> None:
@@ -122,17 +101,18 @@ class _PersistRuntime:
         self.model_version = version
         return model
 
-    def poll_reload(self) -> BuiltModel | None:
+    def poll_reload(self, at_least: int = 0) -> BuiltModel | None:
         """Between-chunk version check; returns a new model on a bump.
 
-        Throttled to ``poll_interval`` so the stamp read never shows up in
-        chunk latency.  A corrupt or half-published registry is *not* a
-        reason to stop serving: the worker keeps its current model and
-        retries at the next poll.
+        Throttled to ``poll_interval``, unless the version held is older
+        than ``at_least`` (a chunk's admission version).  A corrupt or
+        half-published registry is *not* a reason to stop serving: the
+        worker keeps its current model and retries at the next poll.
         """
         from repro.exceptions import ModelRegistryError
         now = time.monotonic()
-        if now - self._last_poll < self.poll_interval:
+        if now - self._last_poll < self.poll_interval \
+                and self.model_version >= at_least:
             return None
         self._last_poll = now
         try:
@@ -151,10 +131,7 @@ class _PersistRuntime:
 
 def _build_engine(payload: WorkerPayload,
                   model: BuiltModel) -> DiagnosisEngine:
-    return DiagnosisEngine(
-        model, payload.policy,
-        abnormal_threshold=payload.abnormal_threshold,
-        ambiguous_threshold=payload.ambiguous_threshold)
+    return DiagnosisEngine(model, payload.policy)
 
 
 def worker_main(conn, payload: WorkerPayload) -> None:
@@ -191,73 +168,37 @@ def worker_main(conn, payload: WorkerPayload) -> None:
             if kind == "probe":
                 conn.send(("probe-ok", message[1]))
                 continue
-            _, chunk_id, pairs, budget = message
+            _, chunk_id, version, rows, budget = message
+            received = time.perf_counter()
             chunk_number += 1
             if chaos is not None:
                 chaos.on_chunk(chunk_number, payload.generation)
             reloads = 0
             if persist is not None:
-                fresh = persist.poll_reload()
+                fresh = persist.poll_reload(at_least=version)
                 if fresh is not None:
                     # Hot swap: a fresh engine drops every stale evidence
                     # cache with it.
                     engine = _build_engine(payload, fresh)
                     reloads = 1
-            started = time.perf_counter()
-            results = _run_chunk(engine, pairs, budget, chaos)
-            elapsed = time.perf_counter() - started
-            conn.send(("done", chunk_id, _planes(results), elapsed, reloads))
+            swept = _sweep_chunk(engine, rows, budget, chaos, received)
+            conn.send(("done", chunk_id,
+                       0 if persist is None else persist.model_version,
+                       swept, time.perf_counter() - received, reloads))
     except (EOFError, OSError, BrokenPipeError):
         pass
     finally:
         conn.close()
 
 
-def _run_chunk(engine: DiagnosisEngine, pairs, budget, chaos):
-    """Diagnose every ``(slot, case)`` pair, never letting one escape.
-
-    The chaos hooks run first, then the chunk is one collect-mode
-    ``diagnose_batch`` under the request budget left since its receipt.
-    """
-    received = time.perf_counter()
+def _sweep_chunk(engine: DiagnosisEngine, rows, budget, chaos,
+                 received: float) -> tuple:
+    """The sweep stage on one chunk's rows, the chaos row hook first;
+    ``budget``'s clock runs from ``received``."""
     if chaos is not None:
-        for _, case in pairs:
-            chaos.on_case(case)
-    deadline = None if budget is None \
-        else budget - (time.perf_counter() - received)
-    results = engine.diagnose_batch([case for _, case in pairs],
-                                    on_error="collect", deadline=deadline)
-    return [(slot, result) for (slot, _), result in zip(pairs, results)]
-
-
-#: A provenance's field values in constructor order: its form in a reply.
-_PROVENANCE_FIELDS = operator.attrgetter(
-    *(field.name for field in dataclasses.fields(DiagnosisProvenance)))
-
-
-def _planes(results):
-    """A chunk's ``[(slot, result)]`` as ``(planes, pairs)`` (see above)."""
-    layout, views, pairs = None, [], []
-    for slot, result in results:
-        own = vars(result).get("_layout") if type(result) is Diagnosis else None
-        layout = layout or own
-        (views if own is layout is not None else pairs).append((slot, result))
-    if not views:
-        return None, pairs
-    position = {name: index for index, name in enumerate(layout.internal)}
-    chosen = np.zeros((len(views), len(position)), dtype=bool)
-    chosen.flat[[row * len(position) + position[name]
-                 for row, (_, view) in enumerate(views)
-                 for name in view.suspects]] = True
-    distinct, which = {}, []
-    for _, view in views:
-        own = vars(view)  # a provenance read (and maybe changed) wins
-        fields = _PROVENANCE_FIELDS(own["provenance"]) \
-            if "provenance" in own else tuple(view._provenance)
-        which.append(distinct.setdefault(fields, len(distinct)))
-    return (layout, [slot for slot, _ in views],
-            [view.case_name for _, view in views],
-            [view.evidence for _, view in views],
-            np.array([view._row for _, view in views]),
-            np.array([view._order for _, view in views], dtype=np.intp),
-            chosen, list(distinct), which), pairs
+        for row in rows:
+            chaos.on_row(row)
+    if budget is not None:
+        seconds, left = budget
+        budget = Budget(seconds, received - (seconds - left))
+    return engine._sweep(rows, budget)

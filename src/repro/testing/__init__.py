@@ -11,8 +11,6 @@ from repro.testing.chaos import (
     WorkerChaos,
     corrupt_cpd_table,
     flip_byte,
-    is_poison_case,
-    poison_case,
     truncate_tail,
     truncated_evidence,
 )
@@ -23,8 +21,6 @@ __all__ = [
     "WorkerChaos",
     "corrupt_cpd_table",
     "flip_byte",
-    "is_poison_case",
-    "poison_case",
     "truncate_tail",
     "truncated_evidence",
 ]

@@ -41,9 +41,6 @@ from repro.exceptions import ReproError
 #: Modes understood by :func:`corrupt_cpd_table`.
 CPD_CORRUPTION_MODES = ("nan", "negative", "unnormalized", "zero-row")
 
-#: Evidence variable marking a process-poison case (see :func:`poison_case`).
-POISON_EVIDENCE_KEY = "__chaos_poison__"
-
 
 class ChaosError(ReproError):
     """The default injected failure.
@@ -230,43 +227,15 @@ class FaultInjector:
 # Process-level injectors for the worker-pool diagnosis service
 # --------------------------------------------------------------------------
 
-def poison_case(name: str, mode: str = "crash") -> DiagnosticCase:
-    """Return a case engineered to hurt whatever diagnoses it.
-
-    ``mode="crash"``
-        The case carries the :data:`POISON_EVIDENCE_KEY` marker.  A worker
-        running under an armed :class:`WorkerChaos` dies (``SIGKILL``) the
-        moment it picks the case up — the "this exact record reliably
-        segfaults the native stack" scenario.  The supervisor must burn the
-        chunk's retry budget and surface a structured failure without losing
-        any sibling slot.  Without chaos armed, the marker is simply an
-        unknown evidence variable, so the case degrades to a structured
-        evidence failure instead of passing silently.
-    ``mode="invalid"``
-        Plain data poison: an unknown variable that the evidence boundary
-        converts into a structured per-case failure in-process.
-    """
-    if mode not in ("crash", "invalid"):
-        raise ValueError(f"unknown poison mode {mode!r}; "
-                         "use 'crash' or 'invalid'")
-    key = POISON_EVIDENCE_KEY if mode == "crash" else "__not_a_variable__"
-    return DiagnosticCase(name=name, controllable_states={},
-                          observable_states={key: "1"})
-
-
-def is_poison_case(case: DiagnosticCase) -> bool:
-    """True when ``case`` carries the crash-poison marker."""
-    return POISON_EVIDENCE_KEY in case.observable_states \
-        or POISON_EVIDENCE_KEY in case.controllable_states
-
-
 @dataclasses.dataclass(frozen=True)
 class WorkerChaos:
     """Process-level fault plan executed *inside* a serving worker.
 
     Picklable by design: the service ships it to the worker process, whose
     chunk loop calls the hooks.  All counters are per-process, so a
-    respawned worker starts fresh.
+    respawned worker starts fresh.  A worker sees admitted rows, never
+    cases, so the row hooks key on rows: a request's slots that share a row
+    share its fate.
 
     Attributes
     ----------
@@ -281,13 +250,21 @@ class WorkerChaos:
         Length of the injected hang (default effectively forever; the
         supervisor is expected to kill the worker long before).
     slow_per_case:
-        Extra sleep in seconds prepended to every case — the degraded-node
-        scenario backpressure and latency percentiles must surface.
+        Extra sleep in seconds prepended to every row the worker sweeps (a
+        request's distinct admitted rows; a case whose row repeats
+        another's adds nothing) — the degraded-node scenario backpressure
+        and latency percentiles must surface.
     only_first_generation:
         When true (default), kill/hang triggers are disarmed on respawned
         workers (``generation > 0``), so a crashed worker comes back
-        healthy and the pool recovers.  Poison-case kills stay armed
+        healthy and the pool recovers.  Poison-row kills stay armed
         regardless — a poison record must keep killing whoever touches it.
+    poison_rows:
+        Evidence rows (mappings) that kill the worker that sweeps them, the
+        "this exact record reliably segfaults the native stack" scenario;
+        :meth:`poison_case` plants one in a batch.  Each must be valid
+        evidence: the service's parent admits every case before a worker
+        sees it.
     """
 
     kill_on_chunk: int | None = None
@@ -295,6 +272,7 @@ class WorkerChaos:
     hang_seconds: float = 3600.0
     slow_per_case: float = 0.0
     only_first_generation: bool = True
+    poison_rows: tuple = ()
 
     def armed(self, generation: int) -> bool:
         """Whether the chunk-level triggers apply to this process."""
@@ -311,9 +289,20 @@ class WorkerChaos:
                 and chunk_number == self.hang_on_chunk:
             time.sleep(self.hang_seconds)
 
-    def on_case(self, case: DiagnosticCase) -> None:
-        """Per-case hook: die on poison, drag on slowness (worker process)."""
-        if is_poison_case(case):
+    def poison_case(self, name: str, index: int = 0) -> DiagnosticCase:
+        """A case on the plan's ``poison_rows[index]``: every worker that
+        sweeps it dies, so the supervisor must spend the row's retry budget
+        and fail each slot sharing it structurally, losing no sibling."""
+        return DiagnosticCase(name=name, controllable_states={},
+                              observable_states=dict(self.poison_rows[index]))
+
+    def is_poison(self, row: Mapping[str, str]) -> bool:
+        """True when ``row`` is one of the plan's poison rows."""
+        return any(dict(row) == dict(poison) for poison in self.poison_rows)
+
+    def on_row(self, row: Mapping[str, str]) -> None:
+        """Per-row hook: die on poison, drag on slowness (worker process)."""
+        if self.poison_rows and self.is_poison(row):
             os.kill(os.getpid(), signal.SIGKILL)
         if self.slow_per_case > 0:
             time.sleep(self.slow_per_case)

@@ -27,7 +27,7 @@ from repro.circuits import (
 )
 from repro.circuits.components import BehaviouralBlock
 from repro.core import CaseGenerator
-from repro.exceptions import ATEError
+from repro.exceptions import ATEError, CircuitError
 
 #: Measurement noise with and without which the two paths must agree.
 NOISES = [0.0, 0.01]
@@ -168,6 +168,21 @@ class TestTesterAgainstOracle:
         tester = ATETester(simulator, regulator_program)
         with pytest.raises(ATEError):
             tester.test_devices(["A", "B"], [None])
+
+    def test_fault_filed_under_another_block_rejected(self,
+                                                      regulator_circuit,
+                                                      regulator_program):
+        """A fault map is ``{fault.block: fault}``: a fault filed under
+        another block's name would be simulated on the key but recorded
+        under its own block, so it is refused before any device runs."""
+        tester = ATETester(make_simulator(regulator_circuit, seed=23),
+                           regulator_program)
+        with pytest.raises(CircuitError, match="filed under 'reg1'"):
+            tester.test_devices(
+                ["X"], [{"reg1": BlockFault("hcbg", FaultMode.DEAD)}])
+        (result,) = tester.test_devices(
+            ["X"], [{"hcbg": BlockFault("hcbg", FaultMode.DEAD)}])
+        assert set(result.faults) == {"hcbg"}
 
 
 class TestPopulationSemantics:

@@ -205,6 +205,77 @@ class TestServiceRestart:
         changed = any(b.posteriors != a.posteriors
                       for b, a in zip(before, after))
         assert changed
+        # The parent admitted and ranked under the published model too:
+        # every slot is an in-process engine's answer on that model.
+        expected = DiagnosisEngine(regulator_built_model,
+                                   FallbackPolicy()).diagnose_batch(cases)
+        for ours, theirs in zip(after, expected, strict=True):
+            assert ours.suspects == theirs.suspects
+            for field in ("posteriors", "ranked_candidates"):
+                assert repr(getattr(ours, field)) == \
+                    repr(getattr(theirs, field))
+
+    def test_a_newer_chunk_makes_a_throttled_worker_reload(
+            self, regulator_circuit, regulator_built_model, tmp_path):
+        """A worker whose own poll waits an hour still reloads before
+        sweeping a chunk admitted under a newer version than its own."""
+        designer = designer_model(regulator_circuit)
+        cases = list(PAPER_DIAGNOSTIC_CASES)
+        with DiagnosisService(designer, FallbackPolicy(),
+                              ServiceConfig(num_workers=1),
+                              persist_dir=tmp_path,
+                              reload_poll_interval=3600.0) as service:
+            service.diagnose_batch(cases, timeout=120)  # polls once, empty
+            service.publish_model(regulator_built_model)
+            after = service.diagnose_batch(cases, timeout=120)
+            stats = service.stats()
+        assert stats.model_reloads == 1 and stats.failed == 0
+        expected = DiagnosisEngine(regulator_built_model,
+                                   FallbackPolicy()).diagnose_batch(cases)
+        assert [repr(r.posteriors) for r in after] == \
+            [repr(r.posteriors) for r in expected]
+
+    def test_an_outside_publish_is_admitted_again_under_it(
+            self, regulator_circuit, regulator_built_model, tmp_path):
+        """A model published by another process reaches the worker first:
+        its reply names the new version, so the parent admits the request
+        again under the registry's model instead of settling it."""
+        designer = designer_model(regulator_circuit)
+        cases = list(PAPER_DIAGNOSTIC_CASES)
+        config = ServiceConfig(num_workers=1)
+        with DiagnosisService(designer, FallbackPolicy(), config,
+                              persist_dir=tmp_path,
+                              reload_poll_interval=0.0) as service:
+            service.diagnose_batch(cases, timeout=120)
+            with ModelRegistry(tmp_path / "models") as registry:
+                registry.publish(regulator_built_model, validate=False)
+            after = service.diagnose_batch(cases, timeout=120)
+            assert service._pipeline[1] == 1
+        expected = DiagnosisEngine(regulator_built_model,
+                                   FallbackPolicy()).diagnose_batch(cases)
+        for ours, theirs in zip(after, expected, strict=True):
+            assert ours.suspects == theirs.suspects
+            assert repr(ours.posteriors) == repr(theirs.posteriors)
+
+    def test_a_model_the_parent_cannot_load_fails_the_request(
+            self, regulator_circuit, regulator_built_model, tmp_path,
+            monkeypatch):
+        """Rows swept under a version the parent cannot admit under are
+        never settled as answers: after ``max_chunk_retries`` admissions
+        every slot fails structurally."""
+        config = ServiceConfig(num_workers=1, max_chunk_retries=1)
+        with DiagnosisService(designer_model(regulator_circuit),
+                              FallbackPolicy(), config, persist_dir=tmp_path,
+                              reload_poll_interval=0.0) as service:
+            monkeypatch.setattr(service._persist, "poll_reload",
+                                lambda at_least=0: None)
+            with ModelRegistry(tmp_path / "models") as registry:
+                registry.publish(regulator_built_model, validate=False)
+            results = service.diagnose_batch(PAPER_DIAGNOSTIC_CASES[:2],
+                                             timeout=120)
+            stats = service.stats()
+        assert [r.error_type for r in results] == ["ServingError"] * 2
+        assert stats.failed == 2 and stats.respawns == 0
 
     def test_fresh_service_prefers_the_registry_model(
             self, regulator_circuit, regulator_built_model, tmp_path):

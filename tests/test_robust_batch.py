@@ -25,7 +25,7 @@ from repro.core import (
 )
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.exceptions import DegradedResultWarning, EvidenceError
-from repro.serving.worker import _run_chunk
+from repro.serving.worker import _sweep_chunk
 from repro.testing import FaultInjector
 
 pytestmark = pytest.mark.filterwarnings(
@@ -219,16 +219,20 @@ def test_wall_time_is_an_equal_share_of_the_batch(built_model, chunk,
     assert sum(shares) <= elapsed
 
 
-def test_failed_sweep_walks_the_chain_per_slot(built_model):
-    """Every slot of a failed sweep walks the chain on its own, a duplicate
-    slot included."""
+def test_failed_sweep_walks_the_chain_per_row(built_model):
+    """Every row of a failed sweep walks the chain once; a duplicate slot
+    settles from its row's walk."""
     engine = DiagnosisEngine(built_model, policy())
     cases = [*PAPER_DIAGNOSTIC_CASES,
              dataclasses.replace(PAPER_DIAGNOSTIC_CASES[0], name="duplicate")]
+    walks = []
     with FaultInjector() as chaos:
         chaos.raise_on_call(engine._engine, "posteriors_batch")
+        chaos.perturb_result(engine._rung("lw"), "posteriors",
+                             lambda answer: walks.append(1) or answer)
         with pytest.warns(DegradedResultWarning):
             results = engine.diagnose_batch(cases, on_error="collect")
+    assert len(walks) == len(PAPER_DIAGNOSTIC_CASES)
     assert [result.case_name for result in results] == \
         [case.name for case in cases]
     for result in results:
@@ -271,55 +275,51 @@ def test_evidence_key_order_does_not_change_the_answer(built_model):
 
 
 class _Recorder:
-    """Duck-typed chaos plan recording the order of hooks and sweeps."""
+    """Duck-typed chaos plan recording the order of row hooks and sweeps."""
 
     def __init__(self) -> None:
-        self.events: list[str] = []
+        self.events: list = []
 
-    def on_case(self, case) -> None:
-        self.events.append(case.name)
+    def on_row(self, row) -> None:
+        self.events.append(row)
 
 
-def test_worker_chunk_runs_chaos_hooks_then_one_sweep(built_model):
-    engine = DiagnosisEngine(built_model, policy())
-    recorder = _Recorder()
-    original = engine.diagnose_batch
+def recording_sweep(engine, recorder, budgets):
+    original = engine._sweep
 
-    def diagnose_batch(cases, **options):
+    def sweep(rows, budget=None):
         recorder.events.append("sweep")
-        return original(cases, **options)
+        budgets.append(budget)
+        return original(rows, budget)
 
-    engine.diagnose_batch = diagnose_batch
-    pairs = list(enumerate(PAPER_DIAGNOSTIC_CASES, start=10))
-    results = _run_chunk(engine, pairs, None, recorder)
-    assert recorder.events == \
-        [case.name for case in PAPER_DIAGNOSTIC_CASES] + ["sweep"]
-    assert [slot for slot, _ in results] == [slot for slot, _ in pairs]
-    assert all(result.ok for _, result in results)
+    engine._sweep = sweep
 
 
-def test_budgeted_worker_chunk_is_one_batch_call(built_model):
+def test_worker_chunk_runs_row_hooks_then_one_sweep(built_model):
     engine = DiagnosisEngine(built_model, policy())
-    recorder = _Recorder()
-    original = engine.diagnose_batch
-    deadlines = []
+    recorder, budgets = _Recorder(), []
+    recording_sweep(engine, recorder, budgets)
+    rows = [case.evidence() for case in PAPER_DIAGNOSTIC_CASES]
+    matrix, outcomes, _ = _sweep_chunk(engine, rows, None, recorder,
+                                       time.perf_counter())
+    assert recorder.events == [*rows, "sweep"]
+    assert budgets == [None]
+    assert matrix.shape[0] == len(rows) and outcomes == {}
 
-    def diagnose_batch(cases, **options):
-        recorder.events.append("sweep")
-        deadlines.append(options.get("deadline"))
-        return original(cases, **options)
 
-    engine.diagnose_batch = diagnose_batch
-    pairs = list(enumerate(PAPER_DIAGNOSTIC_CASES))
-    budgeted = _run_chunk(engine, pairs, 60.0, recorder)
-    assert recorder.events == \
-        [case.name for case in PAPER_DIAGNOSTIC_CASES] + ["sweep"]
-    assert deadlines and 0 < deadlines[0] <= 60.0
-    free = _run_chunk(DiagnosisEngine(built_model, policy()), pairs,
-                      None, None)
-    assert [slot for slot, _ in budgeted] == [slot for slot, _ in free]
-    for (_, result), (_, expected) in zip(budgeted, free):
-        assert result.ok and expected.ok
-        assert result.posteriors == expected.posteriors
-        assert result.suspects == expected.suspects
-        assert result.provenance.engine == expected.provenance.engine
+def test_budgeted_worker_chunk_is_one_sweep(built_model):
+    """A chunk's ``(seconds, left)`` becomes the request's budget with its
+    clock shifted to the chunk's receipt."""
+    engine = DiagnosisEngine(built_model, policy())
+    recorder, budgets = _Recorder(), []
+    recording_sweep(engine, recorder, budgets)
+    rows = [case.evidence() for case in PAPER_DIAGNOSTIC_CASES]
+    budgeted = _sweep_chunk(engine, rows, (60.0, 45.0), recorder,
+                            time.perf_counter())
+    assert recorder.events == [*rows, "sweep"]
+    (budget,) = budgets
+    assert budget.seconds == 60.0 and 0 < budget.left() <= 45.0
+    free = _sweep_chunk(DiagnosisEngine(built_model, policy()), rows, None,
+                        None, time.perf_counter())
+    assert repr(budgeted[0].tolist()) == repr(free[0].tolist())
+    assert budgeted[1] == free[1] == {}

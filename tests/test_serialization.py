@@ -82,7 +82,7 @@ class TestExceptionPickling:
             InferenceTimeoutError("x", engine="ve", deadline=1.5),
             DeadlineExceededError("x", remaining=-0.25, deadline=3.0),
             ServiceOverloadedError("x", pending=99, limit=10),
-            WorkerCrashError("x", attempts=4),
+            WorkerCrashError("x", crashes=4),
             EvidenceError("x", issues=(("unknown-variable", "v", "why"),)),
             FallbackExhaustedError(
                 "x", attempts=(AttemptRecord("ve", "error", 0.1, "E: e"),),
@@ -120,7 +120,7 @@ class TestExceptionPickling:
 class TestResultPickling:
     def test_diagnosis_failure_roundtrips(self):
         failure = DiagnosisFailure.from_exception(
-            "dev-1", {"v_out": "fail"}, WorkerCrashError("died", attempts=3),
+            "dev-1", {"v_out": "fail"}, WorkerCrashError("died", crashes=3),
             attempts=(AttemptRecord("ve", "error", 0.2, "boom"),),
             wall_time=0.7)
         clone = roundtrip(failure)

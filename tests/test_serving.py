@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -239,6 +242,80 @@ class TestHealthyPath:
         assert stats.chunk_latency_p50 is not None
         assert stats.chunk_latency_p99 >= stats.chunk_latency_p50
         assert stats.uptime > 0
+
+    def test_concurrent_submitters_balance_the_accounting(self, built_model,
+                                                          cases):
+        """Callers admit on their own threads while the settler settles:
+        with more workers than cores and a short switch interval, every
+        request still comes back whole and every case is counted once."""
+        reference = [result.to_dict() | {"provenance": None} for result in
+                     DiagnosisEngine(built_model, FallbackPolicy())
+                     .diagnose_batch(cases, on_error="collect")]
+        served, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_service(built_model, num_workers=3,
+                              chunk_size=1) as service:
+                def client() -> None:
+                    for _ in range(6):
+                        served.append(service.diagnose_batch(cases,
+                                                             timeout=120))
+
+                threads = [threading.Thread(target=client) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = service.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(served) == 24
+        for results in served:
+            assert [result.to_dict() | {"provenance": None}
+                    for result in results] == reference
+        assert stats.submitted == stats.completed == 24 * len(cases)
+        assert stats.failed == stats.queue_depth == stats.in_flight == 0
+
+    @pytest.mark.parametrize("deadline", [None, 0.05])
+    def test_a_request_answered_inside_submit_settles_once(
+            self, built_model, cases, deadline):
+        """The submitting thread stalls just after it lets the lock go,
+        while the supervisor is woken as another submitter would wake it:
+        a worker answers the request's rows (or its deadline expires them
+        in the queue) and the request settles before ``submit`` returns.
+        It must settle exactly once."""
+        with make_service(built_model, num_workers=1) as service:
+            service.diagnose_batch(cases[:1], timeout=120)  # a worker is up
+            submitter = threading.current_thread()
+
+            class StallAfterRelease(threading.Condition):
+                def __exit__(self, *exc_info):
+                    super().__exit__(*exc_info)
+                    if threading.current_thread() is not submitter:
+                        return
+                    time.sleep(0.1)  # past the 0.05 s deadline
+                    service._wake()
+                    settled_by = time.monotonic() + 60
+                    while (stats := service.stats()).submitted \
+                            > stats.completed + stats.failed:
+                        assert time.monotonic() < settled_by
+                        time.sleep(0.005)
+
+            service._capacity = StallAfterRelease(service._lock)
+            future = service.submit(cases, deadline=deadline)
+            service._capacity = threading.Condition(service._lock)
+            results = future.result(120)
+            stats = service.stats()
+        assert [result.case_name for result in results] == \
+            [case.name for case in cases]
+        if deadline is None:
+            assert all(result.ok for result in results)
+        else:
+            assert {result.error_type for result in results} == \
+                {"DeadlineExceededError"}
+        assert stats.submitted == stats.completed + stats.failed \
+            == 1 + len(cases)
 
     def test_stats_snapshot_is_json_safe(self, built_model, cases):
         with make_service(built_model) as service:

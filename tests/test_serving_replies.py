@@ -1,11 +1,12 @@
-"""Served replies: the chunking rule, and planes rebuilt into row views.
+"""Served replies: the chunking rule, and swept rows settled into views.
 
-The service splits a request by :func:`~repro.core.diagnosis.chunk_slices`
-(the fewest chunks of at most ``chunk_size`` cases, equal but for the
-last), and a worker replies with planes: one posterior matrix, one
-ranking-order matrix and one suspect mask per chunk
-(:mod:`repro.serving.worker`).  The supervisor rebuilds each slot's view.  These tests pin the chunking rule
-and check every served slot against an in-process
+The service admits a request in its parent, splits the request's distinct
+rows by :func:`~repro.core.diagnosis.chunk_slices` (the fewest chunks of
+at most ``chunk_size`` rows, equal but for the last), and a worker replies
+with the sweep stage's answer for its rows: their posterior matrix and the
+outcome of each row it could not answer cleanly (:mod:`repro.serving.worker`).
+The parent ranks the rows and settles each slot.  These tests pin the
+chunking rule and check every served slot against an in-process
 :class:`~repro.core.diagnosis.DiagnosisEngine` with the same policy:
 bit-identical answers, the same provenance and failure trails, and no
 object shared between two results.
@@ -19,11 +20,10 @@ import pickle
 import pytest
 
 from repro.core import DiagnosisEngine, Dlog2BBN, FallbackPolicy
-from repro.core.diagnosis import Diagnosis, DiagnosticCase, chunk_slices
+from repro.core.diagnosis import DiagnosticCase, chunk_slices
 from repro.core.paper_cases import PAPER_DIAGNOSTIC_CASES
 from repro.serving import DiagnosisService, ServiceConfig
-from repro.serving.service import _views
-from repro.serving.worker import _planes
+from repro.testing import ChaosError, FaultInjector
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.exceptions.DegradedResultWarning")
@@ -146,25 +146,56 @@ def test_served_slots_equal_in_process(built_model, slots, mode, workers,
                for result in expected) == (mode == "sanitize")
 
 
-def test_reply_round_trip_keeps_what_is_not_a_row_view(built_model, slots):
-    """Row views travel as planes; failures and any result that is not a
-    row view travel whole."""
+def test_rows_the_sweep_cannot_answer_walk_the_chain_in_the_worker(
+        built_model, slots, monkeypatch):
+    """With every primary sweep down (patched before the worker forks),
+    each failed row walks the chain in the worker and its trail comes back
+    with it: the served slots equal the in-process ones, trails included.
+    One worker walks the rows in the in-process order, so the seeded
+    sampler that answers them draws the same numbers."""
+    from repro.bayesnet.inference import VariableElimination
+
+    def down(self, evidence_list):
+        raise ChaosError("sweep down")
+
+    monkeypatch.setattr(VariableElimination, "posteriors_batch", down)
     cases, names = slots
-    results = DiagnosisEngine(built_model, FallbackPolicy()).diagnose_batch(
+    policy = FallbackPolicy()
+    expected = DiagnosisEngine(built_model, policy).diagnose_batch(
         cases, names=names, on_error="collect")
-    plain = Diagnosis("plain", {"vp1": "2"}, {}, {}, ["hcbg"], [])
-    pairs = [(slot + 7, result) for slot, result in enumerate(results)]
-    pairs.insert(3, (99, plain))
-    planes, whole = _planes(pairs)
-    assert [slot for slot, _ in whole] == \
-        [slot for slot, result in pairs if slot == 99 or not result.ok]
-    # One provenance per distinct value: the clean slots share one.
-    assert sum(result.ok for result in results) > 1
-    assert len(planes[7]) == 1
-    decoded = dict(_views(pickle.loads(pickle.dumps((planes, whole)))))
-    assert sorted(decoded) == sorted(slot for slot, _ in pairs)
-    assert decoded[99] == plain
-    for slot, result in pairs:
-        if slot != 99:
-            assert_same_slot(decoded[slot], result)
-    assert_owned([decoded[slot] for slot in sorted(decoded) if slot != 99])
+    config = ServiceConfig(num_workers=1, start_method="fork")
+    with DiagnosisService(built_model, policy, config) as service:
+        served = service.diagnose_batch(cases, names=names, timeout=120)
+    for ours, theirs in zip(served, expected, strict=True):
+        assert_same_slot(ours, theirs)
+    assert {trail(result.provenance.attempts)[0] for result in served
+            if result.ok} == {("ve", "error")}
+
+
+@pytest.mark.parametrize("mode", ["raise", "sanitize"])
+def test_a_pickled_sweep_settles_into_the_in_process_results(
+        built_model, slots, mode):
+    """The sweep stage on its own engine, its answer pickled as a reply,
+    settles in another engine into the in-process results, rows that
+    walked the chain (the primary's sweep downed) included."""
+    cases, names = slots
+    policy = FallbackPolicy(on_invalid_evidence=mode)
+    for downed in (False, True):
+        parent, worker = (DiagnosisEngine(built_model, policy)
+                          for _ in range(2))
+        reference = DiagnosisEngine(built_model, policy)
+        with FaultInjector() as chaos:
+            if downed:
+                for engine in (worker, reference):
+                    chaos.raise_on_call(engine._engine, "posteriors_batch")
+            expected = reference.diagnose_batch(cases, names=names,
+                                                on_error="collect")
+            batch = parent._admit(cases, names, "collect", None)
+            reply = pickle.loads(pickle.dumps(worker._sweep(batch.rows)))
+        served = parent._settle(batch, reply, "collect")
+        assert parent._engine.sweep_count == 0  # the parent never swept
+        for ours, theirs in zip(served, expected, strict=True):
+            assert_same_slot(ours, theirs)
+        assert_owned(served)
+        assert any(result.ok and result.provenance.engine == "lw"
+                   for result in served) == downed
